@@ -12,7 +12,7 @@ sample, and compare.
 import numpy as np
 from scipy.stats import spearmanr
 
-from replaygraph.linear import LinearModel, Sample
+from replaygraph.linear import Batch, LinearModel
 from replaygraph.selection import (CgSettings, fit_to_stationarity,
                                    influence_scores, loo_retrain_oracle,
                                    predicted_loss_change)
@@ -28,8 +28,9 @@ centers = {0: np.full(dim, -sep / 2), 1: np.full(dim, sep / 2)}
 
 
 def draw(count):
-    return [Sample(centers[label] + rng.standard_normal(dim), label)
-            for label in (0, 1) for _ in range(count)]
+    labels = [label for label in (0, 1) for _ in range(count)]
+    return Batch(np.vstack([centers[label] + rng.standard_normal(dim) for label in labels]),
+                 labels)
 
 
 train = draw(n_per_class)

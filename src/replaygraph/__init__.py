@@ -17,41 +17,39 @@ from .experiment import (ExperimentConfig, ExperimentError, run_experiment,
 from .graph import (Graph, NormalizedAdjacency, PropagatedFeatures,
                     graph_from_edges, induced_subgraph, normalize_adjacency,
                     propagate)
-from .linear import LinearModel, LossGroup, MaskError, Sample
-from .metrics import (AccuracyMatrix, MetricsReport, accuracy, forgetting_mean,
-                      micro_f1, performance_mean)
+from .linear import Batch, LinearModel, LossGroup, MaskError
+from .metrics import (AccuracyMatrix, accuracy, forgetting_mean, micro_f1,
+                      performance_mean)
 from .mlp import MlpModel
 from .optim import AdamState, TrainConfig, TrainingDiverged, adam_minimize
 from .replay import (ExperienceBuffer, ReplayConfig, RunState, TaskData,
                      combined_loss, learn_task, prepare_image_task,
                      prepare_sequence, prepare_task_data, run_image_tasks,
                      run_sequence, weight_factor)
-from .selection import (Candidate, CgResult, CgSettings, ExperienceItem,
-                        cg_solve, coverage_counts, fit_to_stationarity,
-                        group_by_class, influence_scores, loo_parameter_change,
+from .selection import (CgResult, CgSettings, cg_solve, coverage_counts,
+                        fit_to_stationarity, influence_scores, loo_parameter_change,
                         loo_retrain_oracle, predicted_loss_change, select_cm,
                         select_im, select_mf, select_random)
-from .snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyMatrix", "AdamState", "Candidate", "CgResult", "CgSettings",
-    "ExperienceBuffer", "ExperienceItem", "ExperimentConfig", "ExperimentError",
+    "AccuracyMatrix", "AdamState", "Batch", "CgResult", "CgSettings",
+    "ExperienceBuffer", "ExperimentConfig", "ExperimentError",
     "Graph", "ImageTask", "LinearModel", "LossGroup", "MaskError",
-    "MetricsReport", "MlpModel", "NormalizedAdjacency", "PropagatedFeatures",
-    "ReplayConfig", "RunState", "Sample", "SnapshotFormatError", "TaskData",
+    "MlpModel", "NormalizedAdjacency", "PropagatedFeatures",
+    "ReplayConfig", "RunState", "TaskData",
     "TaskSequence", "TaskSpec", "TrainConfig", "TrainingDiverged",
     "accuracy", "adam_minimize", "build_task_sequence", "cg_solve",
     "combined_loss", "coverage_counts", "fit_to_stationarity",
-    "forgetting_mean", "graph_from_edges", "group_by_class",
+    "forgetting_mean", "graph_from_edges",
     "induced_subgraph", "influence_scores", "learn_task",
     "load_citation_dataset", "load_mnist", "loo_parameter_change",
     "loo_retrain_oracle", "make_permuted_tasks", "micro_f1",
     "normalize_adjacency", "performance_mean", "predicted_loss_change",
     "prepare_image_task", "prepare_sequence", "prepare_task_data", "propagate",
-    "read_snapshot", "run_experiment", "run_image_tasks", "run_sequence",
+    "run_experiment", "run_image_tasks", "run_sequence",
     "run_single_seed", "select_cm", "select_im", "select_mf", "select_random",
     "sweep_e", "synthetic_image_dataset", "synthetic_sbm_graph",
-    "validate_config_file", "weight_factor", "write_snapshot",
+    "validate_config_file", "weight_factor",
 ]

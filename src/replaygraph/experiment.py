@@ -20,8 +20,8 @@ import numpy as np
 
 from . import datasets
 from .metrics import AccuracyMatrix, forgetting_mean, performance_mean
-from .replay import (EVAL_MODES, PROBE_MODES, STRATEGIES, ReplayConfig,
-                     run_image_tasks, run_sequence)
+from .replay import (EVAL_MODES, LOSS_REDUCTIONS, PROBE_MODES, PROPAGATIONS,
+                     STRATEGIES, ReplayConfig, run_image_tasks, run_sequence)
 from .selection import LINEAR_CG, MLP_CG, CgSettings
 
 SCHEMA_VERSION = 1
@@ -169,6 +169,10 @@ class ExperimentConfig:
             errors.append(f"probe: must be one of {', '.join(PROBE_MODES)}")
         if not 0.0 < self.probe_fraction < 1.0:
             errors.append("probe_fraction: must be in (0, 1)")
+        if self.propagation not in PROPAGATIONS:
+            errors.append(f"propagation: must be one of {', '.join(PROPAGATIONS)}")
+        if self.loss_reduction not in LOSS_REDUCTIONS:
+            errors.append(f"loss_reduction: must be one of {', '.join(LOSS_REDUCTIONS)}")
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):

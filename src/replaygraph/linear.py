@@ -2,15 +2,15 @@
 
 The model keeps one output row per global class; training and prediction are
 restricted to a mask of currently relevant classes, so a single parameter set
-serves every task in a sequence. Loss is SUM-reduced over samples (this makes
+serves every task in a sequence. Loss is SUM-reduced over rows (this makes
 the replay weight factor balance exact), while ``hvp`` applies the Hessian of
-the per-sample MEAN loss, which is the operator the influence approximation
+the per-row MEAN loss, which is the operator the influence approximation
 inverts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,32 +22,78 @@ class MaskError(ValueError):
     """A sample label (or prediction request) fell outside the class mask."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One classifier input: a frozen representation, its global class id, a loss weight."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Rows held as columns: inputs ``x`` (n, d), global class ids ``y`` and
+    loss weights ``w`` (ones by default).
 
-    input: np.ndarray
-    label: int
-    weight: float = 1.0
+    Selection candidates and buffered rows also carry ``node`` (index of the
+    row in its graph or image set), ``task`` (origin task) and, for graph
+    tasks, the raw ``attributes`` that attribute-space geometry uses.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray | None = None
+    node: np.ndarray | None = None
+    task: np.ndarray | None = None
+    attributes: np.ndarray | None = None
+
+    def __post_init__(self):
+        # C-contiguous float64 (int64 for ids), as np.vstack of rows would give
+        if self.w is None:
+            object.__setattr__(self, "w", np.ones(np.shape(self.x)[0]))
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                dtype = np.int64 if f.name in ("y", "node", "task") else np.float64
+                object.__setattr__(self, f.name,
+                                   np.ascontiguousarray(getattr(self, f.name), dtype=dtype))
+        if self.x.ndim != 2:
+            raise ValueError(f"inputs have shape {self.x.shape}, expected (n, d)")
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if column is not None and column.shape[:1] != self.x.shape[:1]:
+                raise ValueError(f"column {f.name} has shape {column.shape}, "
+                                 f"expected {len(self)} rows")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def take(self, rows) -> "Batch":
+        """The given rows, in the given order, with every column kept."""
+        return Batch(**{f.name: None if getattr(self, f.name) is None
+                        else getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True)
 class LossGroup:
-    """Samples sharing a class mask, contributing ``coeff * loss(samples, mask)``."""
+    """Rows sharing a class mask, contributing ``coeff * loss(batch, mask)``."""
 
-    samples: tuple[Sample, ...]
+    batch: Batch
     mask: tuple[int, ...] | None
     coeff: float
 
 
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack a sample list into (inputs, labels, weights) arrays."""
-    if len(samples) == 0:
+def stack_samples(batches) -> Batch:
+    """Concatenate batches row-wise; a column survives if every batch has it."""
+    batches = list(batches)
+    if not batches:
         raise ValueError("need at least one sample")
-    x = np.vstack([np.asarray(s.input, dtype=np.float64) for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    w = np.array([s.weight for s in samples], dtype=np.float64)
-    return x, y, w
+    parts = {f.name: [getattr(b, f.name) for b in batches] for f in fields(Batch)}
+    return Batch(**{name: None if any(p is None for p in column) else np.concatenate(column)
+                    for name, column in parts.items()})
+
+
+def label_positions(mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each label's index within the sorted mask; empty or out-of-mask labels raise."""
+    if y.size == 0:
+        raise ValueError("need at least one sample")
+    pos = np.searchsorted(mask_arr, y)
+    bad = (pos >= mask_arr.size) | (mask_arr[np.minimum(pos, mask_arr.size - 1)] != y)
+    if np.any(bad):
+        raise MaskError(f"label(s) {sorted(set(y[bad].tolist()))} outside mask "
+                        f"{mask_arr.tolist()}")
+    return pos
 
 
 @dataclass
@@ -118,14 +164,6 @@ class LinearModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _positions(self, mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(mask_arr, y)
-        bad = (pos >= mask_arr.size) | (mask_arr[np.minimum(pos, mask_arr.size - 1)] != y)
-        if np.any(bad):
-            raise MaskError(f"label(s) {sorted(set(y[bad].tolist()))} outside mask "
-                            f"{mask_arr.tolist()}")
-        return pos
-
     def _logits(self, x: np.ndarray, mask_arr: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
@@ -136,41 +174,40 @@ class LinearModel:
         return 0.5 * self.weight_decay * (float(self.weights.ravel() @ self.weights.ravel())
                                           + float(self.bias @ self.bias))
 
-    def _loss_stacked(self, x, y, w, mask_arr) -> float:
-        z = self._logits(x, mask_arr)
-        pos = self._positions(mask_arr, y)
-        ce = logsumexp(z, axis=1) - z[np.arange(len(y)), pos]
-        return float(w @ ce) + self._decay_value()
+    def _loss(self, batch: Batch, mask_arr) -> float:
+        z = self._logits(batch.x, mask_arr)
+        pos = label_positions(mask_arr, batch.y)
+        ce = logsumexp(z, axis=1) - z[np.arange(len(batch)), pos]
+        return float(batch.w @ ce) + self._decay_value()
 
-    def _gradient_stacked(self, x, y, w, mask_arr) -> np.ndarray:
-        z = self._logits(x, mask_arr)
-        pos = self._positions(mask_arr, y)
+    def _gradient(self, batch: Batch, mask_arr) -> np.ndarray:
+        z = self._logits(batch.x, mask_arr)
+        pos = label_positions(mask_arr, batch.y)
         p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
         g = p.copy()
-        g[np.arange(len(y)), pos] -= 1.0
-        g *= w[:, None]
+        g[np.arange(len(batch)), pos] -= 1.0
+        g *= batch.w[:, None]
         dw = self.weight_decay * self.weights
         db = self.weight_decay * self.bias
-        dw[mask_arr] += g.T @ x
+        dw[mask_arr] += g.T @ batch.x
         db[mask_arr] += g.sum(axis=0)
         return np.concatenate([dw.ravel(), db])
 
     # -- public contract --
 
-    def loss(self, samples, mask=None) -> float:
+    def loss(self, batch: Batch, mask=None) -> float:
         """Weighted sum of softmax cross-entropies plus weight_decay * ||theta||^2 / 2."""
-        x, y, w = stack_samples(samples)
-        return self._loss_stacked(x, y, w, self.resolve_mask(mask))
+        return self._loss(batch, self.resolve_mask(mask))
 
-    def gradient(self, samples, mask=None) -> np.ndarray:
+    def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         """Exact flat gradient of :meth:`loss`."""
-        x, y, w = stack_samples(samples)
-        return self._gradient_stacked(x, y, w, self.resolve_mask(mask))
+        return self._gradient(batch, self.resolve_mask(mask))
 
-    def hvp(self, samples, mask=None, v: np.ndarray = None, damping: float = 0.0) -> np.ndarray:
-        """(H + damping I) v for H the Hessian of ``loss(samples) / len(samples)``.
+    def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
+            damping: float = 0.0) -> np.ndarray:
+        """(H + damping I) v for H the Hessian of ``loss(batch) / len(batch)``.
 
-        Closed form: each sample contributes the block
+        Closed form: each row contributes the block
         ``(diag(p) - p p^T) (x) [x 1][x 1]^T`` on its mask rows; the decay term
         contributes ``weight_decay / n``.
         """
@@ -179,9 +216,9 @@ class LinearModel:
             raise ValueError(f"vector has {v.size} entries, expected {self.num_params}")
         if damping < 0:
             raise ValueError("damping must be >= 0")
-        x, y, w = stack_samples(samples)
+        x, w = batch.x, batch.w
         mask_arr = self.resolve_mask(mask)
-        self._positions(mask_arr, y)
+        label_positions(mask_arr, batch.y)
 
         split = self.weights.size
         vw = v[:split].reshape(self.weights.shape)
@@ -196,22 +233,22 @@ class LinearModel:
         hw[mask_arr] = q.T @ x
         hb[mask_arr] = q.sum(axis=0)
         flat = np.concatenate([hw.ravel(), hb]) + self.weight_decay * v
-        return flat / len(samples) + damping * v
+        return flat / len(batch) + damping * v
 
-    def gradient_dots(self, samples, mask=None, vec: np.ndarray = None) -> np.ndarray:
-        """Per-sample inner products <grad CE_i, vec>, computed without
-        materializing the per-sample gradients.
+    def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:
+        """Per-row inner products <grad CE_i, vec>, computed without
+        materializing the per-row gradients.
 
         The decay term is excluded: it belongs to the objective, not to any
-        one sample, and the influence of removing a sample is taken against
-        its cross-entropy contribution alone.
+        one row, and the influence of removing a row is taken against its
+        cross-entropy contribution alone.
         """
         vec = np.asarray(vec, dtype=np.float64)
         if vec.size != self.num_params:
             raise ValueError(f"vector has {vec.size} entries, expected {self.num_params}")
-        x, y, w = stack_samples(samples)
+        x, y = batch.x, batch.y
         mask_arr = self.resolve_mask(mask)
-        pos = self._positions(mask_arr, y)
+        pos = label_positions(mask_arr, y)
         split = self.weights.size
         vw = vec[:split].reshape(self.weights.shape)
         vb = vec[split:]
@@ -220,7 +257,7 @@ class LinearModel:
         g = p.copy()
         g[np.arange(len(y)), pos] -= 1.0
         u = x @ vw[mask_arr].T + vb[mask_arr]
-        return np.sum(g * u, axis=1) * w
+        return np.sum(g * u, axis=1) * batch.w
 
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
         """Argmax over mask-restricted logits; ties go to the lowest class id."""
@@ -229,33 +266,26 @@ class LinearModel:
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig, adam: AdamState | None = None) -> "LinearModel":
-        """Full-batch Adam on ``sum_g coeff_g * loss(g.samples, g.mask)``.
+        """Full-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
 
         Returns a trained copy; the receiver is left untouched.
         """
-        stacked = [(stack_samples(g.samples), self.resolve_mask(g.mask), g.coeff)
-                   for g in groups]
+        resolved = [(g.batch, self.resolve_mask(g.mask), g.coeff) for g in groups]
         scratch = self.copy()
 
         def grad_fn(theta):
             scratch.set_flat(theta)
             total = np.zeros(theta.size)
-            for (x, y, w), mask_arr, coeff in stacked:
-                total += coeff * scratch._gradient_stacked(x, y, w, mask_arr)
+            for batch, mask_arr, coeff in resolved:
+                total += coeff * scratch._gradient(batch, mask_arr)
             return total
 
         def loss_fn(theta):
             scratch.set_flat(theta)
-            return sum(coeff * scratch._loss_stacked(x, y, w, mask_arr)
-                       for (x, y, w), mask_arr, coeff in stacked)
+            return sum(coeff * scratch._loss(batch, mask_arr)
+                       for batch, mask_arr, coeff in resolved)
 
         theta = adam_minimize(self.get_flat(), grad_fn, config, loss_fn, adam)
         trained = self.copy()
         trained.set_flat(theta)
         return trained
-
-
-def train(model: LinearModel, samples, config: TrainConfig,
-          adam: AdamState | None = None) -> LinearModel:
-    """Train on one sample set under the model's active-class mask."""
-    return model.fit([LossGroup(tuple(samples), None, 1.0)], config, adam)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,20 +69,6 @@ class AccuracyMatrix:
         for (i, j), val in entries.items():
             values[i, j] = val
         return cls(values)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    pm: float
-    fm: float
-    per_task_forgetting: tuple[float, ...]
-    eval_mode: str = "task-aware"
-    metric_kind: str = "accuracy"
-
-    def to_dict(self) -> dict:
-        return {"pm": self.pm, "fm": self.fm,
-                "per_task_forgetting": list(self.per_task_forgetting),
-                "eval_mode": self.eval_mode, "metric_kind": self.metric_kind}
 
 
 def performance_mean(matrix: AccuracyMatrix) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .linear import LossGroup, MaskError, stack_samples
+from .linear import Batch, MaskError, label_positions
 from .optim import AdamState, TrainConfig, TrainingDiverged
 
 
@@ -107,14 +107,6 @@ class MlpModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _positions(self, mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(mask_arr, y)
-        bad = (pos >= mask_arr.size) | (mask_arr[np.minimum(pos, mask_arr.size - 1)] != y)
-        if np.any(bad):
-            raise MaskError(f"label(s) {sorted(set(y[bad].tolist()))} outside mask "
-                            f"{mask_arr.tolist()}")
-        return pos
-
     def _forward(self, x: np.ndarray, mask_arr: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
@@ -150,26 +142,26 @@ class MlpModel:
 
     # -- public contract --
 
-    def loss(self, samples, mask=None) -> float:
-        x, y, w = stack_samples(samples)
+    def loss(self, batch: Batch, mask=None) -> float:
         mask_arr = self.resolve_mask(mask)
-        _, _, z = self._forward(x, mask_arr)
-        pos = self._positions(mask_arr, y)
-        ce = logsumexp(z, axis=1) - z[np.arange(len(y)), pos]
-        return float(w @ ce) + self._decay_value()
+        _, _, z = self._forward(batch.x, mask_arr)
+        pos = label_positions(mask_arr, batch.y)
+        ce = logsumexp(z, axis=1) - z[np.arange(len(batch)), pos]
+        return float(batch.w @ ce) + self._decay_value()
 
-    def gradient(self, samples, mask=None) -> np.ndarray:
-        x, y, w = stack_samples(samples)
+    def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         mask_arr = self.resolve_mask(mask)
-        a1, a2, z = self._forward(x, mask_arr)
-        pos = self._positions(mask_arr, y)
+        a1, a2, z = self._forward(batch.x, mask_arr)
+        pos = label_positions(mask_arr, batch.y)
         p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
         g3 = p.copy()
-        g3[np.arange(len(y)), pos] -= 1.0
-        g3 *= w[:, None]
-        return self._ce_backprop(x, a1, a2, g3, mask_arr) + self.weight_decay * self.get_flat()
+        g3[np.arange(len(batch)), pos] -= 1.0
+        g3 *= batch.w[:, None]
+        return (self._ce_backprop(batch.x, a1, a2, g3, mask_arr)
+                + self.weight_decay * self.get_flat())
 
-    def hvp(self, samples, mask=None, v: np.ndarray = None, damping: float = 0.0) -> np.ndarray:
+    def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
+            damping: float = 0.0) -> np.ndarray:
         """(H + damping I) v via a central difference of the mean gradient.
 
         Step size scales with parameter magnitude over direction magnitude so
@@ -187,24 +179,24 @@ class MlpModel:
         h = 1e-5 * (1.0 + float(np.max(np.abs(theta)))) / (v_inf + 1e-12)
         scratch = self.copy()
         scratch.set_flat(theta + h * v)
-        g_plus = scratch.gradient(samples, mask)
+        g_plus = scratch.gradient(batch, mask)
         scratch.set_flat(theta - h * v)
-        g_minus = scratch.gradient(samples, mask)
-        return (g_plus - g_minus) / (2.0 * h * len(samples)) + damping * v
+        g_minus = scratch.gradient(batch, mask)
+        return (g_plus - g_minus) / (2.0 * h * len(batch)) + damping * v
 
-    def gradient_dots(self, samples, mask=None, vec: np.ndarray = None) -> np.ndarray:
-        """Per-sample <grad CE_i, vec> via layerwise bilinear forms (decay
+    def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:
+        """Per-row <grad CE_i, vec> via layerwise bilinear forms (decay
         excluded, matching the linear model's convention)."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.size != self.num_params:
             raise ValueError(f"vector has {vec.size} entries, expected {self.num_params}")
-        x, y, w = stack_samples(samples)
+        x = batch.x
         mask_arr = self.resolve_mask(mask)
         a1, a2, z = self._forward(x, mask_arr)
-        pos = self._positions(mask_arr, y)
+        pos = label_positions(mask_arr, batch.y)
         p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
         g3 = p.copy()
-        g3[np.arange(len(y)), pos] -= 1.0
+        g3[np.arange(len(batch)), pos] -= 1.0
         g2 = (g3 @ self.w3[mask_arr]) * (a2 > 0)
         g1 = (g2 @ self.w2) * (a1 > 0)
 
@@ -217,7 +209,7 @@ class MlpModel:
         dots = np.sum(g1 * (x @ v1.T + vb1), axis=1)
         dots += np.sum(g2 * (a1 @ v2.T + vb2), axis=1)
         dots += np.sum(g3 * (a2 @ v3[mask_arr].T + vb3[mask_arr]), axis=1)
-        return dots * w
+        return dots * batch.w
 
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
         mask_arr = self.resolve_mask(mask)
@@ -225,16 +217,14 @@ class MlpModel:
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig, adam: AdamState | None = None) -> "MlpModel":
-        """Mini-batch Adam on ``sum_g coeff_g * loss(g.samples, g.mask)``.
+        """Mini-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
 
         Groups are pooled and shuffled together each epoch; within a batch each
         group's members keep their own mask, and the decay gradient is scaled
         by batch_size / pool_size so one epoch applies it exactly once.
         """
-        stacks = []
-        for g in groups:
-            x, y, w = stack_samples(g.samples)
-            stacks.append((x, y, w, self.resolve_mask(g.mask), g.coeff))
+        stacks = [(g.batch.x, g.batch.y, g.batch.w, self.resolve_mask(g.mask), g.coeff)
+                  for g in groups]
         total = sum(s[0].shape[0] for s in stacks)
         group_of = np.concatenate([np.full(s[0].shape[0], gi, dtype=np.int64)
                                    for gi, s in enumerate(stacks)])
@@ -260,7 +250,7 @@ class MlpModel:
                         continue
                     xb, yb, wb = x[members], y[members], w[members]
                     a1, a2, z = scratch._forward(xb, mask_arr)
-                    pos = scratch._positions(mask_arr, yb)
+                    pos = label_positions(mask_arr, yb)
                     p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
                     g3 = p.copy()
                     g3[np.arange(len(yb)), pos] -= 1.0
@@ -273,9 +263,3 @@ class MlpModel:
         trained = self.copy()
         trained.set_flat(theta)
         return trained
-
-
-def train(model: MlpModel, samples, config: TrainConfig,
-          adam: AdamState | None = None) -> MlpModel:
-    """Train on one sample set under the model's active-class mask."""
-    return model.fit([LossGroup(tuple(samples), None, 1.0)], config, adam)

@@ -9,6 +9,7 @@ and the pixel MLP share one engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,16 +17,18 @@ import numpy as np
 
 from .datasets import ImageTask, TaskSequence, TaskSpec
 from .graph import Graph, induced_subgraph, normalize_adjacency, propagate
-from .linear import LinearModel, LossGroup, Sample
+from .linear import Batch, LinearModel, LossGroup, stack_samples
 from .metrics import AccuracyMatrix, accuracy
 from .mlp import MlpModel
 from .optim import TrainConfig
-from .selection import (Candidate, CgSettings, ExperienceItem, group_by_class,
-                        select_cm, select_im, select_mf, select_random)
+from .selection import (CgSettings, class_rows, select_cm, select_im, select_mf,
+                        select_random)
 
 STRATEGIES = ("none", "random", "mf", "mf-embed", "cm", "cm-embed", "im")
 EVAL_MODES = ("task-aware", "class-incremental")
 PROBE_MODES = ("holdout", "test")
+PROPAGATIONS = ("task", "full")
+LOSS_REDUCTIONS = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,11 @@ class ReplayConfig:
             raise ValueError(f"probe must be one of {PROBE_MODES}, got {self.probe!r}")
         if not 0.0 < self.probe_fraction < 1.0:
             raise ValueError("probe_fraction must be in (0, 1)")
-        if self.propagation not in ("task", "full"):
-            raise ValueError(f"propagation must be 'task' or 'full', got {self.propagation!r}")
-        if self.loss_reduction not in ("sum", "mean"):
-            raise ValueError(f"loss_reduction must be 'sum' or 'mean', "
+        if self.propagation not in PROPAGATIONS:
+            raise ValueError(f"propagation must be one of {PROPAGATIONS}, "
+                             f"got {self.propagation!r}")
+        if self.loss_reduction not in LOSS_REDUCTIONS:
+            raise ValueError(f"loss_reduction must be one of {LOSS_REDUCTIONS}, "
                              f"got {self.loss_reduction!r}")
 
 
@@ -75,45 +79,44 @@ def weight_factor(train_count: int, buffer_count: int) -> float:
     return buffer_count / (train_count + buffer_count)
 
 
-def loss_groups(train_samples, buffer_samples, train_mask, buffer_mask,
+def loss_groups(train: Batch, buffer: Batch | None, train_mask, buffer_mask,
                 reduction: str = "sum", beta: float | None = None) -> list[LossGroup]:
     """Loss terms realizing the weighted combination of current and buffered
-    samples.
+    rows.
 
     With sum-reduced losses the balance is exact: the total weight placed on
     the current task, beta * len(train), equals the total weight on the
-    buffer, (1 - beta) * len(buffer). An empty buffer contributes nothing and
-    the current task keeps coefficient 1, otherwise the first task could
-    never be learned (beta would zero it out).
+    buffer, (1 - beta) * len(buffer). An empty buffer (None or no rows)
+    contributes nothing and the current task keeps coefficient 1, otherwise
+    the first task could never be learned (beta would zero it out).
     """
-    if len(train_samples) == 0:
-        raise ValueError("train_samples is empty")
-    if len(buffer_samples) == 0:
-        return [LossGroup(tuple(train_samples), train_mask, 1.0)]
-    b = weight_factor(len(train_samples), len(buffer_samples)) if beta is None else beta
+    if len(train) == 0:
+        raise ValueError("train batch is empty")
+    if buffer is None or len(buffer) == 0:
+        return [LossGroup(train, train_mask, 1.0)]
+    b = weight_factor(len(train), len(buffer)) if beta is None else beta
     train_coeff, buffer_coeff = b, 1.0 - b
     if reduction == "mean":
-        train_coeff /= len(train_samples)
-        buffer_coeff /= len(buffer_samples)
-    return [LossGroup(tuple(train_samples), train_mask, train_coeff),
-            LossGroup(tuple(buffer_samples), buffer_mask, buffer_coeff)]
+        train_coeff /= len(train)
+        buffer_coeff /= len(buffer)
+    return [LossGroup(train, train_mask, train_coeff),
+            LossGroup(buffer, buffer_mask, buffer_coeff)]
 
 
-def combined_loss(model, train_samples, buffer_samples, train_mask=None,
+def combined_loss(model, train: Batch, buffer: Batch | None, train_mask=None,
                   buffer_mask=None, beta: float | None = None,
                   reduction: str = "sum") -> float:
     """beta * loss(train) + (1 - beta) * loss(buffer); loss(train) alone when
     the buffer is empty. ``beta=None`` computes the weight factor from the
-    sample counts; passing a value overrides it (useful for the endpoint
+    row counts; passing a value overrides it (useful for the endpoint
     identities beta=0 and beta=1)."""
-    groups = loss_groups(train_samples, buffer_samples, train_mask, buffer_mask,
-                         reduction, beta)
-    return sum(g.coeff * model.loss(g.samples, g.mask) for g in groups)
+    groups = loss_groups(train, buffer, train_mask, buffer_mask, reduction, beta)
+    return sum(g.coeff * model.loss(g.batch, g.mask) for g in groups)
 
 
 class ExperienceBuffer:
-    """Add-only store of selected examples, at most ``capacity`` per
-    (origin task, class) pair.
+    """Add-only store of selected rows, at most ``capacity`` per (origin
+    task, class) pair.
 
     Keying by the pair rather than by class alone keeps capacities correct
     when tasks share a label space (permuted images); for class-disjoint
@@ -124,45 +127,51 @@ class ExperienceBuffer:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: dict[tuple[int, int], list[ExperienceItem]] = {}
+        self._rows: Batch | None = None
+        self._counts: Counter[tuple[int, int]] = Counter()
 
-    def add(self, items) -> None:
-        staged: dict[tuple[int, int], list[ExperienceItem]] = {}
-        for item in items:
-            staged.setdefault((item.origin_task, item.label), []).append(item)
+    def add(self, rows: Batch) -> None:
+        """Store rows carrying ``task`` and ``node`` columns; all or nothing."""
+        if rows.task is None or rows.node is None:
+            raise ValueError("buffer rows need task and node columns")
+        finite = np.all(np.isfinite(rows.x), axis=1)
+        if not finite.all():
+            raise ValueError(f"node {rows.node[~finite][0]}: non-finite input representation")
+        staged = Counter(zip(rows.task.tolist(), rows.y.tolist()))
         for key, new in staged.items():
-            have = len(self._items.get(key, []))
-            if have + len(new) > self.capacity:
+            have = self._counts[key]
+            if have + new > self.capacity:
                 raise ValueError(f"buffer capacity {self.capacity} exceeded for "
-                                 f"(task, class) {key}: {have} stored + {len(new)} new")
-        for key, new in staged.items():
-            self._items.setdefault(key, []).extend(new)
+                                 f"(task, class) {key}: {have} stored + {new} new")
+        self._counts.update(staged)
+        kept = Batch(rows.x, rows.y, node=rows.node, task=rows.task)
+        self._rows = kept if self._rows is None else stack_samples([self._rows, kept])
 
-    def items(self) -> list[ExperienceItem]:
-        return [item for key in sorted(self._items) for item in self._items[key]]
-
-    def samples(self) -> list[Sample]:
-        return [Sample(item.input, item.label) for item in self.items()]
+    def batch(self) -> Batch | None:
+        """Stored rows ordered by (task, class), oldest first within a pair;
+        None while empty."""
+        if self._rows is None:
+            return None
+        return self._rows.take(np.lexsort((self._rows.y, self._rows.task)))
 
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted({label for _, label in self._items}))
+        return tuple(sorted({label for _, label in self._counts}))
 
     def counts(self) -> dict[tuple[int, int], int]:
-        return {key: len(v) for key, v in sorted(self._items.items())}
+        return dict(sorted(self._counts.items()))
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._items.values())
+        return sum(self._counts.values())
 
 
 @dataclass(frozen=True)
 class TaskData:
-    """One task's model-ready arrays: training samples, selection candidates,
-    and the held-back evaluation split."""
+    """One task's model-ready rows: the training batch (which doubles as the
+    selection candidates) and the held-back evaluation split."""
 
     task_id: int
     classes: tuple[int, ...]
-    train_samples: tuple[Sample, ...]
-    candidates: tuple[Candidate, ...]
+    train: Batch
     test_inputs: np.ndarray
     test_labels: np.ndarray
 
@@ -191,14 +200,10 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2,
     def rows(node_list):
         return values[[row_of[n] for n in node_list.tolist()]]
 
-    train_inputs = rows(task.train_nodes)
-    train_labels = graph.labels[task.train_nodes]
-    candidates = tuple(
-        Candidate(node=int(n), label=int(y), inputs=x, attributes=graph.features[n],
-                  task=task.task_id)
-        for n, y, x in zip(task.train_nodes.tolist(), train_labels.tolist(), train_inputs))
-    samples = tuple(Sample(x, int(y)) for x, y in zip(train_inputs, train_labels.tolist()))
-    return TaskData(task.task_id, tuple(task.classes), samples, candidates,
+    train = Batch(rows(task.train_nodes), graph.labels[task.train_nodes],
+                  node=task.train_nodes, task=np.full(len(task.train_nodes), task.task_id),
+                  attributes=graph.features[task.train_nodes])
+    return TaskData(task.task_id, tuple(task.classes), train,
                     rows(task.test_nodes), graph.labels[task.test_nodes])
 
 
@@ -211,15 +216,12 @@ def prepare_sequence(seq: TaskSequence, config: ReplayConfig) -> list[TaskData]:
 
 
 def prepare_image_task(task: ImageTask) -> TaskData:
-    """Package a permuted-image task; pixels serve as both input and attribute."""
+    """Package a permuted-image task; pixels serve as both input and geometry."""
     classes = tuple(sorted(set(task.train_labels.tolist()) | set(task.test_labels.tolist())))
-    candidates = tuple(
-        Candidate(node=i, label=int(y), inputs=x, task=task.task_id)
-        for i, (x, y) in enumerate(zip(task.train_images, task.train_labels.tolist())))
-    samples = tuple(Sample(x, int(y))
-                    for x, y in zip(task.train_images, task.train_labels.tolist()))
-    return TaskData(task.task_id, classes, samples, candidates,
-                    task.test_images, task.test_labels)
+    n = len(task.train_labels)
+    train = Batch(task.train_images, task.train_labels, node=np.arange(n),
+                  task=np.full(n, task.task_id))
+    return TaskData(task.task_id, classes, train, task.test_images, task.test_labels)
 
 
 @dataclass
@@ -257,63 +259,50 @@ def _train_config(config: ReplayConfig, task_id: int) -> TrainConfig:
                        seed=_derived_seed(config.seed, task_id, 3))
 
 
-def _carve_probes(candidates, fraction: float, rng) -> tuple[list[Candidate], list[Sample]]:
-    """Hold out roughly ``fraction`` of each class as influence probes.
+def _carve_probes(candidates: Batch, fraction: float,
+                  rng) -> tuple[np.ndarray, np.ndarray]:
+    """Rows to keep and rows held out as influence probes, roughly
+    ``fraction`` of each class.
 
     Classes too small to split contribute no probes; if every class is like
     that, nothing is carved and the candidates double as their own probes.
     """
-    grouped = group_by_class(candidates)
-    keep: list[Candidate] = []
-    probes: list[Sample] = []
-    for label in sorted(grouped):
-        group = grouped[label]
-        n_probe = min(len(group) - 1, max(1, round(fraction * len(group))))
+    keep, probes = [], []
+    for _, rows in class_rows(candidates):
+        n_probe = min(len(rows) - 1, max(1, round(fraction * len(rows))))
         if n_probe < 1:
-            keep.extend(group)
+            keep.append(rows)
             continue
-        probe_idx = set(rng.choice(len(group), size=n_probe, replace=False).tolist())
-        for i, c in enumerate(group):
-            if i in probe_idx:
-                probes.append(Sample(np.asarray(c.inputs, dtype=np.float64), c.label))
-            else:
-                keep.append(c)
+        held = np.zeros(len(rows), dtype=bool)
+        held[rng.choice(len(rows), size=n_probe, replace=False)] = True
+        keep.append(rows[~held])
+        probes.append(rows[held])
     if not probes:
-        probes = [Sample(np.asarray(c.inputs, dtype=np.float64), c.label)
-                  for c in candidates]
-        keep = list(candidates)
-    return keep, probes
+        everything = np.arange(len(candidates))
+        return everything, everything
+    return np.concatenate(keep), np.concatenate(probes)
 
 
-def _with_embeddings(model, candidates) -> list[Candidate]:
-    if not hasattr(model, "embed") or not candidates:
-        return list(candidates)
-    inputs = np.vstack([np.asarray(c.inputs, dtype=np.float64) for c in candidates])
-    emb = model.embed(inputs)
-    return [Candidate(c.node, c.label, c.inputs, c.attributes, emb[i], c.task)
-            for i, c in enumerate(candidates)]
-
-
-def _select(model, strategy, candidates, e, probe_samples, population, config,
-            task_id) -> list[ExperienceItem]:
+def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
+            buffer: Batch | None, config: ReplayConfig, task_id: int) -> np.ndarray:
+    """Row indices into ``candidates`` that go into the buffer."""
     if strategy == "none":
-        return []
-    if strategy in ("mf-embed", "cm-embed"):
-        candidates = _with_embeddings(model, candidates)
-    grouped = group_by_class(candidates)
+        return np.zeros(0, dtype=np.int64)
     if strategy == "random":
-        return select_random(grouped, e, _derived_seed(config.seed, task_id, 1))
-    if strategy == "mf":
-        return select_mf(grouped, e, "attribute")
-    if strategy == "mf-embed":
-        return select_mf(grouped, e, "embedding")
-    if strategy == "cm":
-        return select_cm(grouped, e, config.cm_d, "attribute")
-    if strategy == "cm-embed":
-        return select_cm(grouped, e, config.cm_d, "embedding")
+        return select_random(candidates, config.e, _derived_seed(config.seed, task_id, 1))
     if strategy == "im":
-        return select_im(model, grouped, e, probe_samples, settings=config.cg,
+        population = candidates if buffer is None else stack_samples([candidates, buffer])
+        return select_im(model, candidates, config.e, probes, settings=config.cg,
                          signed=config.signed_im, population=population)
+    if strategy.endswith("-embed"):
+        geometry = model.embed(candidates.x) if hasattr(model, "embed") else candidates.x
+    else:
+        geometry = (candidates.attributes if candidates.attributes is not None
+                    else candidates.x)
+    if strategy in ("mf", "mf-embed"):
+        return select_mf(candidates, config.e, geometry)
+    if strategy in ("cm", "cm-embed"):
+        return select_cm(candidates, config.e, geometry, config.cm_d)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -322,35 +311,30 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     """One pass of the per-task loop; mutates and returns ``state``.
 
     Steps: activate the task's classes, train on the weighted current-plus-
-    buffer objective, select experiences from the trained samples, grow the
+    buffer objective, select experiences from the trained rows, grow the
     buffer, then score every task seen so far and snapshot the parameters.
     """
     state.model = state.model.activate(data.classes)
-    buffer_samples = state.buffer.samples()
+    buffer = state.buffer.batch()
     buffer_classes = state.buffer.classes()
     buffer_before = len(state.buffer)
 
-    candidates = list(data.candidates)
-    probe_samples: list[Sample] = []
+    train, probes = data.train, None
     if strategy == "im":
         if config.probe == "holdout":
             rng = np.random.default_rng(_derived_seed(config.seed, data.task_id, 2))
-            candidates, probe_samples = _carve_probes(candidates, config.probe_fraction, rng)
+            keep, held = _carve_probes(train, config.probe_fraction, rng)
+            train, probes = train.take(keep), Batch(train.x[held], train.y[held])
         else:
-            probe_samples = [Sample(x, int(y)) for x, y in
-                             zip(data.test_inputs, data.test_labels.tolist())]
-    train_samples = [Sample(np.asarray(c.inputs, dtype=np.float64), c.label)
-                     for c in candidates]
+            probes = Batch(data.test_inputs, data.test_labels)
 
-    beta = weight_factor(len(train_samples), len(buffer_samples))
-    groups = loss_groups(train_samples, buffer_samples, data.classes, buffer_classes,
-                         config.loss_reduction)
+    beta = weight_factor(len(train), buffer_before)
+    groups = loss_groups(train, buffer, data.classes, buffer_classes, config.loss_reduction)
     state.model = state.model.fit(groups, _train_config(config, data.task_id))
 
-    population = train_samples + buffer_samples
-    selected = _select(state.model, strategy, candidates, config.e, probe_samples,
-                       population, config, data.task_id)
-    if selected:
+    selected = train.take(_select(state.model, strategy, train, probes, buffer, config,
+                                  data.task_id))
+    if len(selected):
         state.buffer.add(selected)
 
     state.history.append(data)
@@ -364,22 +348,22 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     state.snapshots.append({name: arr.copy()
                             for name, arr in state.model.to_arrays().items()})
 
-    loss_train = float(state.model.loss(train_samples, data.classes))
-    loss_buffer = (float(state.model.loss(buffer_samples, buffer_classes))
-                   if buffer_samples else None)
+    loss_train = float(state.model.loss(train, data.classes))
+    loss_buffer = (float(state.model.loss(buffer, buffer_classes))
+                   if buffer is not None else None)
     state.events.append({
         "task": data.task_id,
         "strategy": strategy,
         "beta": beta,
-        "train_count": len(train_samples),
-        "probe_count": len(probe_samples),
+        "train_count": len(train),
+        "probe_count": 0 if probes is None else len(probes),
         "buffer_before": buffer_before,
         "buffer_after": len(state.buffer),
         "loss_train": loss_train,
         "loss_buffer": loss_buffer,
         "loss_combined": (beta * loss_train + (1.0 - beta) * loss_buffer
                           if loss_buffer is not None else loss_train),
-        "selected_nodes": [item.source_node for item in selected],
+        "selected_nodes": selected.node.tolist(),
         "seen_classes": list(seen),
         "accuracies": list(row),
     })

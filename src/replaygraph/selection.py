@@ -2,166 +2,95 @@
 influence maximization, plus the conjugate-gradient solver and the
 leave-one-out retraining oracle that keeps the influence approximation honest.
 
-All strategies return exactly ``min(e, class size)`` items per class, iterate
-classes in ascending id order, and break score ties by lowest node index, so a
-fixed input yields a fixed selection.
+Every strategy takes the candidate :class:`~replaygraph.linear.Batch` and
+returns row indices into it: ``min(e, class size)`` rows per class, classes in
+ascending id order, each class's rows in selection order. Score ties break by
+lowest node index, so a fixed input yields a fixed selection. ``mf`` and
+``cm`` measure distances in a caller-supplied geometry matrix with one row per
+candidate: raw attributes, or the model's embedding of the inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
-from .linear import LinearModel, Sample
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A selectable training node.
-
-    ``inputs`` is the representation the model consumes (and the one stored in
-    the buffer on selection). ``attributes`` is the raw attribute vector for
-    attribute-space geometry; it defaults to ``inputs``. ``embedding`` holds a
-    model-derived vector when the caller has one (MLP hidden activations); for
-    the linear model the propagated input already is the embedding.
-    """
-
-    node: int
-    label: int
-    inputs: np.ndarray
-    attributes: np.ndarray | None = None
-    embedding: np.ndarray | None = None
-    task: int = 0
+from .linear import Batch, LinearModel
 
 
-@dataclass(frozen=True)
-class ExperienceItem:
-    """A frozen training example kept for replay."""
-
-    input: np.ndarray
-    label: int
-    origin_task: int
-    source_node: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.input)):
-            raise ValueError(f"node {self.source_node}: non-finite input representation")
+def class_rows(batch: Batch) -> list[tuple[int, np.ndarray]]:
+    """Row indices per label, labels ascending, each class sorted by node
+    (by row position when the batch has no node column)."""
+    nodes = batch.node if batch.node is not None else np.arange(len(batch))
+    order = np.lexsort((nodes, batch.y))
+    labels, starts = np.unique(batch.y[order], return_index=True)
+    return list(zip(labels.tolist(), np.split(order, starts[1:])))
 
 
-def group_by_class(candidates) -> dict[int, list[Candidate]]:
-    """Candidates keyed by label, each class sorted by node index."""
-    grouped: dict[int, list[Candidate]] = {}
-    for c in candidates:
-        grouped.setdefault(c.label, []).append(c)
-    return {label: sorted(group, key=lambda c: c.node)
-            for label, group in sorted(grouped.items())}
-
-
-def _check_classes(samples_by_class, e: int) -> None:
+def _candidate_classes(batch: Batch, e: int) -> list[tuple[int, np.ndarray]]:
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    if not samples_by_class:
+    if len(batch) == 0:
         raise ValueError("no candidate classes")
-    for label, group in samples_by_class.items():
-        if len(group) == 0:
-            raise ValueError(f"class {label} has no candidates")
+    return class_rows(batch)
 
 
-def _item(c: Candidate) -> ExperienceItem:
-    return ExperienceItem(np.asarray(c.inputs, dtype=np.float64), c.label, c.task, c.node)
+def _take_lowest(rows: np.ndarray, keys, e: int) -> np.ndarray:
+    """The e node-sorted rows with the smallest keys, ties by node."""
+    return rows[np.argsort(keys, kind="stable")[:e]]
 
 
-def _geometry_vector(c: Candidate, representation: str) -> np.ndarray:
-    if representation == "attribute":
-        base = c.attributes if c.attributes is not None else c.inputs
-    elif representation == "embedding":
-        base = c.embedding if c.embedding is not None else c.inputs
-    else:
-        raise ValueError(f"representation must be 'attribute' or 'embedding', "
-                         f"got {representation!r}")
-    return np.asarray(base, dtype=np.float64)
-
-
-def _take_lowest(group, keys, e: int) -> list[Candidate]:
-    """The e candidates with the smallest keys, ties by node index."""
-    order = sorted(range(len(group)), key=lambda i: (keys[i], group[i].node))
-    return [group[i] for i in order[:min(e, len(group))]]
-
-
-def select_random(samples_by_class, e: int, seed: int) -> list[ExperienceItem]:
+def select_random(batch: Batch, e: int, seed: int) -> np.ndarray:
     """Uniform per-class sample without replacement."""
-    _check_classes(samples_by_class, e)
     rng = np.random.default_rng(seed)
     chosen = []
-    for label in sorted(samples_by_class):
-        group = sorted(samples_by_class[label], key=lambda c: c.node)
-        idx = rng.choice(len(group), size=min(e, len(group)), replace=False)
-        chosen.extend(_item(group[i]) for i in sorted(idx))
-    return chosen
+    for _, rows in _candidate_classes(batch, e):
+        idx = rng.choice(len(rows), size=min(e, len(rows)), replace=False)
+        chosen.append(rows[np.sort(idx)])
+    return np.concatenate(chosen)
 
 
-def select_mf(samples_by_class, e: int,
-              representation: str = "attribute") -> list[ExperienceItem]:
-    """Per class, the e candidates closest to the class mean vector."""
-    _check_classes(samples_by_class, e)
+def select_mf(batch: Batch, e: int, geometry: np.ndarray) -> np.ndarray:
+    """Per class, the e candidates closest to the class mean of ``geometry``."""
     chosen = []
-    for label in sorted(samples_by_class):
-        group = sorted(samples_by_class[label], key=lambda c: c.node)
-        vectors = np.vstack([_geometry_vector(c, representation) for c in group])
-        prototype = vectors.mean(axis=0)
-        dists = np.linalg.norm(vectors - prototype, axis=1)
-        chosen.extend(_item(c) for c in _take_lowest(group, dists, e))
-    return chosen
+    for _, rows in _candidate_classes(batch, e):
+        vectors = geometry[rows]
+        dists = np.linalg.norm(vectors - vectors.mean(axis=0), axis=1)
+        chosen.append(_take_lowest(rows, dists, e))
+    return np.concatenate(chosen)
 
 
-def coverage_counts(samples_by_class, d: float | str = "auto",
-                    representation: str = "attribute") -> tuple[dict[int, np.ndarray], float]:
-    """|N(v)| per candidate: other-class candidates strictly within distance d.
+def coverage_counts(batch: Batch, geometry: np.ndarray,
+                    d: float | str = "auto") -> tuple[np.ndarray, float]:
+    """|N(v)| per candidate row: other-class candidates strictly within
+    distance d in ``geometry``.
 
     ``d="auto"`` uses the median cross-class pairwise distance; with a single
     class every count is zero and d is irrelevant.
     """
-    labels = sorted(samples_by_class)
-    groups = {label: sorted(samples_by_class[label], key=lambda c: c.node)
-              for label in labels}
-    vecs = {label: np.vstack([_geometry_vector(c, representation) for c in groups[label]])
-            for label in labels}
-
-    cross = [cdist(vecs[a], vecs[b]) for i, a in enumerate(labels)
-             for b in labels[i + 1:]]
+    dist = squareform(pdist(geometry))
+    other = batch.y[:, None] != batch.y[None, :]
     if d == "auto":
-        d_val = float(np.median(np.concatenate([m.ravel() for m in cross]))) if cross else 0.0
+        # Each cross-class pair appears twice; the median of the doubled set
+        # is the median of the pairs.
+        d_val = float(np.median(dist[other])) if other.any() else 0.0
     else:
         d_val = float(d)
         if d_val <= 0:
             raise ValueError(f"d must be positive, got {d_val}")
-
-    counts = {label: np.zeros(len(groups[label]), dtype=np.int64) for label in labels}
-    k = 0
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            both = cross[k] < d_val
-            counts[a] += both.sum(axis=1)
-            counts[b] += both.sum(axis=0)
-            k += 1
-    return counts, d_val
+    return np.sum((dist < d_val) & other, axis=1), d_val
 
 
-def select_cm(samples_by_class, e: int, d: float | str = "auto",
-              representation: str = "attribute") -> list[ExperienceItem]:
+def select_cm(batch: Batch, e: int, geometry: np.ndarray,
+              d: float | str = "auto") -> np.ndarray:
     """Per class, the e candidates with the fewest other-class neighbors
     within distance d (they sit in sparsely contested regions)."""
-    _check_classes(samples_by_class, e)
-    counts, _ = coverage_counts(samples_by_class, d, representation)
-    chosen = []
-    for label in sorted(samples_by_class):
-        group = sorted(samples_by_class[label], key=lambda c: c.node)
-        chosen.extend(_item(c) for c in _take_lowest(group, counts[label], e))
-    return chosen
+    groups = _candidate_classes(batch, e)
+    counts, _ = coverage_counts(batch, geometry, d)
+    return np.concatenate([_take_lowest(rows, counts[rows], e) for _, rows in groups])
 
 
 # -- influence machinery --
@@ -203,7 +132,9 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
 
     Only operator applications are used; the matrix is never formed. Stops at
     ``||residual|| <= residual_tol * ||rhs||`` or the iteration cap, whichever
-    comes first (the cap is reported, not an error).
+    comes first (the cap is reported, not an error). A search direction with
+    zero curvature (``p . Ap == 0``) admits no step: the solve stops there and
+    returns the iterate reached so far, unconverged.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     limit = settings.max_iters if settings.max_iters is not None else min(rhs.size, 200)
@@ -220,7 +151,10 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
         if not np.all(np.isfinite(ap)):
             raise RuntimeError(f"CG operator returned non-finite values at iteration "
                                f"{iteration}")
-        alpha = rr / float(p @ ap)
+        curvature = float(p @ ap)
+        if curvature == 0.0:
+            return CgResult(x, float(np.sqrt(rr)), iteration - 1, False)
+        alpha = rr / curvature
         x += alpha * p
         r -= alpha * ap
         rr_new = float(r @ r)
@@ -233,83 +167,63 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
     return CgResult(x, float(np.sqrt(rr)), limit, False)
 
 
-def influence_scores(model, train_samples, probe_samples,
+def influence_scores(model, train: Batch, probes: Batch,
                      settings: CgSettings = CgSettings(), mask=None,
-                     population=None) -> np.ndarray:
-    """Signed influence of upweighting each training sample on the probe loss.
+                     population: Batch | None = None) -> np.ndarray:
+    """Signed influence of upweighting each training row on the probe loss.
 
     One CG solve of ``(H + damping I) w = grad(probe CE)`` against the mean
-    Hessian over ``population`` (the training samples themselves by default,
-    or train-plus-buffer inside a replay run); then ``score_i = -<w, grad
-    CE_i>``. More positive means upweighting the sample would increase the
-    probe loss; the predicted probe-loss change from REMOVING it is
+    Hessian over ``population`` (the training rows themselves by default, or
+    train-plus-buffer inside a replay run); then ``score_i = -<w, grad
+    CE_i>``. More positive means upweighting the row would increase the probe
+    loss; the predicted probe-loss change from REMOVING it is
     ``-score / len(population)``.
 
     The probe functional is the bare cross-entropy: the decay term belongs to
     the training objective (it stays in the Hessian), not to the quantity
     being measured on the probes.
     """
-    if len(probe_samples) == 0:
+    if len(probes) == 0:
         raise ValueError("probe set is empty")
-    pop = population if population is not None else train_samples
-    g_probe = replace(model, weight_decay=0.0).gradient(probe_samples, mask)
+    pop = population if population is not None else train
+    g_probe = replace(model, weight_decay=0.0).gradient(probes, mask)
     if float(np.linalg.norm(g_probe)) == 0.0:
-        return np.zeros(len(train_samples))
+        return np.zeros(len(train))
     result = cg_solve(lambda v: model.hvp(pop, mask, v, damping=settings.damping),
                       g_probe, settings)
-    return -model.gradient_dots(train_samples, mask, result.solution)
+    return -model.gradient_dots(train, mask, result.solution)
 
 
 def predicted_loss_change(scores: np.ndarray, population_size: int) -> np.ndarray:
-    """Probe-loss change predicted for removing each scored sample."""
+    """Probe-loss change predicted for removing each scored row."""
     if population_size < 1:
         raise ValueError("population_size must be >= 1")
     return -np.asarray(scores, dtype=np.float64) / population_size
 
 
-def select_im(model, samples_by_class, e: int, probe_samples,
+def select_im(model, batch: Batch, e: int, probes: Batch,
               settings: CgSettings = CgSettings(), signed: bool = False,
-              mask=None, population=None, trace_path=None) -> list[ExperienceItem]:
+              mask=None, population: Batch | None = None) -> np.ndarray:
     """Per class, the e candidates with the largest influence on the probes.
 
     Default ranking is by |score|: influence is signed and a strongly negative
-    sample shapes the decision boundary as much as a strongly positive one.
-    ``signed=True`` ranks by raw score descending instead.
+    row shapes the decision boundary as much as a strongly positive one.
+    ``signed=True`` ranks by raw score descending instead. Candidates are
+    scored as unit-weight rows in class order.
     """
-    _check_classes(samples_by_class, e)
-    labels = sorted(samples_by_class)
-    groups = {label: sorted(samples_by_class[label], key=lambda c: c.node)
-              for label in labels}
-    flat = [c for label in labels for c in groups[label]]
-    samples = [Sample(np.asarray(c.inputs, dtype=np.float64), c.label) for c in flat]
-    scores = influence_scores(model, samples, probe_samples, settings, mask, population)
-
-    chosen = []
-    offset = 0
-    rows = []
-    for label in labels:
-        group = groups[label]
-        s = scores[offset:offset + len(group)]
-        offset += len(group)
-        keys = -s if signed else -np.abs(s)
-        picked = _take_lowest(group, keys, e)
-        picked_nodes = {c.node for c in picked}
-        rows.extend((label, c.node, s[i], c.node in picked_nodes)
-                    for i, c in enumerate(group))
-        chosen.extend(_item(c) for c in picked)
-
-    if trace_path is not None:
-        lines = ["class,node,score,selected"]
-        lines.extend(f"{label},{node},{score:.10g},{int(sel)}"
-                     for label, node, score, sel in rows)
-        Path(trace_path).write_text("\n".join(lines) + "\n")
-    return chosen
+    groups = _candidate_classes(batch, e)
+    order = np.concatenate([rows for _, rows in groups])
+    scores = np.empty(len(batch))
+    scores[order] = influence_scores(model, Batch(batch.x[order], batch.y[order]), probes,
+                                     settings, mask, population)
+    keys = -scores if signed else -np.abs(scores)
+    return np.concatenate([_take_lowest(rows, keys[rows], e) for _, rows in groups])
 
 
 # -- retraining oracle --
 
 
-def fit_to_stationarity(template: LinearModel, samples, mask=None) -> LinearModel:
+def fit_to_stationarity(template: LinearModel, batch: Batch, mask=None) -> LinearModel:
     """Minimize the convex objective to optimizer-grade stationarity.
 
     The oracle compares optima, not training trajectories, so it uses a
@@ -321,7 +235,7 @@ def fit_to_stationarity(template: LinearModel, samples, mask=None) -> LinearMode
 
     def objective(theta):
         work.set_flat(theta)
-        return (work.loss(samples, mask_arr), work.gradient(samples, mask_arr))
+        return (work.loss(batch, mask_arr), work.gradient(batch, mask_arr))
 
     res = scipy.optimize.minimize(objective, np.zeros(work.num_params), jac=True,
                                   method="L-BFGS-B",
@@ -333,35 +247,34 @@ def fit_to_stationarity(template: LinearModel, samples, mask=None) -> LinearMode
     return fitted
 
 
-def loo_retrain_oracle(template: LinearModel, train_samples, probe_samples,
-                       index: int, mask=None) -> float:
-    """Ground-truth probe-loss change from dropping one training sample.
+def _fit_with_and_without(template: LinearModel, train: Batch, index: int, mask):
+    """Optima on all of ``train`` and on ``train`` without row ``index``."""
+    if not 0 <= index < len(train):
+        raise IndexError(f"index {index} outside [0, {len(train)})")
+    full = fit_to_stationarity(template, train, mask)
+    if len(train) == 1:
+        raise ValueError("cannot remove the only training sample")
+    reduced = train.take(np.delete(np.arange(len(train)), index))
+    return full, fit_to_stationarity(template, reduced, mask)
 
-    Retrains from the same (zero) initialization with ``train_samples[index]``
-    removed and returns ``probe_CE(without) - probe_CE(with)``, the quantity
-    the influence prediction approximates; the probe evaluation excludes the
+
+def loo_retrain_oracle(template: LinearModel, train: Batch, probes: Batch,
+                       index: int, mask=None) -> float:
+    """Ground-truth probe-loss change from dropping one training row.
+
+    Retrains from the same (zero) initialization with row ``index`` removed
+    and returns ``probe_CE(without) - probe_CE(with)``, the quantity the
+    influence prediction approximates; the probe evaluation excludes the
     decay term, mirroring influence_scores. Intended for small instances; it
     runs one full solve per call.
     """
-    if not 0 <= index < len(train_samples):
-        raise IndexError(f"index {index} outside [0, {len(train_samples)})")
-    full = fit_to_stationarity(template, train_samples, mask)
-    reduced = [s for i, s in enumerate(train_samples) if i != index]
-    if not reduced:
-        raise ValueError("cannot remove the only training sample")
-    loo = fit_to_stationarity(template, reduced, mask)
-    return (replace(loo, weight_decay=0.0).loss(probe_samples, mask)
-            - replace(full, weight_decay=0.0).loss(probe_samples, mask))
+    full, loo = _fit_with_and_without(template, train, index, mask)
+    return (replace(loo, weight_decay=0.0).loss(probes, mask)
+            - replace(full, weight_decay=0.0).loss(probes, mask))
 
 
-def loo_parameter_change(template: LinearModel, train_samples, index: int,
+def loo_parameter_change(template: LinearModel, train: Batch, index: int,
                          mask=None) -> np.ndarray:
-    """Actual parameter displacement from dropping one training sample."""
-    if not 0 <= index < len(train_samples):
-        raise IndexError(f"index {index} outside [0, {len(train_samples)})")
-    full = fit_to_stationarity(template, train_samples, mask)
-    reduced = [s for i, s in enumerate(train_samples) if i != index]
-    if not reduced:
-        raise ValueError("cannot remove the only training sample")
-    loo = fit_to_stationarity(template, reduced, mask)
+    """Actual parameter displacement from dropping one training row."""
+    full, loo = _fit_with_and_without(template, train, index, mask)
     return loo.get_flat() - full.get_flat()

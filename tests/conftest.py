@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from replaygraph import LinearModel, Sample
+from replaygraph import Batch, LinearModel
 
 
 @pytest.fixture
@@ -11,16 +11,21 @@ def rng():
 
 def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,
                     mask=None, spread=1.0):
-    """A random trained-ish model plus samples whose labels stay inside mask."""
+    """A random trained-ish model plus a weighted batch whose labels stay
+    inside mask."""
     classes = list(range(class_count)) if mask is None else sorted(mask)
     model = LinearModel(spread * rng.standard_normal((class_count, feature_dim)),
                         spread * rng.standard_normal(class_count),
                         frozenset(classes), weight_decay)
-    samples = [Sample(rng.standard_normal(feature_dim),
-                      int(rng.choice(classes)),
-                      float(rng.uniform(0.5, 2.0)))
-               for _ in range(n)]
-    return model, samples
+    rows = [(rng.standard_normal(feature_dim), int(rng.choice(classes)),
+             float(rng.uniform(0.5, 2.0))) for _ in range(n)]
+    return model, batch_of(rows)
+
+
+def batch_of(rows):
+    """A Batch from (input, label[, weight]) tuples."""
+    x, y, *w = zip(*rows)
+    return Batch(np.vstack(x), y, *w)
 
 
 def finite_difference_gradient(loss_fn, theta, h=1e-6):

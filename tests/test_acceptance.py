@@ -19,17 +19,17 @@ from scipy.stats import spearmanr
 from replaygraph.datasets import synthetic_sbm_graph, build_task_sequence
 from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
                                     run_experiment, sweep_e)
-from replaygraph.linear import LinearModel, Sample
+from replaygraph.linear import Batch, LinearModel
 from replaygraph.metrics import accuracy, micro_f1
 from replaygraph.mlp import MlpModel
 from replaygraph.replay import (ReplayConfig, loss_groups, run_sequence,
                                 weight_factor)
-from replaygraph.selection import (CgSettings, cg_solve, fit_to_stationarity,
-                                   group_by_class, influence_scores,
+from replaygraph.selection import (CgSettings, cg_solve, class_rows,
+                                   fit_to_stationarity, influence_scores,
                                    loo_parameter_change, loo_retrain_oracle,
                                    predicted_loss_change, select_cm, select_im,
                                    select_mf, select_random)
-from conftest import finite_difference_gradient
+from conftest import batch_of, finite_difference_gradient
 
 pytestmark = pytest.mark.acceptance
 
@@ -86,8 +86,8 @@ def test_criterion1_numerics_suite(capsys):
         model = LinearModel.zeros(4, 5, weight_decay=float(rng.uniform(0, 0.1)),
                                   active_classes=range(4))
         model.set_flat(rng.standard_normal(model.num_params))
-        samples = [Sample(rng.standard_normal(5), int(rng.integers(4)),
-                          float(rng.uniform(0.5, 2.0))) for _ in range(6)]
+        samples = batch_of([(rng.standard_normal(5), int(rng.integers(4)),
+                             float(rng.uniform(0.5, 2.0))) for _ in range(6)])
         scratch = model.copy()
 
         def loss_at(theta):
@@ -108,8 +108,8 @@ def test_criterion1_numerics_suite(capsys):
         # fully random parameters keep pre-activations off the ReLU kinks,
         # where two-sided differences and the subgradient legitimately differ
         model.set_flat(0.5 * rng.standard_normal(model.num_params))
-        samples = [Sample(rng.standard_normal(10), int(rng.integers(3)),
-                          float(rng.uniform(0.5, 2.0))) for _ in range(5)]
+        samples = batch_of([(rng.standard_normal(10), int(rng.integers(3)),
+                             float(rng.uniform(0.5, 2.0))) for _ in range(5)])
         scratch = model.copy()
 
         def loss_at(theta):
@@ -127,8 +127,8 @@ def test_criterion1_numerics_suite(capsys):
         model = LinearModel.zeros(3, 4, weight_decay=float(rng.uniform(0, 0.1)),
                                   active_classes=range(3))
         model.set_flat(rng.standard_normal(model.num_params))
-        samples = [Sample(rng.standard_normal(4), int(rng.integers(3)))
-                   for _ in range(6)]
+        samples = batch_of([(rng.standard_normal(4), int(rng.integers(3)))
+                            for _ in range(6)])
         v = rng.standard_normal(model.num_params)
         closed = model.hvp(samples, v=v)
         h = 1e-6
@@ -172,8 +172,8 @@ def blob_instance(seed, n_per_class=15, dim=4, weight_decay=0.3, sep=1.5,
     centers = {0: np.full(dim, -sep / 2), 1: np.full(dim, sep / 2)}
 
     def draw(count):
-        return [Sample(centers[label] + rng.standard_normal(dim), label)
-                for label in (0, 1) for _ in range(count)]
+        return batch_of([(centers[label] + rng.standard_normal(dim), label)
+                         for label in (0, 1) for _ in range(count)])
 
     return template, draw(n_per_class), draw(probes_per_class)
 
@@ -195,7 +195,7 @@ def test_criterion2_influence_fidelity(capsys):
         k = int(rng.integers(len(train)))
         bare = dataclasses.replace(model, weight_decay=0.0)
         solve = cg_solve(lambda v: model.hvp(train, v=v, damping=0.0),
-                         bare.gradient([train[k]]),
+                         bare.gradient(train.take([k])),
                          CgSettings(residual_tol=1e-10, damping=0.0))
         pred_move = solve.solution / len(train)
         true_move = loo_parameter_change(template, train, k)
@@ -392,12 +392,12 @@ def test_criterion6_property_suite(capsys):
     assert weight_factor(40, 2) == pytest.approx(2 / 42)
     assert weight_factor(40, 0) == 0.0
     assert weight_factor(7, 7) == 0.5
-    train = [Sample(np.zeros(1), 0) for _ in range(40)]
-    buf = [Sample(np.zeros(1), 0) for _ in range(2)]
+    train = Batch(np.zeros((40, 1)), np.zeros(40))
+    buf = Batch(np.zeros((2, 1)), np.zeros(2))
     groups = loss_groups(train, buf, None, None)
     assert groups[0].coeff * 40 == pytest.approx(groups[1].coeff * 2)
     assert groups[0].coeff * 40 == pytest.approx(40 / 21)
-    assert loss_groups(train, [], None, None)[0].coeff == 1.0
+    assert loss_groups(train, None, None, None)[0].coeff == 1.0
 
     # metric identities
     for _ in range(1000):
@@ -412,20 +412,18 @@ def test_criterion6_property_suite(capsys):
     seq = build_task_sequence(graph, 2, 2, 8, seed=1)
     from replaygraph.replay import prepare_task_data
     data = prepare_task_data(graph, seq.tasks[0], k=2)
-    grouped = group_by_class(data.candidates)
+    candidates = data.train
     template = LinearModel.zeros(4, 4, 0.1, active_classes=(0, 1))
-    model = fit_to_stationarity(template, list(data.train_samples), mask=(0, 1))
-    probes = [Sample(np.asarray(c.inputs), c.label) for c in data.candidates[:4]]
+    model = fit_to_stationarity(template, candidates, mask=(0, 1))
+    probes = candidates.take(np.arange(4))
     for e in (1, 3, 8, 50):
-        for items in (select_random(grouped, e, seed=0),
-                      select_mf(grouped, e),
-                      select_cm(grouped, e),
-                      select_im(model, grouped, e, probes, mask=(0, 1))):
-            per_class: dict[int, int] = {}
-            for item in items:
-                per_class[item.label] = per_class.get(item.label, 0) + 1
-            for label, group in grouped.items():
-                assert per_class[label] == min(e, len(group))
+        for rows in (select_random(candidates, e, seed=0),
+                     select_mf(candidates, e, candidates.attributes),
+                     select_cm(candidates, e, candidates.attributes),
+                     select_im(model, candidates, e, probes, mask=(0, 1))):
+            labels = candidates.y[rows]
+            for label, group in class_rows(candidates):
+                assert np.sum(labels == label) == min(e, len(group))
 
     # buffer monotonicity and end-to-end determinism
     config = ReplayConfig(e=2, epochs=30, seed=3)

@@ -258,6 +258,14 @@ class TestValidateConfigFile:
         assert "e: must be >= 1" in errors
         assert any(e.startswith("lr:") for e in errors)
 
+    def test_replay_only_values_rejected_before_run(self, tmp_path):
+        # the same values make ReplayConfig refuse to build at run time
+        path = tmp_path / "replay_values.json"
+        path.write_text(json.dumps({"propagation": "bogus", "loss_reduction": "avg"}))
+        errors = validate_config_file(path)
+        assert any(e.startswith("propagation:") for e in errors)
+        assert any(e.startswith("loss_reduction:") for e in errors)
+
     def test_valid_file_is_clean(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps({"dataset": "synthetic-sbm", "model": "sgc",

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from replaygraph import LinearModel, LossGroup, MaskError, Sample, TrainConfig
-from replaygraph.linear import stack_samples, train
+from replaygraph import Batch, LinearModel, LossGroup, MaskError, TrainConfig
+from replaygraph.linear import stack_samples
 
 from conftest import finite_difference_gradient, random_instance
 
@@ -36,26 +36,26 @@ class TestLossAndGradient:
     def test_sum_reduction_duplicate_sample(self, rng):
         model, samples = random_instance(rng, n=1)
         single = model.gradient(samples)
-        double = model.gradient(samples + samples)
+        double = model.gradient(stack_samples([samples, samples]))
         assert np.allclose(double, 2 * single)
 
     def test_sample_weight_scales_contribution(self, rng):
         model, _ = random_instance(rng)
         x = rng.standard_normal(model.feature_dim)
-        lo = model.loss([Sample(x, 1, weight=1.0)])
-        hi = model.loss([Sample(x, 1, weight=3.0)])
+        lo = model.loss(Batch(x[None], [1], [1.0]))
+        hi = model.loss(Batch(x[None], [1], [3.0]))
         assert np.isclose(hi, 3 * lo)
 
     def test_empty_samples_rejected(self, rng):
         model, _ = random_instance(rng)
         with pytest.raises(ValueError, match="at least one sample"):
-            model.loss([])
+            model.loss(Batch(np.zeros((0, model.feature_dim)), []))
 
     def test_label_outside_mask_rejected(self, rng):
         model, _ = random_instance(rng, class_count=4)
-        bad = Sample(np.zeros(model.feature_dim), 3)
+        bad = Batch(np.zeros((1, model.feature_dim)), [3])
         with pytest.raises(MaskError, match=r"\[3\]"):
-            model.loss([bad], mask=(0, 1))
+            model.loss(bad, mask=(0, 1))
 
     def test_empty_mask_rejected(self, rng):
         model, samples = random_instance(rng)
@@ -70,7 +70,7 @@ class TestLossAndGradient:
     def test_dimension_mismatch_rejected(self, rng):
         model, _ = random_instance(rng, feature_dim=4)
         with pytest.raises(ValueError, match="shape"):
-            model.loss([Sample(np.zeros(7), 0)])
+            model.loss(Batch(np.zeros((1, 7)), [0]))
 
     def test_mask_restricts_softmax_support(self, rng):
         # with a two-class mask the loss is binary cross-entropy over those rows
@@ -78,7 +78,7 @@ class TestLossAndGradient:
         x = rng.standard_normal(model.feature_dim)
         z = model.weights[[1, 3]] @ x + model.bias[[1, 3]]
         expected = np.log(np.exp(z).sum()) - z[0]
-        assert np.isclose(model.loss([Sample(x, 1)], mask=(1, 3)), expected)
+        assert np.isclose(model.loss(Batch(x[None], [1]), mask=(1, 3)), expected)
 
 
 class TestHvp:
@@ -135,7 +135,8 @@ class TestGradientDots:
         vec = rng.standard_normal(model.num_params)
         dots = model.gradient_dots(samples, vec=vec)
         bare = dataclasses.replace(model, weight_decay=0.0)
-        expected = [float(bare.gradient([s]) @ vec) for s in samples]
+        expected = [float(bare.gradient(samples.take([i])) @ vec)
+                    for i in range(len(samples))]
         assert np.allclose(dots, expected)
 
     def test_linearity_in_vector(self, rng):
@@ -166,36 +167,38 @@ class TestPredict:
 class TestFit:
     def test_loss_decreases_monotonically_on_single_sample(self, rng):
         model = LinearModel.zeros(3, 4, active_classes=(0, 1, 2))
-        sample = [Sample(rng.standard_normal(4), 1)]
+        sample = Batch(rng.standard_normal((1, 4)), [1])
         losses = []
         current = model
         for _ in range(30):
-            current = train(current, sample, TrainConfig(epochs=1, lr=0.05))
+            current = current.fit([LossGroup(sample, None, 1.0)],
+                                  TrainConfig(epochs=1, lr=0.05))
             losses.append(current.loss(sample))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_fit_reduces_combined_objective(self, rng):
         model, samples = random_instance(rng, n=12, weight_decay=1e-4)
-        groups = [LossGroup(tuple(samples[:6]), (0, 1, 2), 0.6),
-                  LossGroup(tuple(samples[6:]), (0, 1, 2), 0.4)]
+        groups = [LossGroup(samples.take(np.arange(6)), (0, 1, 2), 0.6),
+                  LossGroup(samples.take(np.arange(6, 12)), (0, 1, 2), 0.4)]
         fitted = model.fit(groups, TrainConfig(epochs=50, lr=0.1))
-        before = sum(g.coeff * model.loss(g.samples, g.mask) for g in groups)
-        after = sum(g.coeff * fitted.loss(g.samples, g.mask) for g in groups)
+        before = sum(g.coeff * model.loss(g.batch, g.mask) for g in groups)
+        after = sum(g.coeff * fitted.loss(g.batch, g.mask) for g in groups)
         assert after < before
 
     def test_receiver_untouched_and_deterministic(self, rng):
         model, samples = random_instance(rng)
         theta_before = model.get_flat()
-        a = train(model, samples, TrainConfig(epochs=20, lr=0.1, seed=4))
-        b = train(model, samples, TrainConfig(epochs=20, lr=0.1, seed=4))
+        config = TrainConfig(epochs=20, lr=0.1, seed=4)
+        a = model.fit([LossGroup(samples, None, 1.0)], config)
+        b = model.fit([LossGroup(samples, None, 1.0)], config)
         assert np.array_equal(model.get_flat(), theta_before)
         assert np.array_equal(a.get_flat(), b.get_flat())
 
     def test_rows_outside_mask_only_decay(self, rng):
         # with zero decay, classes absent from every group's mask cannot move
         model = LinearModel.zeros(5, 3, active_classes=range(5))
-        samples = [Sample(rng.standard_normal(3), c) for c in (0, 1) for _ in range(3)]
-        fitted = model.fit([LossGroup(tuple(samples), (0, 1), 1.0)],
+        samples = Batch(rng.standard_normal((6, 3)), [0, 0, 0, 1, 1, 1])
+        fitted = model.fit([LossGroup(samples, (0, 1), 1.0)],
                            TrainConfig(epochs=40, lr=0.2))
         assert np.array_equal(fitted.weights[2:], np.zeros((3, 3)))
         assert np.array_equal(fitted.bias[2:], np.zeros(3))
@@ -203,7 +206,7 @@ class TestFit:
 
     def test_zero_epochs_is_identity(self, rng):
         model, samples = random_instance(rng)
-        fitted = train(model, samples, TrainConfig(epochs=0))
+        fitted = model.fit([LossGroup(samples, None, 1.0)], TrainConfig(epochs=0))
         assert np.array_equal(fitted.get_flat(), model.get_flat())
 
 
@@ -236,3 +239,34 @@ class TestPlumbing:
                                     active_classes=model.active_classes)
         rebuilt = rebuilt.with_arrays(model.to_arrays())
         assert np.array_equal(rebuilt.weights, model.weights)
+
+    def test_savez_round_trip(self, rng, tmp_path):
+        model = LinearModel.zeros(3, 5, active_classes=(0, 1, 2))
+        model.set_flat(rng.standard_normal(model.num_params))
+        path = tmp_path / "linear.npz"
+        np.savez(path, **model.to_arrays())
+        restored = model.with_arrays(np.load(path))
+        assert np.array_equal(restored.get_flat(), model.get_flat())
+
+    def test_stack_keeps_shared_columns_in_order(self):
+        a = Batch(np.ones((2, 3)), [0, 1], node=[4, 5], attributes=np.zeros((2, 2)))
+        b = Batch(np.zeros((1, 3)), [2], node=[9])
+        both = stack_samples([a, b])
+        assert both.node.tolist() == [4, 5, 9]
+        assert both.y.tolist() == [0, 1, 2]
+        assert both.attributes is None
+        assert both.x.flags.c_contiguous and both.x.dtype == np.float64
+
+    def test_take_keeps_every_column_in_row_order(self):
+        batch = Batch(np.arange(6.0).reshape(3, 2), [0, 1, 2], [1.0, 2.0, 3.0],
+                      node=[7, 8, 9], task=[0, 0, 1])
+        picked = batch.take([2, 0])
+        assert picked.x.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        assert picked.w.tolist() == [3.0, 1.0]
+        assert picked.node.tolist() == [9, 7]
+        assert picked.task.tolist() == [1, 0]
+        assert picked.attributes is None
+
+    def test_batch_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="column y"):
+            Batch(np.zeros((2, 3)), [0])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from replaygraph.metrics import (AccuracyMatrix, MetricsReport, accuracy,
-                                 forgetting_mean, micro_f1, performance_mean)
+from replaygraph.metrics import (AccuracyMatrix, accuracy, forgetting_mean,
+                                 micro_f1, performance_mean)
 
 
 def matrix_from_rows(*rows):
@@ -158,13 +158,3 @@ class TestPointwiseMetrics:
             pred = rng.integers(0, classes, size=n)
             lab = rng.integers(0, classes, size=n)
             assert micro_f1(pred, lab) == pytest.approx(accuracy(pred, lab))
-
-
-class TestMetricsReport:
-    def test_to_dict_roundtrips_fields(self):
-        report = MetricsReport(pm=0.9, fm=0.05, per_task_forgetting=(0.1, 0.0),
-                               eval_mode="task-aware", metric_kind="accuracy")
-        d = report.to_dict()
-        assert d["pm"] == 0.9
-        assert d["per_task_forgetting"] == [0.1, 0.0]
-        assert d["eval_mode"] == "task-aware"

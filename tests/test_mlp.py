@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from replaygraph import (LinearModel, LossGroup, MaskError, MlpModel, Sample,
+from replaygraph import (Batch, LinearModel, LossGroup, MaskError, MlpModel,
                          TrainConfig, TrainingDiverged, synthetic_image_dataset)
-from replaygraph.mlp import train
+from replaygraph.linear import stack_samples
 
-from conftest import finite_difference_gradient
+from conftest import batch_of, finite_difference_gradient
 
 
 def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0,
@@ -26,8 +26,8 @@ def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0
 
 def random_samples(rng, model, n, classes=None):
     classes = classes if classes is not None else sorted(model.active_classes)
-    return [Sample(rng.standard_normal(model.feature_dim), int(rng.choice(classes)),
-                   float(rng.uniform(0.5, 2.0))) for _ in range(n)]
+    return batch_of([(rng.standard_normal(model.feature_dim), int(rng.choice(classes)),
+                      float(rng.uniform(0.5, 2.0))) for _ in range(n)])
 
 
 class TestGradient:
@@ -62,13 +62,13 @@ class TestGradient:
     def test_duplicate_sample_doubles_gradient(self, rng):
         model = tiny_net()
         samples = random_samples(rng, model, 1)
-        assert np.allclose(model.gradient(samples + samples),
+        assert np.allclose(model.gradient(stack_samples([samples, samples])),
                            2 * model.gradient(samples))
 
     def test_label_outside_mask_rejected(self, rng):
         model = tiny_net()
         with pytest.raises(MaskError):
-            model.loss([Sample(np.zeros(10), 2)], mask=(0, 1))
+            model.loss(Batch(np.zeros((1, 10)), [2]), mask=(0, 1))
 
 
 class TestHvp:
@@ -101,7 +101,7 @@ class TestHvp:
         linear = LinearModel(mlp.w3.copy(), mlp.b3.copy(), frozenset(range(classes)),
                              weight_decay=0.01)
         inputs = rng.uniform(0.5, 2.0, size=(6, dim))  # positive: ReLU stays active
-        samples = [Sample(inputs[i], int(rng.integers(0, classes))) for i in range(6)]
+        samples = Batch(inputs, [int(rng.integers(0, classes)) for _ in range(6)])
 
         v_small = rng.standard_normal(linear.num_params)
         v_full = np.zeros(mlp.num_params)
@@ -127,7 +127,8 @@ class TestGradientDots:
         dots = model.gradient_dots(samples, vec=vec)
         bare = model.copy()
         bare.weight_decay = 0.0
-        expected = [float(bare.gradient([s]) @ vec) for s in samples]
+        expected = [float(bare.gradient(samples.take([i])) @ vec)
+                    for i in range(len(samples))]
         assert np.allclose(dots, expected)
 
 
@@ -160,32 +161,31 @@ class TestFit:
         images, labels = synthetic_image_dataset(5, 20, 0.15, seed=0, dim=36)
         model = MlpModel.init(input_dim=36, hidden_dim=32, class_count=5,
                               weight_decay=1e-5, seed=0, active_classes=range(5))
-        samples = [Sample(x, int(y)) for x, y in zip(images, labels)]
-        fitted = train(model, samples, TrainConfig(epochs=20, lr=1e-2, batch_size=16,
-                                                   seed=0))
+        fitted = model.fit([LossGroup(Batch(images, labels), None, 1.0)],
+                           TrainConfig(epochs=20, lr=1e-2, batch_size=16, seed=0))
         preds = fitted.predict(images)
         assert float(np.mean(preds == labels)) >= 0.95
 
     def test_zero_epochs_unchanged(self, rng):
         model = tiny_net()
         samples = random_samples(rng, model, 4)
-        fitted = train(model, samples, TrainConfig(epochs=0))
+        fitted = model.fit([LossGroup(samples, None, 1.0)], TrainConfig(epochs=0))
         assert np.array_equal(fitted.get_flat(), model.get_flat())
 
     def test_fixed_seed_bit_identical(self, rng):
         model = tiny_net(seed=2)
         samples = random_samples(rng, model, 20)
         config = TrainConfig(epochs=5, lr=1e-2, batch_size=8, seed=9)
-        a = train(model, samples, config)
-        b = train(model, samples, config)
+        a = model.fit([LossGroup(samples, None, 1.0)], config)
+        b = model.fit([LossGroup(samples, None, 1.0)], config)
         assert np.array_equal(a.get_flat(), b.get_flat())
 
     def test_groups_with_distinct_masks(self, rng):
         model = tiny_net(class_count=4)
         current = random_samples(rng, model, 10, classes=(2, 3))
         buffered = random_samples(rng, model, 4, classes=(0, 1))
-        groups = [LossGroup(tuple(current), (2, 3), 0.7),
-                  LossGroup(tuple(buffered), (0, 1), 0.3)]
+        groups = [LossGroup(current, (2, 3), 0.7),
+                  LossGroup(buffered, (0, 1), 0.3)]
         fitted = model.fit(groups, TrainConfig(epochs=10, lr=1e-2, batch_size=4))
         assert not np.array_equal(fitted.get_flat(), model.get_flat())
 
@@ -194,9 +194,9 @@ class TestFit:
         # must refuse to return the corrupted parameters
         model = tiny_net()
         samples = random_samples(rng, model, 4)
-        samples.append(Sample(np.full(10, np.nan), 0))
+        samples = stack_samples([samples, Batch(np.full((1, 10), np.nan), [0])])
         with pytest.raises(TrainingDiverged):
-            train(model, samples, TrainConfig(epochs=5, lr=1e-2))
+            model.fit([LossGroup(samples, None, 1.0)], TrainConfig(epochs=5, lr=1e-2))
 
     def test_he_init_seeded(self):
         a = MlpModel.init(seed=5)
@@ -204,3 +204,13 @@ class TestFit:
         c = MlpModel.init(seed=6)
         assert np.array_equal(a.w1, b.w1)
         assert not np.array_equal(a.w1, c.w1)
+
+
+class TestPlumbing:
+    def test_arrays_roundtrip(self, tmp_path):
+        model = MlpModel.init(input_dim=6, hidden_dim=4, class_count=3, seed=2)
+        path = tmp_path / "mlp.npz"
+        np.savez(path, **model.to_arrays())
+        restored = MlpModel.init(input_dim=6, hidden_dim=4, class_count=3,
+                                 seed=3).with_arrays(np.load(path))
+        assert np.array_equal(restored.get_flat(), model.get_flat())

@@ -7,25 +7,25 @@ import pytest
 from replaygraph.datasets import (build_task_sequence, make_permuted_tasks,
                                   synthetic_image_dataset, synthetic_sbm_graph)
 from replaygraph.graph import induced_subgraph, normalize_adjacency, propagate
-from replaygraph.linear import Sample
+from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
 from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig,
                                 combined_loss, learn_task, loss_groups,
                                 prepare_task_data, run_image_tasks,
                                 run_sequence, weight_factor)
-from replaygraph.selection import ExperienceItem
 
 
 class FakeModel:
     """loss() sums the first feature component; lets the combination
     arithmetic be checked with hand-picked values."""
 
-    def loss(self, samples, mask=None):
-        return float(sum(s.input[0] for s in samples))
+    def loss(self, batch, mask=None):
+        return float(batch.x[:, 0].sum())
 
 
-def value_sample(v, label=0):
-    return Sample(np.array([float(v)]), label)
+def values(*vs, label=0):
+    """A one-feature batch holding the given values."""
+    return Batch(np.array(vs, dtype=np.float64)[:, None], [label] * len(vs))
 
 
 def sbm_sequence(num_tasks=3, classes_per_task=2, train_per_class=5,
@@ -56,23 +56,22 @@ class TestWeightFactor:
 
 class TestCombinedLoss:
     def test_beta_half_mixes_evenly(self):
-        out = combined_loss(FakeModel(), [value_sample(2)], [value_sample(4)],
-                            beta=0.5)
+        out = combined_loss(FakeModel(), values(2), values(4), beta=0.5)
         assert out == pytest.approx(3.0)
 
     def test_empty_buffer_returns_train_loss_exactly(self):
-        out = combined_loss(FakeModel(), [value_sample(2)], [])
+        out = combined_loss(FakeModel(), values(2), None)
         assert out == 2.0
 
     def test_forced_endpoints(self):
-        train, buf = [value_sample(2)], [value_sample(4)]
+        train, buf = values(2), values(4)
         assert combined_loss(FakeModel(), train, buf, beta=1.0) == pytest.approx(2.0)
         assert combined_loss(FakeModel(), train, buf, beta=0.0) == pytest.approx(4.0)
 
     def test_balance_identity_for_sum_reduction(self):
         # beta * |D| == (1 - beta) * |B| == |D||B| / (|D| + |B|)
-        train = [value_sample(1) for _ in range(40)]
-        buf = [value_sample(1) for _ in range(2)]
+        train = values(*[1] * 40)
+        buf = values(1, 1)
         groups = loss_groups(train, buf, None, None)
         train_total = groups[0].coeff * len(train)
         buffer_total = groups[1].coeff * len(buf)
@@ -80,38 +79,42 @@ class TestCombinedLoss:
         assert train_total == pytest.approx(40 / 21)
 
     def test_mean_reduction_normalizes_each_group(self):
-        train = [value_sample(2) for _ in range(4)]
-        buf = [value_sample(6) for _ in range(2)]
+        train = values(2, 2, 2, 2)
+        buf = values(6, 6)
         beta = weight_factor(4, 2)
         out = combined_loss(FakeModel(), train, buf, reduction="mean")
         assert out == pytest.approx(beta * 2.0 + (1 - beta) * 6.0)
 
     def test_empty_train_rejected(self):
-        with pytest.raises(ValueError, match="train_samples is empty"):
-            combined_loss(FakeModel(), [], [value_sample(1)])
+        with pytest.raises(ValueError, match="train batch is empty"):
+            combined_loss(FakeModel(), values(), values(1))
 
     def test_masks_forwarded_to_groups(self):
-        groups = loss_groups([value_sample(1)], [value_sample(2, label=9)],
-                             (0, 1), (9,))
+        groups = loss_groups(values(1), values(2, label=9), (0, 1), (9,))
         assert groups[0].mask == (0, 1)
         assert groups[1].mask == (9,)
 
 
 def item(task, label, node=0, value=0.0):
-    return ExperienceItem(np.array([value]), label, task, node)
+    """One buffer row."""
+    return Batch(np.array([[value]]), [label], node=[node], task=[task])
+
+
+def items(*rows):
+    return stack_samples(rows)
 
 
 class TestExperienceBuffer:
     def test_capacity_enforced_per_task_class_pair(self):
         buf = ExperienceBuffer(capacity=2)
-        buf.add([item(0, 0, node=1), item(0, 0, node=2)])
+        buf.add(items(item(0, 0, node=1), item(0, 0, node=2)))
         with pytest.raises(ValueError, match="capacity 2 exceeded"):
-            buf.add([item(0, 0, node=3)])
+            buf.add(item(0, 0, node=3))
 
     def test_same_label_from_distinct_tasks_kept_separately(self):
         buf = ExperienceBuffer(capacity=1)
-        buf.add([item(0, 5, node=1)])
-        buf.add([item(1, 5, node=2)])
+        buf.add(item(0, 5, node=1))
+        buf.add(item(1, 5, node=2))
         assert len(buf) == 2
         assert buf.counts() == {(0, 5): 1, (1, 5): 1}
         assert buf.classes() == (5,)
@@ -119,25 +122,34 @@ class TestExperienceBuffer:
     def test_oversized_single_add_rejected_atomically(self):
         buf = ExperienceBuffer(capacity=1)
         with pytest.raises(ValueError):
-            buf.add([item(0, 0, node=1), item(0, 0, node=2)])
+            buf.add(items(item(0, 0, node=1), item(0, 0, node=2)))
         assert len(buf) == 0  # nothing partially added
+        assert buf.batch() is None
 
     def test_items_accumulate_in_key_order(self):
         buf = ExperienceBuffer(capacity=2)
-        buf.add([item(1, 3, node=9)])
-        buf.add([item(0, 1, node=4)])
-        assert [(i.origin_task, i.label) for i in buf.items()] == [(0, 1), (1, 3)]
+        buf.add(item(1, 3, node=9))
+        buf.add(item(0, 1, node=4))
+        rows = buf.batch()
+        assert list(zip(rows.task.tolist(), rows.y.tolist())) == [(0, 1), (1, 3)]
+        assert rows.node.tolist() == [4, 9]
 
     def test_samples_carry_stored_representation(self):
         buf = ExperienceBuffer(capacity=1)
-        buf.add([item(0, 2, node=7, value=3.5)])
-        s = buf.samples()[0]
-        assert s.label == 2
-        assert s.input[0] == 3.5
+        buf.add(item(0, 2, node=7, value=3.5))
+        rows = buf.batch()
+        assert rows.y[0] == 2
+        assert rows.x[0, 0] == 3.5
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             ExperienceBuffer(0)
+
+    def test_non_finite_input_rejected(self):
+        buf = ExperienceBuffer(capacity=2)
+        with pytest.raises(ValueError, match="node 3: non-finite"):
+            buf.add(items(item(0, 0, node=1), item(0, 0, node=3, value=np.nan)))
+        assert len(buf) == 0
 
 
 class TestReplayConfig:
@@ -162,8 +174,8 @@ class TestPrepareTaskData:
         sub, mapping = induced_subgraph(
             seq.graph, np.concatenate([task.train_nodes, task.test_nodes]))
         expected = propagate(normalize_adjacency(sub), sub.features, 2).values
-        for c in data.candidates:
-            assert np.allclose(c.inputs, expected[mapping[c.node]])
+        rows = [mapping[node] for node in data.train.node.tolist()]
+        assert np.allclose(data.train.x, expected[rows])
 
     def test_full_propagation_slices_whole_graph_rows(self):
         seq = sbm_sequence()
@@ -171,17 +183,16 @@ class TestPrepareTaskData:
         data = prepare_task_data(seq.graph, task, k=2, propagation="full")
         expected = propagate(normalize_adjacency(seq.graph),
                              seq.graph.features, 2).values
-        for c in data.candidates:
-            assert np.allclose(c.inputs, expected[c.node])
+        assert np.allclose(data.train.x, expected[data.train.node])
         assert np.allclose(data.test_inputs, expected[task.test_nodes])
 
     def test_candidates_keep_raw_attributes(self):
         seq = sbm_sequence()
         data = prepare_task_data(seq.graph, seq.tasks[0], k=2)
-        for c in data.candidates:
-            assert np.array_equal(c.attributes, seq.graph.features[c.node])
-            assert c.label == seq.graph.labels[c.node]
-            assert c.task == 0
+        train = data.train
+        assert np.array_equal(train.attributes, seq.graph.features[train.node])
+        assert np.array_equal(train.y, seq.graph.labels[train.node])
+        assert np.all(train.task == 0)
 
 
 class TestLearnTaskBookkeeping:
@@ -280,6 +291,36 @@ class TestRunSequenceBehavior:
             expected = 0 if strategy == "none" else 1 * 2 * 2
             assert len(state.buffer) == expected, strategy
             assert state.matrix().num_tasks == 2
+
+    def test_buffer_rows_are_the_selected_training_rows(self):
+        seq = sbm_sequence()
+        state = run_sequence(seq, "im", ReplayConfig(e=2, epochs=15, seed=0))
+        rows = state.buffer.batch()
+        selected = [node for ev in state.events for node in ev["selected_nodes"]]
+        assert sorted(rows.node.tolist()) == sorted(selected)
+        for data in state.history:
+            mine = rows.task == data.task_id
+            where = {node: i for i, node in enumerate(data.train.node.tolist())}
+            idx = [where[node] for node in rows.node[mine].tolist()]
+            assert np.array_equal(rows.x[mine], data.train.x[idx])
+            assert np.array_equal(rows.y[mine], data.train.y[idx])
+
+    def test_population_stacked_at_most_twice_per_task(self, monkeypatch):
+        # one stack grows the buffer, one builds the train + buffer
+        # population for im; nothing restacks rows per Hessian product
+        import replaygraph.linear as linear
+        import replaygraph.replay as replay
+        calls = []
+
+        def counted(batches):
+            calls.append(1)
+            return stack_samples(batches)
+
+        for module in (linear, replay):
+            monkeypatch.setattr(module, "stack_samples", counted)
+        seq = sbm_sequence()
+        run_sequence(seq, "im", ReplayConfig(e=1, epochs=15, seed=0))
+        assert 0 < len(calls) <= 2 * len(seq.tasks)
 
     def test_im_probe_holdout_excludes_probes_from_training(self):
         seq = sbm_sequence(train_per_class=8)

@@ -7,18 +7,35 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from replaygraph.linear import LinearModel, Sample
-from replaygraph.selection import (Candidate, CgSettings, ExperienceItem,
-                                   cg_solve, coverage_counts, fit_to_stationarity,
-                                   group_by_class, influence_scores,
+from replaygraph.linear import Batch, LinearModel, stack_samples
+from replaygraph.selection import (CgSettings, cg_solve, class_rows, coverage_counts,
+                                   fit_to_stationarity, influence_scores,
                                    loo_parameter_change, loo_retrain_oracle,
                                    predicted_loss_change, select_cm, select_im,
                                    select_mf, select_random)
 
+from conftest import batch_of
 
-def cand(node, vec, label, attributes=None, embedding=None, task=0):
-    return Candidate(node=node, label=label, inputs=np.asarray(vec, dtype=np.float64),
-                     attributes=attributes, embedding=embedding, task=task)
+
+def cands(nodes, vecs, labels, attributes=None):
+    """Candidate batch; one input vector (or scalar) per node."""
+    x = np.asarray(vecs, dtype=np.float64)
+    return Batch(x[:, None] if x.ndim == 1 else x, labels, node=nodes,
+                 task=np.zeros(len(nodes)), attributes=attributes)
+
+
+def weighted(batch, weight):
+    return Batch(batch.x, batch.y, np.full(len(batch), weight))
+
+
+def with_row(batch, x, label, weight=1.0, first=False):
+    """``batch`` with one more row appended (or prepended)."""
+    extra = Batch(np.asarray(x, dtype=np.float64)[None], [label], [weight])
+    return stack_samples([extra, batch] if first else [batch, extra])
+
+
+def picked(batch, rows):
+    return batch.node[rows].tolist()
 
 
 def two_blob_problem(seed, n_per_class=15, dim=4, weight_decay=0.3,
@@ -33,153 +50,131 @@ def two_blob_problem(seed, n_per_class=15, dim=4, weight_decay=0.3,
     centers = {0: np.full(dim, -separation / 2), 1: np.full(dim, separation / 2)}
 
     def draw(count):
-        out = []
-        for label in (0, 1):
-            for _ in range(count):
-                out.append(Sample(centers[label] + rng.standard_normal(dim), label))
-        return out
+        return batch_of([(centers[label] + rng.standard_normal(dim), label)
+                         for label in (0, 1) for _ in range(count)])
 
     return template, draw(n_per_class), draw(probes_per_class)
 
 
 class TestGroupByClass:
+    # class_rows is the grouping every strategy iterates
     def test_groups_sorted_by_label_and_node(self):
-        cands = [cand(5, [0.0], 1), cand(2, [0.0], 0), cand(1, [0.0], 1)]
-        grouped = group_by_class(cands)
-        assert list(grouped) == [0, 1]
-        assert [c.node for c in grouped[1]] == [1, 5]
+        batch = cands([5, 2, 1], [0.0, 0.0, 0.0], [1, 0, 1])
+        grouped = class_rows(batch)
+        assert [label for label, _ in grouped] == [0, 1]
+        assert picked(batch, grouped[1][1]) == [1, 5]
 
     def test_empty_input_gives_empty_mapping(self):
-        assert group_by_class([]) == {}
+        assert class_rows(cands([], np.zeros((0, 1)), [])) == []
 
 
 class TestSelectRandom:
     def test_e_covering_class_selects_everything(self):
-        by_class = {0: [cand(i, [float(i)], 0) for i in range(3)]}
-        items = select_random(by_class, e=10, seed=0)
-        assert sorted(i.source_node for i in items) == [0, 1, 2]
+        batch = cands([0, 1, 2], [0.0, 1.0, 2.0], [0, 0, 0])
+        rows = select_random(batch, e=10, seed=0)
+        assert sorted(picked(batch, rows)) == [0, 1, 2]
 
     def test_singleton_class(self):
-        by_class = {0: [cand(7, [1.0], 0)]}
-        items = select_random(by_class, e=1, seed=3)
-        assert [i.source_node for i in items] == [7]
+        batch = cands([7], [1.0], [0])
+        rows = select_random(batch, e=1, seed=3)
+        assert picked(batch, rows) == [7]
 
     def test_seed_determinism(self):
-        by_class = {0: [cand(i, [float(i)], 0) for i in range(20)]}
-        a = select_random(by_class, e=5, seed=11)
-        b = select_random(by_class, e=5, seed=11)
-        c = select_random(by_class, e=5, seed=12)
-        assert [i.source_node for i in a] == [i.source_node for i in b]
-        assert [i.source_node for i in a] != [i.source_node for i in c]
+        batch = cands(list(range(20)), np.arange(20.0), [0] * 20)
+        a = select_random(batch, e=5, seed=11)
+        b = select_random(batch, e=5, seed=11)
+        c = select_random(batch, e=5, seed=12)
+        assert picked(batch, a) == picked(batch, b)
+        assert picked(batch, a) != picked(batch, c)
 
     def test_empty_class_rejected(self):
-        with pytest.raises(ValueError, match="class 0 has no candidates"):
-            select_random({0: []}, e=1, seed=0)
+        with pytest.raises(ValueError, match="no candidate classes"):
+            select_random(cands([], np.zeros((0, 1)), []), e=1, seed=0)
 
     def test_e_below_one_rejected(self):
         with pytest.raises(ValueError, match="e must be >= 1"):
-            select_random({0: [cand(0, [0.0], 0)]}, e=0, seed=0)
+            select_random(cands([0], [0.0], [0]), e=0, seed=0)
 
 
 class TestSelectMf:
     def test_prototype_at_middle_point(self):
-        by_class = {0: [cand(0, [0.0, 0.0], 0), cand(1, [2.0, 2.0], 0),
-                        cand(2, [1.0, 1.0], 0)]}
-        items = select_mf(by_class, e=1)
-        assert [i.source_node for i in items] == [2]
+        batch = cands([0, 1, 2], [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]], [0, 0, 0])
+        rows = select_mf(batch, e=1, geometry=batch.x)
+        assert picked(batch, rows) == [2]
 
     def test_identical_vectors_tie_to_lowest_node(self):
-        by_class = {0: [cand(9, [1.0], 0), cand(4, [1.0], 0), cand(6, [1.0], 0)]}
-        items = select_mf(by_class, e=1)
-        assert [i.source_node for i in items] == [4]
+        batch = cands([9, 4, 6], [1.0, 1.0, 1.0], [0, 0, 0])
+        rows = select_mf(batch, e=1, geometry=batch.x)
+        assert picked(batch, rows) == [4]
 
     def test_line_example_orders_by_distance(self):
         # positions 0, 1, 10: prototype 11/3, distances 3.67, 2.67, 6.33
-        by_class = {0: [cand(0, [0.0], 0), cand(1, [1.0], 0), cand(2, [10.0], 0)]}
-        items = select_mf(by_class, e=2)
-        assert [i.source_node for i in items] == [1, 0]
+        batch = cands([0, 1, 2], [0.0, 1.0, 10.0], [0, 0, 0])
+        rows = select_mf(batch, e=2, geometry=batch.x)
+        assert picked(batch, rows) == [1, 0]
 
     def test_attribute_and_embedding_paths_identical_on_same_vectors(self, rng):
         vecs = rng.standard_normal((6, 3))
-        by_class = {0: [cand(i, vecs[i], 0, attributes=vecs[i], embedding=vecs[i])
-                        for i in range(6)]}
-        a = select_mf(by_class, e=2, representation="attribute")
-        b = select_mf(by_class, e=2, representation="embedding")
-        assert [i.source_node for i in a] == [i.source_node for i in b]
+        batch = cands(list(range(6)), vecs, [0] * 6, attributes=vecs)
+        a = select_mf(batch, e=2, geometry=batch.attributes)
+        b = select_mf(batch, e=2, geometry=batch.x)
+        assert picked(batch, a) == picked(batch, b)
 
     def test_embedding_geometry_can_override_attribute_geometry(self):
         # node 0 is the attribute-space prototype, node 2 the embedding-space one
-        by_class = {0: [cand(0, [0.0], 0, attributes=np.array([1.0]),
-                             embedding=np.array([5.0])),
-                        cand(1, [0.0], 0, attributes=np.array([0.0]),
-                             embedding=np.array([0.0])),
-                        cand(2, [0.0], 0, attributes=np.array([2.0]),
-                             embedding=np.array([1.0]))]}
-        by_attr = select_mf(by_class, e=1, representation="attribute")
-        by_emb = select_mf(by_class, e=1, representation="embedding")
-        assert [i.source_node for i in by_attr] == [0]
-        assert [i.source_node for i in by_emb] == [2]
+        batch = cands([0, 1, 2], [0.0, 0.0, 0.0], [0, 0, 0],
+                      attributes=[[1.0], [0.0], [2.0]])
+        embedding = np.array([[5.0], [0.0], [1.0]])
+        by_attr = select_mf(batch, e=1, geometry=batch.attributes)
+        by_emb = select_mf(batch, e=1, geometry=embedding)
+        assert picked(batch, by_attr) == [0]
+        assert picked(batch, by_emb) == [2]
 
     def test_item_carries_model_input_not_geometry_vector(self):
         inputs = np.array([3.0, 3.0])
-        by_class = {0: [cand(0, inputs, 0, attributes=np.array([1.0, 0.0]))]}
-        item = select_mf(by_class, e=1, representation="attribute")[0]
-        assert np.array_equal(item.input, inputs)
-
-    def test_unknown_representation_rejected(self):
-        by_class = {0: [cand(0, [0.0], 0)]}
-        with pytest.raises(ValueError, match="representation"):
-            select_mf(by_class, e=1, representation="latent")
+        batch = cands([0], [inputs], [0], attributes=[[1.0, 0.0]])
+        kept = batch.take(select_mf(batch, e=1, geometry=batch.attributes))
+        assert np.array_equal(kept.x[0], inputs)
 
 
 class TestCoverage:
     def test_counts_exclude_same_class_and_respect_radius(self):
         # classes on a line, A at {0, 5}, B at {1}; d=2
-        by_class = {0: [cand(10, [0.0], 0), cand(11, [5.0], 0)],
-                    1: [cand(20, [1.0], 1)]}
-        counts, d = coverage_counts(by_class, d=2.0)
+        batch = cands([10, 11, 20], [0.0, 5.0, 1.0], [0, 0, 1])
+        counts, d = coverage_counts(batch, batch.x, d=2.0)
         assert d == 2.0
-        assert counts[0].tolist() == [1, 0]
-        assert counts[1].tolist() == [1]
-        items = select_cm(by_class, e=1, d=2.0)
-        by_label = {i.label: i.source_node for i in items}
+        assert counts.tolist() == [1, 0, 1]
+        rows = select_cm(batch, e=1, geometry=batch.x, d=2.0)
+        by_label = dict(zip(batch.y[rows].tolist(), picked(batch, rows)))
         assert by_label[0] == 11
 
     def test_distance_exactly_d_does_not_count(self):
-        by_class = {0: [cand(0, [0.0], 0)], 1: [cand(1, [2.0], 1)]}
-        counts, _ = coverage_counts(by_class, d=2.0)
-        assert counts[0].tolist() == [0]
+        batch = cands([0, 1], [0.0, 2.0], [0, 1])
+        counts, _ = coverage_counts(batch, batch.x, d=2.0)
+        assert counts[0] == 0
 
     def test_tiny_d_makes_all_counts_zero_and_ties_by_node(self):
-        by_class = {0: [cand(3, [0.0], 0), cand(1, [0.1], 0)],
-                    1: [cand(5, [0.05], 1)]}
-        items = select_cm(by_class, e=1, d=1e-9)
-        by_label = {i.label: i.source_node for i in items}
+        batch = cands([3, 1, 5], [0.0, 0.1, 0.05], [0, 0, 1])
+        rows = select_cm(batch, e=1, geometry=batch.x, d=1e-9)
+        by_label = dict(zip(batch.y[rows].tolist(), picked(batch, rows)))
         assert by_label[0] == 1
 
     def test_single_class_counts_are_zero(self):
-        by_class = {0: [cand(i, [float(i)], 0) for i in range(4)]}
-        counts, _ = coverage_counts(by_class, d="auto")
-        assert counts[0].tolist() == [0, 0, 0, 0]
-        items = select_cm(by_class, e=2, d="auto")
-        assert [i.source_node for i in items] == [0, 1]
+        batch = cands([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0] * 4)
+        counts, _ = coverage_counts(batch, batch.x, d="auto")
+        assert counts.tolist() == [0, 0, 0, 0]
+        rows = select_cm(batch, e=2, geometry=batch.x, d="auto")
+        assert picked(batch, rows) == [0, 1]
 
     def test_auto_d_is_median_cross_class_distance(self):
-        by_class = {0: [cand(0, [0.0], 0), cand(1, [4.0], 0)],
-                    1: [cand(2, [10.0], 1)]}
-        _, d = coverage_counts(by_class, d="auto")
+        batch = cands([0, 1, 2], [0.0, 4.0, 10.0], [0, 0, 1])
+        _, d = coverage_counts(batch, batch.x, d="auto")
         assert d == pytest.approx(8.0)  # median of {10, 6}
 
     def test_nonpositive_d_rejected(self):
-        by_class = {0: [cand(0, [0.0], 0)], 1: [cand(1, [1.0], 1)]}
+        batch = cands([0, 1], [0.0, 1.0], [0, 1])
         with pytest.raises(ValueError, match="d must be positive"):
-            coverage_counts(by_class, d=0.0)
-
-
-class TestExperienceItem:
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ExperienceItem(np.array([np.nan]), 0, 0, 3)
+            coverage_counts(batch, batch.x, d=0.0)
 
 
 class TestCgSolve:
@@ -221,11 +216,18 @@ class TestCgSolve:
         with pytest.raises(RuntimeError, match="non-finite"):
             cg_solve(lambda v: np.full_like(v, np.nan), np.ones(3))
 
+    def test_zero_curvature_stops_unconverged(self):
+        result = cg_solve(lambda v: np.zeros_like(v), np.ones(3))
+        assert not result.converged
+        assert result.iterations == 0
+        assert np.array_equal(result.solution, np.zeros(3))
+        assert result.residual_norm == pytest.approx(np.sqrt(3.0))
+
 
 class TestInfluenceScores:
     def test_identical_training_points_get_identical_scores(self):
         template, train, probes = two_blob_problem(seed=0)
-        train = train + [Sample(train[0].input.copy(), train[0].label)]
+        train = with_row(train, train.x[0].copy(), train.y[0])
         model = fit_to_stationarity(template, train)
         scores = influence_scores(model, train, probes)
         assert scores[0] == scores[-1]
@@ -234,19 +236,19 @@ class TestInfluenceScores:
         template, train, _ = two_blob_problem(seed=0)
         model = fit_to_stationarity(template, train)
         with pytest.raises(ValueError, match="probe set is empty"):
-            influence_scores(model, train, [])
+            influence_scores(model, train, train.take([]))
 
     def test_zero_probe_gradient_gives_zero_scores(self):
         template, train, probes = two_blob_problem(seed=1)
         model = fit_to_stationarity(template, train)
-        silent = [Sample(p.input, p.label, 0.0) for p in probes]
+        silent = weighted(probes, 0.0)
         assert np.array_equal(influence_scores(model, train, silent),
                               np.zeros(len(train)))
 
     def test_linear_in_probe_gradient(self):
         template, train, probes = two_blob_problem(seed=2)
         model = fit_to_stationarity(template, train)
-        doubled = [Sample(p.input, p.label, 2.0) for p in probes]
+        doubled = weighted(probes, 2.0)
         base = influence_scores(model, train, probes)
         scaled = influence_scores(model, train, doubled)
         assert np.allclose(scaled, 2.0 * base, rtol=1e-9)
@@ -272,7 +274,7 @@ class TestInfluenceScores:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(len(train)))
             bare = dataclasses.replace(model, weight_decay=0.0)
-            g_k = bare.gradient([train[k]])
+            g_k = bare.gradient(train.take([k]))
             solve = cg_solve(lambda v: model.hvp(train, v=v, damping=0.0), g_k,
                              CgSettings(residual_tol=1e-10, damping=0.0))
             predicted = solve.solution / len(train)
@@ -287,9 +289,9 @@ class TestSelectIm:
     def test_e_covering_class_selects_everything(self):
         template, train, probes = two_blob_problem(seed=3, n_per_class=4)
         model = fit_to_stationarity(template, train)
-        by_class = {0: [cand(i, s.input, 0) for i, s in enumerate(train) if s.label == 0]}
-        items = select_im(model, by_class, e=10, probe_samples=probes)
-        assert len(items) == 4
+        class0 = train.take(np.flatnonzero(train.y == 0))
+        rows = select_im(model, class0, e=10, probes=probes)
+        assert len(rows) == 4
 
     def test_outlier_dominates_and_oracle_agrees(self):
         # a class-0 point planted inside the class-1 cluster carries the most
@@ -297,80 +299,57 @@ class TestSelectIm:
         rng = np.random.default_rng(5)
         dim = 3
         template = LinearModel.zeros(2, dim, 0.1, active_classes=(0, 1))
-        tight = [Sample(np.full(dim, -1.0) + 0.05 * rng.standard_normal(dim), 0)
+        tight = [(np.full(dim, -1.0) + 0.05 * rng.standard_normal(dim), 0)
                  for _ in range(8)]
-        other = [Sample(np.full(dim, 1.0) + 0.05 * rng.standard_normal(dim), 1)
+        other = [(np.full(dim, 1.0) + 0.05 * rng.standard_normal(dim), 1)
                  for _ in range(8)]
-        outlier = Sample(np.full(dim, 1.0), 0)
-        train = tight + other + [outlier]
-        probes = [Sample(np.full(dim, -1.0), 0), Sample(np.full(dim, 1.0), 1)]
+        outlier = (np.full(dim, 1.0), 0)
+        train = batch_of(tight + other + [outlier])
+        probes = batch_of([(np.full(dim, -1.0), 0), (np.full(dim, 1.0), 1)])
         model = fit_to_stationarity(template, train)
 
-        by_class = group_by_class(
-            [cand(i, s.input, s.label) for i, s in enumerate(train)])
-        items = select_im(model, by_class, e=1, probe_samples=probes)
-        picked_class0 = next(i for i in items if i.label == 0)
-        assert picked_class0.source_node == len(train) - 1
+        rows = select_im(model, train, e=1, probes=probes)
+        picked_class0 = next(r for r in rows if train.y[r] == 0)
+        assert picked_class0 == len(train) - 1
 
+        class0_indices = np.flatnonzero(train.y == 0)
         changes = [abs(loo_retrain_oracle(template, train, probes, i))
-                   for i, s in enumerate(train) if s.label == 0]
-        class0_indices = [i for i, s in enumerate(train) if s.label == 0]
+                   for i in class0_indices]
         assert class0_indices[int(np.argmax(changes))] == len(train) - 1
 
     def test_probe_weight_doubling_leaves_selection_unchanged(self):
         template, train, probes = two_blob_problem(seed=4)
         model = fit_to_stationarity(template, train)
-        by_class = group_by_class([cand(i, s.input, s.label)
-                                   for i, s in enumerate(train)])
-        doubled = [Sample(p.input, p.label, 2.0) for p in probes]
-        a = select_im(model, by_class, e=3, probe_samples=probes)
-        b = select_im(model, by_class, e=3, probe_samples=doubled)
-        assert [i.source_node for i in a] == [i.source_node for i in b]
+        doubled = weighted(probes, 2.0)
+        a = select_im(model, train, e=3, probes=probes)
+        b = select_im(model, train, e=3, probes=doubled)
+        assert a.tolist() == b.tolist()
 
     def test_signed_and_absolute_rankings_follow_scores(self):
         template, train, probes = two_blob_problem(seed=6)
         model = fit_to_stationarity(template, train)
-        by_class = group_by_class([cand(i, s.input, s.label)
-                                   for i, s in enumerate(train)])
-        flat = [c for label in sorted(by_class) for c in by_class[label]]
-        samples = [Sample(c.inputs, c.label) for c in flat]
-        scores = influence_scores(model, samples, probes)
+        scores = influence_scores(model, train, probes)  # rows already class-sorted
 
         for signed in (False, True):
-            items = select_im(model, by_class, e=1, probe_samples=probes,
-                              signed=signed)
-            for label in sorted(by_class):
-                idx = [i for i, c in enumerate(flat) if c.label == label]
+            rows = select_im(model, train, e=1, probes=probes, signed=signed)
+            for label in (0, 1):
+                idx = np.flatnonzero(train.y == label)
                 key = scores[idx] if signed else np.abs(scores[idx])
-                expected = flat[idx[int(np.argmax(key))]].node
-                picked = next(i.source_node for i in items if i.label == label)
-                assert picked == expected
-
-    def test_trace_csv_written(self, tmp_path):
-        template, train, probes = two_blob_problem(seed=8, n_per_class=5)
-        model = fit_to_stationarity(template, train)
-        by_class = group_by_class([cand(i, s.input, s.label)
-                                   for i, s in enumerate(train)])
-        path = tmp_path / "trace.csv"
-        select_im(model, by_class, e=2, probe_samples=probes, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "class,node,score,selected"
-        assert len(lines) == 1 + len(train)
-        selected = [line for line in lines[1:] if line.endswith(",1")]
-        assert len(selected) == 4  # e=2 per class, 2 classes
+                expected = idx[int(np.argmax(key))]
+                assert next(r for r in rows if train.y[r] == label) == expected
 
 
 class TestLooOracle:
     def test_zero_weight_sample_changes_nothing(self):
         template, train, probes = two_blob_problem(seed=9, n_per_class=6)
-        train = train + [Sample(np.ones(4), 0, weight=0.0)]
+        train = with_row(train, np.ones(4), 0, weight=0.0)
         change = loo_retrain_oracle(template, train, probes, len(train) - 1)
         assert abs(change) < 1e-6
 
     def test_duplicate_samples_are_interchangeable(self):
         template, train, probes = two_blob_problem(seed=10, n_per_class=6)
-        dup = Sample(train[0].input.copy(), train[0].label)
-        train = [dup] + train  # index 0 and 1 are now exact duplicates
+        # index 0 and 1 are now exact duplicates
+        train = with_row(train, train.x[0].copy(), train.y[0], first=True)
         a = loo_retrain_oracle(template, train, probes, 0)
         b = loo_retrain_oracle(template, train, probes, 1)
         assert a == pytest.approx(b, abs=1e-6)
@@ -382,7 +361,7 @@ class TestLooOracle:
 
     def test_cannot_remove_only_sample(self):
         template, _, probes = two_blob_problem(seed=0)
-        sole = [Sample(np.ones(4), 0)]
+        sole = Batch(np.ones((1, 4)), [0])
         with pytest.raises(ValueError, match="only training sample"):
             loo_retrain_oracle(template, sole, probes, 0)
 
