@@ -79,9 +79,38 @@ class ImageTask:
     test_labels: np.ndarray
 
 
+def _parse_attributes(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) -> None:
+    """Raise for the first attribute block that is narrower or wider than the
+    first one, or that holds a token :func:`_parse_attributes` rejects."""
+    width = None
+    for lineno, middle in zip(linenos, middles):
+        attrs = middle.split()
+        if width is None:
+            width = len(attrs)
+        elif len(attrs) != width:
+            raise CitationFormatError(
+                f"{path}:{lineno}: expected {width} attributes, got {len(attrs)}")
+        try:
+            _parse_attributes([middle])
+        except ValueError:
+            for token in attrs:
+                try:
+                    _parse_attributes([token])
+                except ValueError:
+                    raise CitationFormatError(
+                        f"{path}:{lineno}: non-numeric attribute {token!r}") from None
+
+
 def load_citation_dataset(content_path, cites_path) -> Graph:
     """Parse `<id> <attr_0> ... <attr_{d-1}> <label>` content lines and
     `<cited_id> <citing_id>` cites lines into a Graph.
+
+    Fields are separated by runs of whitespace (tabs or spaces); blank lines
+    are skipped and there is no comment syntax, so ``#`` is data.
 
     String labels are mapped to contiguous integer ids in first-appearance
     order (recorded in ``Graph.label_names``). Citations are symmetrized;
@@ -93,44 +122,43 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
 
     ids: list[str] = []
     index: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    middles: list[str] = []
+    linenos: list[int] = []
     label_ids: list[int] = []
     label_index: dict[str, int] = {}
     label_names: list[str] = []
-    width = None
 
     with content_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
+            head = line.split(None, 1)
+            if not head:
                 continue
-            if len(tokens) < 3:
+            rest = head[1].rsplit(None, 1) if len(head) == 2 else []
+            if len(rest) < 2:
+                _check_attribute_rows(content_path, linenos, middles)
                 raise CitationFormatError(
                     f"{content_path}:{lineno}: expected `<id> <attrs...> <label>`, "
-                    f"got {len(tokens)} fields")
-            node_id, attrs, label = tokens[0], tokens[1:-1], tokens[-1]
+                    f"got {1 + len(rest)} fields")
+            node_id, (middle, label) = head[0], rest
             if node_id in index:
+                _check_attribute_rows(content_path, linenos, middles)
                 raise CitationFormatError(f"{content_path}:{lineno}: duplicate node id {node_id}")
-            if width is None:
-                width = len(attrs)
-            elif len(attrs) != width:
-                raise CitationFormatError(
-                    f"{content_path}:{lineno}: expected {width} attributes, got {len(attrs)}")
-            try:
-                row = np.array([float(a) for a in attrs], dtype=np.float64)
-            except ValueError as exc:
-                raise CitationFormatError(
-                    f"{content_path}:{lineno}: non-numeric attribute ({exc})") from None
             if label not in label_index:
                 label_index[label] = len(label_names)
                 label_names.append(label)
             index[node_id] = len(ids)
             ids.append(node_id)
-            rows.append(row)
+            middles.append(middle)
+            linenos.append(lineno)
             label_ids.append(label_index[label])
 
     if not ids:
         raise CitationFormatError(f"{content_path}: no content lines")
+    try:
+        features = _parse_attributes(middles)
+    except ValueError:
+        _check_attribute_rows(content_path, linenos, middles)
+        raise
 
     edges = []
     dropped = 0
@@ -152,7 +180,7 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
         logger.warning("%s: dropped %d citation(s) referencing unknown ids or self loops",
                        cites_path, dropped)
 
-    return graph_from_edges(len(ids), edges, np.vstack(rows),
+    return graph_from_edges(len(ids), edges, features,
                             np.array(label_ids, dtype=np.int64),
                             class_count=len(label_names),
                             label_names=tuple(label_names))

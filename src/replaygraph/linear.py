@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .optim import AdamState, TrainConfig, adam_minimize
 
@@ -82,6 +81,27 @@ def stack_samples(batches) -> Batch:
     parts = {f.name: [getattr(b, f.name) for b in batches] for f in fields(Batch)}
     return Batch(**{name: None if any(p is None for p in column) else np.concatenate(column)
                     for name, column in parts.items()})
+
+
+def logsumexp(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Row-wise ``log(sum(exp(z)))`` of a 2-D array: the real-input formula of
+    ``scipy.special.logsumexp(z, axis=1)`` without its array-API dispatch.
+
+    As there, each row's maxima are split out of the sum, giving
+    ``log1p(s / m) + log(m) + max`` for ``m`` maxima and ``s`` the sum of the
+    other shifted exponentials; rows where that is not finite (a nan, an
+    infinity, or all ``-inf``) take ``log(sum(exp(z)))`` instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(z, axis=1, keepdims=True)
+        is_top = z == top
+        m = np.sum(is_top, axis=1, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(is_top, -np.inf, z) - top), axis=1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out[:, 0])
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(z[bad]), axis=1, keepdims=True))
+    return out if keepdims else out[:, 0]
 
 
 def label_positions(mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,13 +197,13 @@ class LinearModel:
     def _loss(self, batch: Batch, mask_arr) -> float:
         z = self._logits(batch.x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
-        ce = logsumexp(z, axis=1) - z[np.arange(len(batch)), pos]
+        ce = logsumexp(z) - z[np.arange(len(batch)), pos]
         return float(batch.w @ ce) + self._decay_value()
 
     def _gradient(self, batch: Batch, mask_arr) -> np.ndarray:
         z = self._logits(batch.x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        p = np.exp(z - logsumexp(z, keepdims=True))
         g = p.copy()
         g[np.arange(len(batch)), pos] -= 1.0
         g *= batch.w[:, None]
@@ -224,7 +244,7 @@ class LinearModel:
         vw = v[:split].reshape(self.weights.shape)
         vb = v[split:]
         z = self._logits(x, mask_arr)
-        p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        p = np.exp(z - logsumexp(z, keepdims=True))
         u = x @ vw[mask_arr].T + vb[mask_arr]
         q = p * u - p * np.sum(p * u, axis=1, keepdims=True)
         q *= w[:, None]
@@ -253,7 +273,7 @@ class LinearModel:
         vw = vec[:split].reshape(self.weights.shape)
         vb = vec[split:]
         z = self._logits(x, mask_arr)
-        p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        p = np.exp(z - logsumexp(z, keepdims=True))
         g = p.copy()
         g[np.arange(len(y)), pos] -= 1.0
         u = x @ vw[mask_arr].T + vb[mask_arr]

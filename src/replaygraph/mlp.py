@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .linear import Batch, MaskError, label_positions
+from .linear import Batch, MaskError, label_positions, logsumexp
 from .optim import AdamState, TrainConfig, TrainingDiverged
 
 
@@ -146,14 +145,14 @@ class MlpModel:
         mask_arr = self.resolve_mask(mask)
         _, _, z = self._forward(batch.x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
-        ce = logsumexp(z, axis=1) - z[np.arange(len(batch)), pos]
+        ce = logsumexp(z) - z[np.arange(len(batch)), pos]
         return float(batch.w @ ce) + self._decay_value()
 
     def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         mask_arr = self.resolve_mask(mask)
         a1, a2, z = self._forward(batch.x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        p = np.exp(z - logsumexp(z, keepdims=True))
         g3 = p.copy()
         g3[np.arange(len(batch)), pos] -= 1.0
         g3 *= batch.w[:, None]
@@ -194,7 +193,7 @@ class MlpModel:
         mask_arr = self.resolve_mask(mask)
         a1, a2, z = self._forward(x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        p = np.exp(z - logsumexp(z, keepdims=True))
         g3 = p.copy()
         g3[np.arange(len(batch)), pos] -= 1.0
         g2 = (g3 @ self.w3[mask_arr]) * (a2 > 0)
@@ -251,7 +250,7 @@ class MlpModel:
                     xb, yb, wb = x[members], y[members], w[members]
                     a1, a2, z = scratch._forward(xb, mask_arr)
                     pos = label_positions(mask_arr, yb)
-                    p = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+                    p = np.exp(z - logsumexp(z, keepdims=True))
                     g3 = p.copy()
                     g3[np.arange(len(yb)), pos] -= 1.0
                     g3 *= wb[:, None]

@@ -12,13 +12,15 @@ candidate: raw attributes, or the model's embedding of the inputs.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 from scipy.spatial.distance import pdist, squareform
 
 from .linear import Batch, LinearModel
+
+logger = logging.getLogger(__name__)
 
 
 def class_rows(batch: Batch) -> list[tuple[int, np.ndarray]]:
@@ -187,10 +189,15 @@ def influence_scores(model, train: Batch, probes: Batch,
         raise ValueError("probe set is empty")
     pop = population if population is not None else train
     g_probe = replace(model, weight_decay=0.0).gradient(probes, mask)
-    if float(np.linalg.norm(g_probe)) == 0.0:
+    probe_norm = float(np.linalg.norm(g_probe))
+    if probe_norm == 0.0:
         return np.zeros(len(train))
     result = cg_solve(lambda v: model.hvp(pop, mask, v, damping=settings.damping),
                       g_probe, settings)
+    if not result.converged:
+        logger.warning("influence CG solve stopped unconverged after %d iteration(s), "
+                       "relative residual %.3g", result.iterations,
+                       result.residual_norm / probe_norm)
     return -model.gradient_dots(train, mask, result.solution)
 
 
@@ -230,6 +237,8 @@ def fit_to_stationarity(template: LinearModel, batch: Batch, mask=None) -> Linea
     quasi-Newton solve from zero parameters instead of the production Adam
     loop; the gradient fed to it is the same closed form the trainer uses.
     """
+    import scipy.optimize  # slow to import, and only this oracle uses it
+
     work = template.copy()
     mask_arr = work.resolve_mask(mask)
 

@@ -57,6 +57,100 @@ class TestCitationLoader:
         with pytest.raises(CitationFormatError, match="duplicate"):
             load_citation_dataset(content, cites)
 
+    def test_tab_separated_lines(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["35\t0\t1\t0\ttheory", "40 \t1\t 0  0\tsystems"], ["35\t40"])
+        g = load_citation_dataset(content, cites)
+        assert g.label_names == ("theory", "systems")
+        assert np.array_equal(g.features, [[0, 1, 0], [1, 0, 0]])
+        assert g.num_edges == 1
+
+    def test_numeric_spellings_parse_as_float(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["1 1e3 -2.5 +.5 5. a", "2 -0 1E-3 inf -Infinity b"], [])
+        g = load_citation_dataset(content, cites)
+        assert g.features.dtype == np.float64
+        assert np.array_equal(g.features,
+                              [[1e3, -2.5, 0.5, 5.0], [0.0, 1e-3, np.inf, -np.inf]])
+
+    def test_blank_lines_skipped_and_counted_in_errors(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["", "1 0 1 a", "   ", "", "2 1 0 b", "\t", "3 0 x c"], [])
+        with pytest.raises(CitationFormatError, match="toy.content:7: non-numeric"):
+            load_citation_dataset(content, cites)
+        content.write_text("\n1 0 1 a\n\n2 1 0 b\n\n")
+        g = load_citation_dataset(content, cites)
+        assert g.num_nodes == 2
+
+    def test_non_numeric_attribute_mid_row(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["1 0 1 0 1 a", "2 1 0 1 0 a", "3 0 1 x 1 b", "4 0 1 1 0 b"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:3: non-numeric attribute"):
+            load_citation_dataset(content, cites)
+
+    @pytest.mark.parametrize("line, count", [("2", 1), ("2 b", 2)])
+    def test_too_few_fields(self, tmp_path, line, count):
+        content, cites = write_citation(tmp_path, ["1 0 1 a", line], [])
+        with pytest.raises(CitationFormatError,
+                           match=f"toy.content:2: .* got {count} fields"):
+            load_citation_dataset(content, cites)
+
+    def test_one_attribute_file(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["1 0 a", "2 1 b", "3 1 a"], ["1 3"])
+        g = load_citation_dataset(content, cites)
+        assert g.features.shape == (3, 1)
+        assert np.array_equal(g.features[:, 0], [0, 1, 1])
+
+    def test_one_row_file(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["7 0 1 1 a"], [])
+        g = load_citation_dataset(content, cites)
+        assert g.features.shape == (1, 3)
+        assert g.num_nodes == 1 and g.num_edges == 0
+
+    def test_single_row_single_attribute(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["7 2.5 a"], [])
+        g = load_citation_dataset(content, cites)
+        assert g.features.shape == (1, 1)
+        assert g.features[0, 0] == 2.5
+
+    def test_hash_in_id_and_label_is_data(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["#1 0 1 a#b", "2# 1 0 #c", "3 1 1 a#b"], ["#1 2#", "3 #1"])
+        g = load_citation_dataset(content, cites)
+        assert g.num_nodes == 3
+        assert g.label_names == ("a#b", "#c")
+        assert np.array_equal(g.labels, [0, 1, 0])
+        assert np.array_equal(g.features, [[0, 1], [1, 0], [1, 1]])
+        assert g.num_edges == 2
+
+    def test_hash_attribute_is_not_a_comment(self, tmp_path):
+        # Read as comments, `#1`/`#0` would silently shrink every row to one
+        # attribute; they are attributes, and not numbers.
+        content, cites = write_citation(tmp_path, ["1 0 #1 a", "2 1 #0 b"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:1: non-numeric attribute"):
+            load_citation_dataset(content, cites)
+
+    def test_first_bad_line_wins_across_error_kinds(self, tmp_path):
+        content, cites = write_citation(
+            tmp_path, ["1 0 1 a", "2 0 1 0 b", "1 1 0 c", "4"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:2: expected 2 attributes, got 3"):
+            load_citation_dataset(content, cites)
+        content.write_text("1 0 1 a\n2 0 y b\n1 1 0 c\n")
+        with pytest.raises(CitationFormatError, match="toy.content:2: non-numeric"):
+            load_citation_dataset(content, cites)
+
+    @pytest.mark.parametrize("token", ["1_0", "١"])
+    def test_python_only_float_spellings_rejected(self, tmp_path, token):
+        # float() accepts digit-group underscores and non-ASCII digits; the
+        # attribute parser does not, and says where.
+        content, cites = write_citation(tmp_path, ["1 0 1 a", f"2 1 {token} b"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:2: non-numeric attribute"):
+            load_citation_dataset(content, cites)
+
     def test_malformed_cites_line(self, tmp_path):
         content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
                                         ["1 2 3"])

@@ -1,12 +1,51 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from replaygraph import Batch, LinearModel, LossGroup, MaskError, TrainConfig
-from replaygraph.linear import stack_samples
+from replaygraph.linear import logsumexp, stack_samples
 
 from conftest import finite_difference_gradient, random_instance
+
+
+class TestLogsumexp:
+    def assert_matches_scipy(self, z):
+        for keepdims in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = logsumexp(z, keepdims=keepdims)
+            ref = scipy.special.logsumexp(z, axis=1, keepdims=keepdims)
+            assert ours.shape == ref.shape
+            assert np.array_equal(np.isnan(ours), np.isnan(ref))
+            assert np.array_equal(ours, ref, equal_nan=True)
+
+    def test_finite_rows_equal_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            z = scale * rng.standard_normal((200, 7))
+            self.assert_matches_scipy(z)
+            self.assert_matches_scipy(np.round(z / scale, 1) * scale)  # ties
+        self.assert_matches_scipy(np.array([[1e3, 1e3, -1e3], [0.0, 0.0, 0.0],
+                                            [-1e3, -1e3, -1e3], [5.0, -np.inf, 5.0]]))
+
+    def test_one_column(self):
+        z = np.array([[0.0], [-3.5], [1e3], [-1e3]])
+        self.assert_matches_scipy(z)
+        assert np.array_equal(logsumexp(z), z[:, 0])
+
+    def test_non_finite_rows_match_scipy(self):
+        inf, nan = np.inf, np.nan
+        z = np.array([[1.0, nan, 2.0], [inf, 1.0, 0.0], [-inf, -inf, -inf],
+                      [inf, -inf, 0.0], [nan, inf, 1.0], [-inf, 2.0, -inf],
+                      [inf, inf, 1.0], [nan, nan, nan], [0.5, -1.0, 3.0]])
+        self.assert_matches_scipy(z)
+        out = logsumexp(z)
+        assert np.array_equal(np.isnan(out), [1, 0, 0, 0, 1, 0, 0, 1, 0])
+        assert np.array_equal(np.isposinf(out), [0, 1, 0, 1, 0, 0, 1, 0, 0])
+        assert np.array_equal(np.isneginf(out), [0, 0, 1, 0, 0, 0, 0, 0, 0])
 
 
 class TestLossAndGradient:

@@ -253,6 +253,27 @@ class TestInfluenceScores:
         scaled = influence_scores(model, train, doubled)
         assert np.allclose(scaled, 2.0 * base, rtol=1e-9)
 
+    def test_unconverged_solve_logs_warning(self, caplog):
+        template, train, probes = two_blob_problem(seed=4)
+        model = fit_to_stationarity(template, train)
+        capped = CgSettings(max_iters=1)
+        g_probe = dataclasses.replace(model, weight_decay=0.0).gradient(probes)
+        solve = cg_solve(lambda v: model.hvp(train, v=v, damping=capped.damping),
+                         g_probe, capped)
+        assert not solve.converged
+        with caplog.at_level("WARNING", logger="replaygraph.selection"):
+            influence_scores(model, train, probes, capped)
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        relative = solve.residual_norm / np.linalg.norm(g_probe)
+        assert record.getMessage() == (
+            "influence CG solve stopped unconverged after 1 iteration(s), "
+            f"relative residual {relative:.3g}")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="replaygraph.selection"):
+            influence_scores(model, train, probes)
+        assert caplog.records == []
+
     def test_rank_agreement_with_loo_retraining(self):
         # the quantity -score/N approximates actual probe-loss change from
         # removing each sample; rank correlation against full retraining
