@@ -37,3 +37,27 @@ def finite_difference_gradient(loss_fn, theta, h=1e-6):
         down[i] -= h
         grad[i] = (loss_fn(up) - loss_fn(down)) / (2 * h)
     return grad
+
+
+def dense_gauss_newton(model, batch, mask=None, h=1e-6):
+    """Reference Gauss-Newton matrix of ``loss(batch) / len(batch)``:
+    ``sum_i w_i J_i^T (diag p_i - p_i p_i^T) J_i / n + (decay / n) I``, with
+    ``J_i`` a central-difference Jacobian of row i's masked logits."""
+    mask_arr = model.resolve_mask(mask)
+    theta = model.get_flat()
+    scratch = model.copy()
+
+    def logits(t):
+        scratch.set_flat(t)
+        return scratch._forward(batch.x, mask_arr)[2]
+
+    steps = h * np.eye(theta.size)
+    jac = np.stack([(logits(theta + s) - logits(theta - s)) / (2 * h) for s in steps],
+                   axis=-1)
+    z = logits(theta)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    n = len(batch)
+    gn = sum(w * j.T @ (np.diag(pi) - np.outer(pi, pi)) @ j
+             for w, j, pi in zip(batch.w, jac, p))
+    return gn / n + (model.weight_decay / n) * np.eye(theta.size)

@@ -8,6 +8,7 @@ criterion always runs so the machinery is exercised either way.
 """
 
 import dataclasses
+import logging
 import os
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from replaygraph.selection import (CgSettings, cg_solve, class_rows,
                                    loo_parameter_change, loo_retrain_oracle,
                                    predicted_loss_change, select_cm, select_im,
                                    select_mf, select_random)
-from conftest import batch_of, finite_difference_gradient
+from conftest import batch_of, dense_gauss_newton, finite_difference_gradient
 
 pytestmark = pytest.mark.acceptance
 
@@ -139,6 +140,22 @@ def test_criterion1_numerics_suite(capsys):
         worst_hvp = max(worst_hvp,
                         np.max(np.abs(closed - fd)) / (1 + np.max(np.abs(fd))))
 
+    worst_gn = 0.0
+    for trial in range(20):
+        rng = np.random.default_rng(2500 + trial)
+        model = MlpModel.init(input_dim=6, hidden_dim=4, class_count=4,
+                              weight_decay=float(rng.uniform(0, 0.1)),
+                              seed=trial, active_classes=range(4))
+        model.set_flat(0.5 * rng.standard_normal(model.num_params))
+        mask = (0, 2, 3)
+        samples = batch_of([(rng.standard_normal(6), int(rng.choice(mask)),
+                             float(rng.uniform(0.5, 2.0))) for _ in range(5)])
+        v = rng.standard_normal(model.num_params)
+        dense = dense_gauss_newton(model, samples, mask) @ v
+        exact = model.hvp(samples, mask, v)
+        worst_gn = max(worst_gn,
+                       float(np.linalg.norm(exact - dense) / np.linalg.norm(dense)))
+
     worst_cg = 0.0
     for trial in range(20):
         rng = np.random.default_rng(3000 + trial)
@@ -149,15 +166,16 @@ def test_criterion1_numerics_suite(capsys):
         worst_cg = max(worst_cg, float(np.linalg.norm(got - np.linalg.solve(h, rhs))))
 
     ok = (worst_linear < 1e-6 and worst_mlp < 1e-5
-          and worst_hvp < 1e-4 and worst_cg < 1e-6)
+          and worst_hvp < 1e-4 and worst_gn < 1e-6 and worst_cg < 1e-6)
     announce(capsys,
              f"criterion 1 (numerics suite): {'PASS' if ok else 'FAIL'} - "
              f"grad rel err linear {worst_linear:.2e} (<1e-6), "
              f"mlp {worst_mlp:.2e} (<1e-5), hvp {worst_hvp:.2e} (<1e-4), "
-             f"cg {worst_cg:.2e} (<1e-6)")
+             f"mlp gauss-newton {worst_gn:.2e} (<1e-6), cg {worst_cg:.2e} (<1e-6)")
     assert worst_linear < 1e-6
     assert worst_mlp < 1e-5
     assert worst_hvp < 1e-4
+    assert worst_gn < 1e-6
     assert worst_cg < 1e-6
     budget(start, 30, capsys, "criterion 1")
 
@@ -356,10 +374,11 @@ def test_criterion5_permuted_mnist(capsys, tmp_path):
     budget(start, 900, capsys, "criterion 5")
 
 
-def test_criterion5_synthetic_analogue(capsys, tmp_path):
+def test_criterion5_synthetic_analogue(capsys, tmp_path, caplog):
     # same shape on the template-image fixture: 5 tasks, shared labels,
     # 1000/400 split, influence replay vs plain finetuning
     start = time.monotonic()
+    caplog.set_level(logging.WARNING, logger="replaygraph.selection")
 
     def aggregate(strategy):
         config = ExperimentConfig.from_dict(dict(
@@ -373,11 +392,17 @@ def test_criterion5_synthetic_analogue(capsys, tmp_path):
     fm_none = aggregate("none")
     fm_im = aggregate("im")
     gap = fm_none - fm_im
-    ok = gap >= 0.05
+    solves = 15  # one influence solve per task: 3 seeds x 5 tasks
+    unconverged = sum(r.name == "replaygraph.selection" and r.levelno == logging.WARNING
+                      for r in caplog.records)
+    converged = solves - unconverged
+    ok = gap >= 0.05 and converged == solves
     announce(capsys, f"criterion 5 (synthetic-image analogue): "
                      f"{'PASS' if ok else 'FAIL'} - finetune fm {fm_none:.4f}, "
-                     f"im fm {fm_im:.4f}, gap {gap:+.4f} (>=0.05)")
+                     f"im fm {fm_im:.4f}, gap {gap:+.4f} (>=0.05), "
+                     f"cg converged {converged}/{solves}")
     assert gap >= 0.05
+    assert converged == solves
     budget(start, 900, capsys, "criterion 5 (synthetic)")
 
 

@@ -7,7 +7,7 @@ from replaygraph import (Batch, LinearModel, LossGroup, MaskError, MlpModel,
                          TrainConfig, TrainingDiverged, synthetic_image_dataset)
 from replaygraph.linear import stack_samples
 
-from conftest import batch_of, finite_difference_gradient
+from conftest import batch_of, dense_gauss_newton, finite_difference_gradient
 
 
 def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0,
@@ -78,14 +78,43 @@ class TestHvp:
         out = model.hvp(samples, v=np.zeros(model.num_params), damping=0.5)
         assert np.array_equal(out, np.zeros(model.num_params))
 
-    def test_linearity_within_fd_tolerance(self, rng):
+    def test_linearity_exact(self, rng):
         model = tiny_net(seed=3)
         samples = random_samples(rng, model, 6)
         v = rng.standard_normal(model.num_params)
         double = model.hvp(samples, v=2 * v, damping=0.0)
         single = model.hvp(samples, v=v, damping=0.0)
         rel = np.linalg.norm(double - 2 * single) / (np.linalg.norm(double) + 1e-12)
-        assert rel < 1e-3
+        assert rel < 1e-10
+
+    @staticmethod
+    def generic_problem(rng):
+        # random parameters, row weights != 1 and a strict class mask
+        model = tiny_net(seed=4, class_count=4, weight_decay=0.05, generic=True)
+        return model, random_samples(rng, model, 7, classes=(0, 2, 3)), (0, 2, 3)
+
+    def test_matches_dense_gauss_newton(self, rng):
+        model, samples, mask = self.generic_problem(rng)
+        dense = dense_gauss_newton(model, samples, mask)
+        for _ in range(5):
+            v = rng.standard_normal(model.num_params)
+            got = model.hvp(samples, mask, v, damping=0.0)
+            rel = np.linalg.norm(got - dense @ v) / np.linalg.norm(dense @ v)
+            assert rel < 1e-6
+
+    def test_symmetric(self, rng):
+        model, samples, mask = self.generic_problem(rng)
+        u, v = rng.standard_normal((2, model.num_params))
+        ugv = u @ model.hvp(samples, mask, v, damping=0.0)
+        vgu = v @ model.hvp(samples, mask, u, damping=0.0)
+        assert np.isclose(ugv, vgu, rtol=1e-12, atol=0.0)
+
+    def test_positive_semidefinite_quadratic_form(self, rng):
+        model, samples, mask = self.generic_problem(rng)
+        model.weight_decay = 0.0  # the curvature alone, no decay floor
+        for _ in range(200):
+            v = rng.standard_normal(model.num_params)
+            assert v @ model.hvp(samples, mask, v, damping=0.0) >= 0.0
 
     def test_matches_linear_closed_form_through_identity_layers(self, rng):
         # identity hidden layers on positive inputs turn the net into a
