@@ -79,8 +79,23 @@ class ImageTask:
     test_labels: np.ndarray
 
 
-def _parse_attributes(lines) -> np.ndarray:
-    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+def _parse_attributes(blocks: list[str]) -> np.ndarray:
+    """Parse whitespace-separated attribute blocks into an (n, d) float64 matrix.
+
+    Bag-of-words blocks (every one `d` single `0`/`1` digits joined by one
+    space or tab) are decoded straight from their bytes; anything else goes
+    through ``np.loadtxt``, which gives the same matrix for binary blocks.
+    """
+    width = len(blocks[0])
+    if width % 2 and all(len(block) == width for block in blocks):
+        raw = np.frombuffer("".join(blocks).encode(), dtype=np.uint8)
+        if raw.size == len(blocks) * width:
+            grid = raw.reshape(len(blocks), width)
+            digits = grid[:, 0::2] - ord("0")
+            gaps = grid[:, 1::2]
+            if (digits <= 1).all() and ((gaps == ord(" ")) | (gaps == ord("\t"))).all():
+                return digits.astype(np.float64)
+    return np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
 
 
 def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .optim import AdamState, TrainConfig, adam_minimize
+from .optim import TrainConfig, adam_minimize
 
 
 class MaskError(ValueError):
@@ -285,7 +285,7 @@ class LinearModel:
         z = self._logits(np.atleast_2d(inputs), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 
-    def fit(self, groups, config: TrainConfig, adam: AdamState | None = None) -> "LinearModel":
+    def fit(self, groups, config: TrainConfig) -> "LinearModel":
         """Full-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
 
         Returns a trained copy; the receiver is left untouched.
@@ -305,7 +305,7 @@ class LinearModel:
             return sum(coeff * scratch._loss(batch, mask_arr)
                        for batch, mask_arr, coeff in resolved)
 
-        theta = adam_minimize(self.get_flat(), grad_fn, config, loss_fn, adam)
+        theta = adam_minimize(self.get_flat(), grad_fn, config, loss_fn)
         trained = self.copy()
         trained.set_flat(theta)
         return trained

@@ -222,7 +222,7 @@ class MlpModel:
         _, _, z = self._forward(np.atleast_2d(inputs), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 
-    def fit(self, groups, config: TrainConfig, adam: AdamState | None = None) -> "MlpModel":
+    def fit(self, groups, config: TrainConfig) -> "MlpModel":
         """Mini-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
 
         Groups are pooled and shuffled together each epoch; within a batch each
@@ -238,7 +238,7 @@ class MlpModel:
 
         scratch = self.copy()
         theta = self.get_flat()
-        state = adam if adam is not None else AdamState.zeros(theta.size)
+        state = AdamState.zeros(theta.size)
         batch = config.batch_size if config.batch_size is not None else total
         if batch <= 0:
             raise ValueError("batch_size must be positive")

@@ -1,4 +1,8 @@
-"""Full-batch Adam on flat parameter vectors."""
+"""Adam on flat parameter vectors.
+
+``AdamState`` holds the moments and takes one step; ``adam_minimize`` runs
+full-batch steps (the linear model), and the MLP steps it per mini-batch.
+"""
 
 from __future__ import annotations
 
@@ -51,14 +55,14 @@ class AdamState:
 
 
 def adam_minimize(theta0: np.ndarray, grad_fn, config: TrainConfig,
-                  loss_fn=None, state: AdamState | None = None) -> np.ndarray:
+                  loss_fn=None) -> np.ndarray:
     """Run ``config.epochs`` full-batch Adam steps from ``theta0``.
 
     When ``loss_fn`` is given it is checked each step and a non-finite value
     aborts with a diagnostic.
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    adam = state if state is not None else AdamState.zeros(theta.size)
+    adam = AdamState.zeros(theta.size)
     for epoch in range(config.epochs):
         grad = grad_fn(theta)
         theta = adam.update(theta, grad, config)

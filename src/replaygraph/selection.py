@@ -263,9 +263,9 @@ def _fit_with_and_without(template: LinearModel, train: Batch, index: int, mask)
     """Optima on all of ``train`` and on ``train`` without row ``index``."""
     if not 0 <= index < len(train):
         raise IndexError(f"index {index} outside [0, {len(train)})")
-    full = fit_to_stationarity(template, train, mask)
     if len(train) == 1:
         raise ValueError("cannot remove the only training sample")
+    full = fit_to_stationarity(template, train, mask)
     reduced = train.take(np.delete(np.arange(len(train)), index))
     return full, fit_to_stationarity(template, reduced, mask)
 

@@ -151,6 +151,58 @@ class TestCitationLoader:
                            match="toy.content:2: non-numeric attribute"):
             load_citation_dataset(content, cites)
 
+    @pytest.mark.parametrize("blocks", [
+        ["1"],
+        ["0 1 1 0"],
+        ["0\t1\t1\t0"],
+        ["0", "1", "1"],
+        ["0 1\t1", "1\t0 0", "0 0 1"],
+        ["1\t0", "0 1", "1 1", "0\t0"],
+    ], ids=["1x1", "1xd", "1xd-tabs", "nx1", "nxd-mixed", "nxd-tabs-and-spaces"])
+    def test_binary_attributes_match_loadtxt(self, tmp_path, blocks):
+        content, cites = write_citation(
+            tmp_path, [f"{i} {block} c{i % 2}" for i, block in enumerate(blocks)], [])
+        g = load_citation_dataset(content, cites)
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        assert g.features.shape == expected.shape
+        assert g.features.dtype == expected.dtype
+        assert g.features.flags.c_contiguous == expected.flags.c_contiguous
+        assert g.features.tobytes() == expected.tobytes()
+
+    def test_binary_attributes_read_without_loadtxt(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("binary attributes went through np.loadtxt")
+
+        content, cites = write_citation(tmp_path, ["1 0 1 0 a", "2 1\t1 0 b"], [])
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        g = load_citation_dataset(content, cites)
+        assert np.array_equal(g.features, [[0, 1, 0], [1, 1, 0]])
+
+    @pytest.mark.parametrize("block, expected", [
+        ("01 1", [1.0, 1.0]),
+        ("-0 1", [-0.0, 1.0]),
+        ("1.0 0", [1.0, 0.0]),
+        ("2 0", [2.0, 0.0]),
+        ("0  1", [0.0, 1.0]),
+        ("0\x0b1", [0.0, 1.0]),
+    ])
+    def test_near_binary_attributes_parse_as_floats(self, tmp_path, block, expected):
+        content, cites = write_citation(tmp_path, ["1 1 0 a", f"2 {block} b"], [])
+        g = load_citation_dataset(content, cites)
+        assert g.features.tobytes() == np.array([[1.0, 0.0], expected]).tobytes()
+
+    def test_non_ascii_digit_among_binary_attributes_rejected(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["1 1 0 a", "2 \u0661 0 b"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:2: non-numeric attribute"):
+            load_citation_dataset(content, cites)
+
+    def test_ragged_binary_rows_rejected(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["1 0 1 0 a", "2 0 1 b"], [])
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:2: expected 3 attributes, got 2"):
+            load_citation_dataset(content, cites)
+
     def test_malformed_cites_line(self, tmp_path):
         content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
                                         ["1 2 3"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from replaygraph import selection
 from replaygraph.linear import Batch, LinearModel, stack_samples
 from replaygraph.selection import (CgSettings, cg_solve, class_rows, coverage_counts,
                                    fit_to_stationarity, influence_scores,
@@ -385,6 +386,15 @@ class TestLooOracle:
         sole = Batch(np.ones((1, 4)), [0])
         with pytest.raises(ValueError, match="only training sample"):
             loo_retrain_oracle(template, sole, probes, 0)
+
+    def test_sole_sample_rejected_before_any_solve(self, monkeypatch):
+        template, _, probes = two_blob_problem(seed=0)
+        solves = []
+        monkeypatch.setattr(selection, "fit_to_stationarity",
+                            lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match="only training sample"):
+            loo_retrain_oracle(template, Batch(np.ones((1, 4)), [0]), probes, 0)
+        assert solves == []
 
 
 class TestPredictedLossChange:
