@@ -4,9 +4,10 @@ A task sequence is learned one task at a time; after each task a few training
 examples per class are selected (at random, nearest the class mean, by
 coverage of the attribute space, or by influence on a probe loss) and kept in
 a buffer that is mixed into every later task's objective through a
-count-balanced weight factor. Models: a linear softmax classifier over
-K-step propagated graph features, and a two-hidden-layer MLP for permuted
-images. Forgetting is read off the task-by-task accuracy matrix.
+count-balanced weight factor. One model class, ``MlpModel``: with no hidden
+layer the linear softmax classifier over K-step propagated graph features
+(``LinearModel``), with two ReLU layers the net for permuted images.
+Forgetting is read off the task-by-task accuracy matrix.
 """
 
 from .datasets import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import datasets
 from .metrics import AccuracyMatrix, forgetting_mean, performance_mean
-from .replay import (EVAL_MODES, LOSS_REDUCTIONS, PROBE_MODES, PROPAGATIONS,
-                     STRATEGIES, ReplayConfig, run_image_tasks, run_sequence)
+from .replay import (STRATEGIES, ReplayConfig, config_errors, run_image_tasks,
+                     run_sequence)
 from .selection import LINEAR_CG, MLP_CG, CgSettings
 
 SCHEMA_VERSION = 1
@@ -145,10 +145,7 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "
                           f"got {self.strategy!r}")
-        if self.e < 1:
-            errors.append("e: must be >= 1")
-        if self.k < 0:
-            errors.append("k: must be >= 0")
+        errors += [f"{key}: {message}" for key, message in config_errors(self)]
         if self.epochs < 0:
             errors.append("epochs: must be >= 0")
         if self.lr <= 0:
@@ -161,18 +158,8 @@ class ExperimentConfig:
             errors.append("classes_per_task: must be >= 1")
         if self.train_per_class < 1:
             errors.append("train_per_class: must be >= 1")
-        if self.eval_mode not in EVAL_MODES:
-            errors.append(f"eval_mode: must be one of {', '.join(EVAL_MODES)}")
         if self.fm_denominator not in FM_DENOMINATORS:
             errors.append(f"fm_denominator: must be one of {', '.join(FM_DENOMINATORS)}")
-        if self.probe not in PROBE_MODES:
-            errors.append(f"probe: must be one of {', '.join(PROBE_MODES)}")
-        if not 0.0 < self.probe_fraction < 1.0:
-            errors.append("probe_fraction: must be in (0, 1)")
-        if self.propagation not in PROPAGATIONS:
-            errors.append(f"propagation: must be one of {', '.join(PROPAGATIONS)}")
-        if self.loss_reduction not in LOSS_REDUCTIONS:
-            errors.append(f"loss_reduction: must be one of {', '.join(LOSS_REDUCTIONS)}")
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):

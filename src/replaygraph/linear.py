@@ -1,20 +1,17 @@
-"""Multiclass softmax classifier over fixed node representations.
+"""Rows as columns, and the pieces of the masked softmax head.
 
-The model keeps one output row per global class; training and prediction are
-restricted to a mask of currently relevant classes, so a single parameter set
-serves every task in a sequence. Loss is SUM-reduced over rows (this makes
-the replay weight factor balance exact), while ``hvp`` applies the Hessian of
-the per-row MEAN loss, which is the operator the influence approximation
-inverts.
+``Batch`` is the container every model and selector consumes, ``LossGroup``
+one term of a training objective. ``logsumexp`` and ``label_positions``
+serve the head of :class:`~replaygraph.mlp.MlpModel`, whose depth-0 case,
+softmax regression on propagated features, is the linear model:
+``LinearModel`` here names that same class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .optim import TrainConfig, adam_minimize
 
 
 class MaskError(ValueError):
@@ -116,196 +113,10 @@ def label_positions(mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
     return pos
 
 
-@dataclass
-class LinearModel:
-    """Softmax regression with per-class output rows and L2 decay in the loss."""
-
-    weights: np.ndarray          # (class_count, feature_dim)
-    bias: np.ndarray             # (class_count,)
-    active_classes: frozenset[int]
-    weight_decay: float = 0.0
-
-    @classmethod
-    def zeros(cls, class_count: int, feature_dim: int, weight_decay: float = 0.0,
-              active_classes=()) -> "LinearModel":
-        return cls(np.zeros((class_count, feature_dim)), np.zeros(class_count),
-                   frozenset(active_classes), weight_decay)
-
-    @property
-    def class_count(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def num_params(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def copy(self) -> "LinearModel":
-        return replace(self, weights=self.weights.copy(), bias=self.bias.copy())
-
-    def activate(self, classes) -> "LinearModel":
-        """New model with the given classes added to the active set."""
-        new = frozenset(classes) | self.active_classes
-        if new and (min(new) < 0 or max(new) >= self.class_count):
-            raise ValueError("active class id outside [0, class_count)")
-        return replace(self, weights=self.weights.copy(), bias=self.bias.copy(),
-                       active_classes=new)
-
-    # -- flat parameter vector (weights row-major, then bias) --
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.weights.ravel(), self.bias])
-
-    def set_flat(self, theta: np.ndarray) -> None:
-        if theta.size != self.num_params:
-            raise ValueError(f"expected {self.num_params} parameters, got {theta.size}")
-        split = self.weights.size
-        self.weights = theta[:split].reshape(self.weights.shape).copy()
-        self.bias = theta[split:].copy()
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "LinearModel":
-        return replace(self, weights=np.array(arrays["weights"], dtype=np.float64),
-                       bias=np.array(arrays["bias"], dtype=np.float64))
-
-    # -- masked softmax machinery --
-
-    def resolve_mask(self, mask) -> np.ndarray:
-        classes = self.active_classes if mask is None else mask
-        arr = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
-        if arr.size == 0:
-            raise MaskError("class mask is empty")
-        if arr[0] < 0 or arr[-1] >= self.class_count:
-            raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
-        return arr
-
-    def _logits(self, x: np.ndarray, mask_arr: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.feature_dim:
-            raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
-        return x @ self.weights[mask_arr].T + self.bias[mask_arr]
-
-    def _decay_value(self) -> float:
-        return 0.5 * self.weight_decay * (float(self.weights.ravel() @ self.weights.ravel())
-                                          + float(self.bias @ self.bias))
-
-    def _loss(self, batch: Batch, mask_arr) -> float:
-        z = self._logits(batch.x, mask_arr)
-        pos = label_positions(mask_arr, batch.y)
-        ce = logsumexp(z) - z[np.arange(len(batch)), pos]
-        return float(batch.w @ ce) + self._decay_value()
-
-    def _gradient(self, batch: Batch, mask_arr) -> np.ndarray:
-        z = self._logits(batch.x, mask_arr)
-        pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, keepdims=True))
-        g = p.copy()
-        g[np.arange(len(batch)), pos] -= 1.0
-        g *= batch.w[:, None]
-        dw = self.weight_decay * self.weights
-        db = self.weight_decay * self.bias
-        dw[mask_arr] += g.T @ batch.x
-        db[mask_arr] += g.sum(axis=0)
-        return np.concatenate([dw.ravel(), db])
-
-    # -- public contract --
-
-    def loss(self, batch: Batch, mask=None) -> float:
-        """Weighted sum of softmax cross-entropies plus weight_decay * ||theta||^2 / 2."""
-        return self._loss(batch, self.resolve_mask(mask))
-
-    def gradient(self, batch: Batch, mask=None) -> np.ndarray:
-        """Exact flat gradient of :meth:`loss`."""
-        return self._gradient(batch, self.resolve_mask(mask))
-
-    def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
-            damping: float = 0.0) -> np.ndarray:
-        """(H + damping I) v for H the Hessian of ``loss(batch) / len(batch)``.
-
-        Closed form: each row contributes the block
-        ``(diag(p) - p p^T) (x) [x 1][x 1]^T`` on its mask rows; the decay term
-        contributes ``weight_decay / n``.
-        """
-        v = np.asarray(v, dtype=np.float64)
-        if v.size != self.num_params:
-            raise ValueError(f"vector has {v.size} entries, expected {self.num_params}")
-        if damping < 0:
-            raise ValueError("damping must be >= 0")
-        x, w = batch.x, batch.w
-        mask_arr = self.resolve_mask(mask)
-        label_positions(mask_arr, batch.y)
-
-        split = self.weights.size
-        vw = v[:split].reshape(self.weights.shape)
-        vb = v[split:]
-        z = self._logits(x, mask_arr)
-        p = np.exp(z - logsumexp(z, keepdims=True))
-        u = x @ vw[mask_arr].T + vb[mask_arr]
-        q = p * u - p * np.sum(p * u, axis=1, keepdims=True)
-        q *= w[:, None]
-        hw = np.zeros_like(self.weights)
-        hb = np.zeros_like(self.bias)
-        hw[mask_arr] = q.T @ x
-        hb[mask_arr] = q.sum(axis=0)
-        flat = np.concatenate([hw.ravel(), hb]) + self.weight_decay * v
-        return flat / len(batch) + damping * v
-
-    def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:
-        """Per-row inner products <grad CE_i, vec>, computed without
-        materializing the per-row gradients.
-
-        The decay term is excluded: it belongs to the objective, not to any
-        one row, and the influence of removing a row is taken against its
-        cross-entropy contribution alone.
-        """
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.num_params:
-            raise ValueError(f"vector has {vec.size} entries, expected {self.num_params}")
-        x, y = batch.x, batch.y
-        mask_arr = self.resolve_mask(mask)
-        pos = label_positions(mask_arr, y)
-        split = self.weights.size
-        vw = vec[:split].reshape(self.weights.shape)
-        vb = vec[split:]
-        z = self._logits(x, mask_arr)
-        p = np.exp(z - logsumexp(z, keepdims=True))
-        g = p.copy()
-        g[np.arange(len(y)), pos] -= 1.0
-        u = x @ vw[mask_arr].T + vb[mask_arr]
-        return np.sum(g * u, axis=1) * batch.w
-
-    def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
-        """Argmax over mask-restricted logits; ties go to the lowest class id."""
-        mask_arr = self.resolve_mask(mask)
-        z = self._logits(np.atleast_2d(inputs), mask_arr)
-        return mask_arr[np.argmax(z, axis=1)]
-
-    def fit(self, groups, config: TrainConfig) -> "LinearModel":
-        """Full-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
-
-        Returns a trained copy; the receiver is left untouched.
-        """
-        resolved = [(g.batch, self.resolve_mask(g.mask), g.coeff) for g in groups]
-        scratch = self.copy()
-
-        def grad_fn(theta):
-            scratch.set_flat(theta)
-            total = np.zeros(theta.size)
-            for batch, mask_arr, coeff in resolved:
-                total += coeff * scratch._gradient(batch, mask_arr)
-            return total
-
-        def loss_fn(theta):
-            scratch.set_flat(theta)
-            return sum(coeff * scratch._loss(batch, mask_arr)
-                       for batch, mask_arr, coeff in resolved)
-
-        theta = adam_minimize(self.get_flat(), grad_fn, config, loss_fn)
-        trained = self.copy()
-        trained.set_flat(theta)
-        return trained
+def __getattr__(name):
+    # The linear model is the depth-0 MlpModel. mlp imports this module, so
+    # the name resolves on first use rather than at import.
+    if name == "LinearModel":
+        from .mlp import MlpModel
+        return MlpModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

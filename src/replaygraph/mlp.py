@@ -1,11 +1,15 @@
-"""Two-hidden-layer ReLU classifier with manual backprop.
+"""Softmax classifier with ReLU hidden layers and manual backprop.
 
-Mirrors the :class:`~replaygraph.linear.LinearModel` contract (masked softmax
-head, sum-reduced loss, mean-curvature ``hvp``) so replay and selection code
-is model-agnostic. The curvature is the Gauss-Newton matrix (Schraudolph
-2002), not the Hessian: it is positive semidefinite by construction, so the
-damped influence solve is one conjugate gradients can converge on, and at
-depth 0 it equals the linear model's exact Hessian.
+At depth 0 (``MlpModel.zeros``) it is softmax regression on propagated
+graph features, the SGC model (Wu et al. 2019), which ``linear.LinearModel``
+names; ``MlpModel.init`` builds the two-hidden-layer net for permuted images.
+One output row per global class, restricted to a mask of currently relevant
+classes, lets a single parameter set serve every task in a sequence. Loss is
+SUM-reduced over rows (this makes the replay weight factor balance exact);
+``hvp`` applies the Gauss-Newton curvature (Schraudolph 2002) of the per-row
+MEAN loss, the operator the influence approximation inverts. It is positive
+semidefinite, so conjugate gradients converge on the damped solve, and at
+depth 0 it is the exact Hessian.
 """
 
 from __future__ import annotations
@@ -15,93 +19,98 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linear import Batch, MaskError, label_positions, logsumexp
-from .optim import AdamState, TrainConfig, TrainingDiverged
+from .optim import TrainConfig, adam_minimize
+
+
+def _head_rows(layers, mask_arr):
+    """The layers with the output layer cut to the mask's rows."""
+    w, b = layers[-1]
+    return layers[:-1] + [(w[mask_arr], b[mask_arr])]
 
 
 @dataclass
 class MlpModel:
-    """784-256-256-10 by default; weights stored row-major as (out, in)."""
+    """Layers ``(W, b)``, input first, W stored (out, in); ReLU after all but the last."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray]]
     active_classes: frozenset[int]
     weight_decay: float = 0.0
 
     @classmethod
+    def zeros(cls, class_count: int, feature_dim: int, weight_decay: float = 0.0,
+              active_classes=()) -> "MlpModel":
+        """The depth-0 (linear) model, every parameter zero."""
+        return cls([(np.zeros((class_count, feature_dim)), np.zeros(class_count))],
+                   frozenset(active_classes), weight_decay)
+
+    @classmethod
     def init(cls, input_dim: int = 784, hidden_dim: int = 256, class_count: int = 10,
              weight_decay: float = 0.0, seed: int = 0, active_classes=()) -> "MlpModel":
-        """He-initialized weights, zero biases."""
+        """Two hidden layers (784-256-256-10 by default), He weights, zero biases."""
         rng = np.random.default_rng(seed)
-
-        def he(out_dim, in_dim):
-            return rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(out_dim, in_dim))
-
-        return cls(he(hidden_dim, input_dim), np.zeros(hidden_dim),
-                   he(hidden_dim, hidden_dim), np.zeros(hidden_dim),
-                   he(class_count, hidden_dim), np.zeros(class_count),
-                   frozenset(active_classes), weight_decay)
+        dims = (input_dim, hidden_dim, hidden_dim, class_count)
+        layers = [(rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in)), np.zeros(d_out))
+                  for d_in, d_out in zip(dims, dims[1:])]
+        return cls(layers, frozenset(active_classes), weight_decay)
 
     @property
     def class_count(self) -> int:
-        return self.w3.shape[0]
+        return self.layers[-1][0].shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.layers[0][0].shape[1]
 
     @property
     def num_params(self) -> int:
-        return sum(a.size for a in self._arrays())
-
-    def _arrays(self):
-        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+        return sum(w.size + b.size for w, b in self.layers)
 
     def copy(self) -> "MlpModel":
-        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(), w2=self.w2.copy(),
-                       b2=self.b2.copy(), w3=self.w3.copy(), b3=self.b3.copy())
+        return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
 
     def activate(self, classes) -> "MlpModel":
+        """New model with the given classes added to the active set."""
         new = frozenset(classes) | self.active_classes
         if new and (min(new) < 0 or max(new) >= self.class_count):
             raise ValueError("active class id outside [0, class_count)")
-        out = self.copy()
-        out.active_classes = new
-        return out
+        return replace(self.copy(), active_classes=new)
 
-    # -- flat parameter vector: w1, b1, w2, b2, w3, b3 --
+    # -- flat parameter vector: W1 (row-major), b1, W2, b2, ... --
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self._arrays()])
+        return np.concatenate([a.ravel() for layer in self.layers for a in layer])
 
     def set_flat(self, theta: np.ndarray) -> None:
         if theta.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, got {theta.size}")
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = (
-            part.copy() for part in self._split(theta))
+        self.layers = [(w.copy(), b.copy()) for w, b in self._split(theta)]
 
-    def _split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Views of a flat vector shaped like w1, b1, w2, b2, w3, b3."""
-        offset = 0
-        parts = []
-        for a in self._arrays():
-            parts.append(vec[offset:offset + a.size].reshape(a.shape))
-            offset += a.size
-        return parts
+    def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Views of a flat vector as (W, b) pairs shaped like the layers."""
+        pairs, offset = [], 0
+        for w, b in self.layers:
+            end = offset + w.size
+            pairs.append((vec[offset:end].reshape(w.shape), vec[end:end + b.size]))
+            offset = end + b.size
+        return pairs
+
+    def _vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.size != self.num_params:
+            raise ValueError(f"vector has {v.size} entries, expected {self.num_params}")
+        return v
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        names = ("w1", "b1", "w2", "b2", "w3", "b3")
-        return dict(zip(names, self._arrays()))
+        """``w1, b1, w2, b2, ...``, first layer first."""
+        return {f"{kind}{i}": a for i, (w, b) in enumerate(self.layers, 1)
+                for kind, a in (("w", w), ("b", b))}
 
     def with_arrays(self, arrays: dict[str, np.ndarray]) -> "MlpModel":
-        kwargs = {name: np.array(arrays[name], dtype=np.float64)
-                  for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
-        return replace(self, **kwargs)
+        return replace(self, layers=[
+            tuple(np.array(arrays[f"{kind}{i}"], dtype=np.float64) for kind in "wb")
+            for i in range(1, len(self.layers) + 1)])
 
-    # -- masked softmax head (same conventions as the linear model) --
+    # -- masked softmax head --
 
     def resolve_mask(self, mask) -> np.ndarray:
         classes = self.active_classes if mask is None else mask
@@ -112,57 +121,70 @@ class MlpModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _forward(self, x: np.ndarray, mask_arr: np.ndarray):
+    def _hidden(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every layer's input: ``x``, then each hidden activation."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
-        a1 = np.maximum(x @ self.w1.T + self.b1, 0.0)
-        a2 = np.maximum(a1 @ self.w2.T + self.b2, 0.0)
-        z = a2 @ self.w3[mask_arr].T + self.b3[mask_arr]
-        return a1, a2, z
+        acts = [x]
+        for w, b in self.layers[:-1]:
+            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        return acts
+
+    def _forward(self, x: np.ndarray, mask_arr: np.ndarray):
+        """Every layer's input and the mask-restricted logits."""
+        acts = self._hidden(x)
+        w, b = self.layers[-1]
+        return acts, acts[-1] @ w[mask_arr].T + b[mask_arr]
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
-        """Last hidden activation, the representation MF/CM variants select on."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        a1 = np.maximum(x @ self.w1.T + self.b1, 0.0)
-        return np.maximum(a1 @ self.w2.T + self.b2, 0.0)
+        """Last hidden activation, the representation MF/CM variants select
+        on; at depth 0, the inputs themselves."""
+        return self._hidden(np.atleast_2d(inputs))[-1]
 
-    def _decay_value(self) -> float:
-        return 0.5 * self.weight_decay * sum(float(a.ravel() @ a.ravel())
-                                             for a in self._arrays())
+    def _head_error(self, z: np.ndarray, mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-row cross-entropy derivative in the logits: softmax minus one-hot."""
+        pos = label_positions(mask_arr, y)
+        g = np.exp(z - logsumexp(z, keepdims=True))
+        g[np.arange(len(y)), pos] -= 1.0
+        return g
 
-    def _ce_backprop(self, x, a1, a2, g3, mask_arr) -> np.ndarray:
-        """Flat gradient of the summed cross-entropy given head error g3."""
-        dw3 = np.zeros_like(self.w3)
-        db3 = np.zeros_like(self.b3)
-        dw3[mask_arr] = g3.T @ a2
-        db3[mask_arr] = g3.sum(axis=0)
-        g2 = (g3 @ self.w3[mask_arr]) * (a2 > 0)
-        dw2 = g2.T @ a1
-        db2 = g2.sum(axis=0)
-        g1 = (g2 @ self.w2) * (a1 > 0)
-        dw1 = g1.T @ x
-        db1 = g1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3])
+    def _deltas(self, acts, g_out, mask_arr) -> list[np.ndarray]:
+        """Error at each layer's pre-activation, first layer first, from ``g_out``'s."""
+        layers = _head_rows(self.layers, mask_arr)
+        deltas = [g_out]
+        for (w, _), a in zip(layers[:0:-1], acts[:0:-1]):
+            deltas.append((deltas[-1] @ w) * (a > 0))
+        return deltas[::-1]
+
+    def _backprop(self, acts, g_out, mask_arr) -> np.ndarray:
+        """Flat summed-CE gradient from the logits' error; unmasked rows get zero."""
+        grads = [(g.T @ a, g.sum(axis=0))
+                 for a, g in zip(acts, self._deltas(acts, g_out, mask_arr))]
+        dw, db = (np.zeros_like(a) for a in self.layers[-1])
+        dw[mask_arr], db[mask_arr] = grads[-1]
+        grads[-1] = (dw, db)
+        return np.concatenate([a.ravel() for layer in grads for a in layer])
+
+    def _ce_gradient(self, x, y, w, mask_arr) -> np.ndarray:
+        """Flat gradient of the row-weighted summed cross-entropy."""
+        acts, z = self._forward(x, mask_arr)
+        return self._backprop(acts, self._head_error(z, mask_arr, y) * w[:, None], mask_arr)
 
     # -- public contract --
 
     def loss(self, batch: Batch, mask=None) -> float:
+        """Weighted sum of softmax cross-entropies plus weight_decay * ||theta||^2 / 2."""
         mask_arr = self.resolve_mask(mask)
-        _, _, z = self._forward(batch.x, mask_arr)
+        _, z = self._forward(batch.x, mask_arr)
         pos = label_positions(mask_arr, batch.y)
         ce = logsumexp(z) - z[np.arange(len(batch)), pos]
-        return float(batch.w @ ce) + self._decay_value()
+        decay = sum(float(a.ravel() @ a.ravel()) for layer in self.layers for a in layer)
+        return float(batch.w @ ce) + 0.5 * self.weight_decay * decay
 
     def gradient(self, batch: Batch, mask=None) -> np.ndarray:
-        mask_arr = self.resolve_mask(mask)
-        a1, a2, z = self._forward(batch.x, mask_arr)
-        pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, keepdims=True))
-        g3 = p.copy()
-        g3[np.arange(len(batch)), pos] -= 1.0
-        g3 *= batch.w[:, None]
-        return (self._ce_backprop(batch.x, a1, a2, g3, mask_arr)
+        """Exact flat gradient of :meth:`loss`."""
+        return (self._ce_gradient(batch.x, batch.y, batch.w, self.resolve_mask(mask))
                 + self.weight_decay * self.get_flat())
 
     def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
@@ -172,100 +194,93 @@ class MlpModel:
 
         ``G = (sum_i w_i J_i^T (diag p_i - p_i p_i^T) J_i + weight_decay I) / n``
         with ``J_i`` the Jacobian of row i's masked logits: the Hessian minus
-        the terms that need second derivatives of the network. Exact, in one
-        R-forward pass (Pearlmutter 1994) for ``J v`` and one backward pass for
-        ``J^T``.
+        the terms that need second derivatives of the network, so at depth 0
+        the Hessian itself. Exact, in one R-forward pass (Pearlmutter 1994)
+        for ``J v`` and one backward pass for ``J^T``.
         """
-        v = np.asarray(v, dtype=np.float64)
-        if v.size != self.num_params:
-            raise ValueError(f"vector has {v.size} entries, expected {self.num_params}")
+        v = self._vector(v)
         if damping < 0:
             raise ValueError("damping must be >= 0")
-        x = batch.x
         mask_arr = self.resolve_mask(mask)
         label_positions(mask_arr, batch.y)
-        v1, vb1, v2, vb2, v3, vb3 = self._split(v)
-        a1, a2, z = self._forward(x, mask_arr)
+        acts, z = self._forward(batch.x, mask_arr)
         p = np.exp(z - logsumexp(z, keepdims=True))
-        r1 = (x @ v1.T + vb1) * (a1 > 0)
-        r2 = (r1 @ self.w2.T + a1 @ v2.T + vb2) * (a2 > 0)
-        rz = r2 @ self.w3[mask_arr].T + a2 @ v3[mask_arr].T + vb3[mask_arr]
-        q = p * rz - p * np.sum(p * rz, axis=1, keepdims=True)
+        layers = _head_rows(self.layers, mask_arr)
+        r = None  # directional derivative of the current layer's output along v
+        for i, ((w, _), (vw, vb)) in enumerate(zip(layers, _head_rows(self._split(v), mask_arr))):
+            r = (acts[i] @ vw.T if r is None else r @ w.T + acts[i] @ vw.T) + vb
+            if i + 1 < len(layers):
+                r = r * (acts[i + 1] > 0)
+        q = p * r - p * np.sum(p * r, axis=1, keepdims=True)
         q *= batch.w[:, None]
-        flat = self._ce_backprop(x, a1, a2, q, mask_arr) + self.weight_decay * v
+        flat = self._backprop(acts, q, mask_arr) + self.weight_decay * v
         return flat / len(batch) + damping * v
 
     def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:
-        """Per-row <grad CE_i, vec> via layerwise bilinear forms (decay
-        excluded, matching the linear model's convention)."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.num_params:
-            raise ValueError(f"vector has {vec.size} entries, expected {self.num_params}")
-        x = batch.x
-        mask_arr = self.resolve_mask(mask)
-        a1, a2, z = self._forward(x, mask_arr)
-        pos = label_positions(mask_arr, batch.y)
-        p = np.exp(z - logsumexp(z, keepdims=True))
-        g3 = p.copy()
-        g3[np.arange(len(batch)), pos] -= 1.0
-        g2 = (g3 @ self.w3[mask_arr]) * (a2 > 0)
-        g1 = (g2 @ self.w2) * (a1 > 0)
+        """Per-row inner products <grad CE_i, vec> via layerwise bilinear
+        forms, without materializing the per-row gradients.
 
-        v1, vb1, v2, vb2, v3, vb3 = self._split(vec)
-        dots = np.sum(g1 * (x @ v1.T + vb1), axis=1)
-        dots += np.sum(g2 * (a1 @ v2.T + vb2), axis=1)
-        dots += np.sum(g3 * (a2 @ v3[mask_arr].T + vb3[mask_arr]), axis=1)
+        The decay term is excluded: it belongs to the objective, not to any
+        one row, and the influence of removing a row is taken against its
+        cross-entropy contribution alone.
+        """
+        vec = self._vector(vec)
+        mask_arr = self.resolve_mask(mask)
+        acts, z = self._forward(batch.x, mask_arr)
+        deltas = self._deltas(acts, self._head_error(z, mask_arr, batch.y), mask_arr)
+        dots = sum(np.sum(g * (a @ vw.T + vb), axis=1) for a, g, (vw, vb)
+                   in zip(acts, deltas, _head_rows(self._split(vec), mask_arr)))
         return dots * batch.w
 
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
+        """Argmax over mask-restricted logits; ties go to the lowest class id."""
         mask_arr = self.resolve_mask(mask)
-        _, _, z = self._forward(np.atleast_2d(inputs), mask_arr)
+        _, z = self._forward(np.atleast_2d(inputs), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig) -> "MlpModel":
-        """Mini-batch Adam on ``sum_g coeff_g * loss(g.batch, g.mask)``.
+        """Adam on ``sum_g coeff_g * loss(g.batch, g.mask)`` in steps of
+        ``config.batch_size`` rows (full batch when None).
 
-        Groups are pooled and shuffled together each epoch; within a batch each
-        group's members keep their own mask, and the decay gradient is scaled
-        by batch_size / pool_size so one epoch applies it exactly once.
+        Groups are pooled; a pool larger than one batch is shuffled together
+        each epoch, and within a batch each group's members keep their own
+        mask. A step adds the decay gradient ``(rows in step / rows in pool)
+        * sum_g coeff_g * weight_decay * theta``, so one epoch applies the
+        objective's decay term exactly once. Returns a trained copy; the
+        receiver is left untouched.
         """
-        stacks = [(g.batch.x, g.batch.y, g.batch.w, self.resolve_mask(g.mask), g.coeff)
-                  for g in groups]
-        total = sum(s[0].shape[0] for s in stacks)
-        group_of = np.concatenate([np.full(s[0].shape[0], gi, dtype=np.int64)
-                                   for gi, s in enumerate(stacks)])
-        local_of = np.concatenate([np.arange(s[0].shape[0], dtype=np.int64) for s in stacks])
-
-        scratch = self.copy()
-        theta = self.get_flat()
-        state = AdamState.zeros(theta.size)
-        batch = config.batch_size if config.batch_size is not None else total
-        if batch <= 0:
+        resolved = [(g.batch, self.resolve_mask(g.mask), g.coeff) for g in groups]
+        sizes = [len(batch) for batch, _, _ in resolved]
+        total = sum(sizes)
+        size = config.batch_size if config.batch_size is not None else total
+        if size <= 0:
             raise ValueError("batch_size must be positive")
+        decay = sum(coeff for _, _, coeff in resolved) * self.weight_decay
+        group_of = np.repeat(np.arange(len(sizes)), sizes)
+        local_of = np.concatenate([np.arange(n) for n in sizes])
         rng = np.random.default_rng(config.seed)
 
-        for epoch in range(config.epochs):
+        def epoch_batches():
+            if size >= total:
+                return [None]  # the whole pool, in row order
             order = rng.permutation(total)
-            for start in range(0, total, batch):
-                idx = order[start:start + batch]
-                scratch.set_flat(theta)
-                grad = (len(idx) / total) * scratch.weight_decay * theta
-                for gi, (x, y, w, mask_arr, coeff) in enumerate(stacks):
-                    members = local_of[idx[group_of[idx] == gi]]
+            return [order[start:start + size] for start in range(0, total, size)]
+
+        scratch = self.copy()
+
+        def grad_fn(theta, rows):
+            scratch.set_flat(theta)
+            grad = ((total if rows is None else len(rows)) / total) * decay * theta
+            for gi, (batch, mask_arr, coeff) in enumerate(resolved):
+                x, y, w = batch.x, batch.y, batch.w
+                if rows is not None:
+                    members = local_of[rows[group_of[rows] == gi]]
                     if members.size == 0:
                         continue
-                    xb, yb, wb = x[members], y[members], w[members]
-                    a1, a2, z = scratch._forward(xb, mask_arr)
-                    pos = label_positions(mask_arr, yb)
-                    p = np.exp(z - logsumexp(z, keepdims=True))
-                    g3 = p.copy()
-                    g3[np.arange(len(yb)), pos] -= 1.0
-                    g3 *= wb[:, None]
-                    grad += coeff * scratch._ce_backprop(xb, a1, a2, g3, mask_arr)
-                theta = state.update(theta, grad, config)
-            if not np.all(np.isfinite(theta)):
-                raise TrainingDiverged(f"parameters became non-finite at epoch {epoch + 1} "
-                                       f"(lr={config.lr})")
+                    x, y, w = x[members], y[members], w[members]
+                grad += coeff * scratch._ce_gradient(x, y, w, mask_arr)
+            return grad
+
         trained = self.copy()
-        trained.set_flat(theta)
+        trained.set_flat(adam_minimize(self.get_flat(), grad_fn, config, epoch_batches))
         return trained

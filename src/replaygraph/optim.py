@@ -1,7 +1,7 @@
 """Adam on flat parameter vectors.
 
-``AdamState`` holds the moments and takes one step; ``adam_minimize`` runs
-full-batch steps (the linear model), and the MLP steps it per mini-batch.
+``AdamState`` holds the moments and takes one step; ``adam_minimize`` is the
+one training loop, full-batch or mini-batch, that every model's ``fit`` runs.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ import numpy as np
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during optimization."""
+    """Parameters became non-finite during optimization."""
 
 
 @dataclass
 class TrainConfig:
-    """Optimizer hyperparameters shared by the linear and MLP trainers.
+    """Optimizer hyperparameters for ``fit``.
 
-    ``batch_size=None`` means full batch; the MLP trainer shuffles with
-    ``seed`` when mini-batching.
+    ``batch_size=None`` means full batch; the trainer shuffles with ``seed``
+    when the rows span more than one batch.
     """
 
     epochs: int = 100
@@ -55,22 +55,21 @@ class AdamState:
 
 
 def adam_minimize(theta0: np.ndarray, grad_fn, config: TrainConfig,
-                  loss_fn=None) -> np.ndarray:
-    """Run ``config.epochs`` full-batch Adam steps from ``theta0``.
+                  epoch_batches) -> np.ndarray:
+    """Run ``config.epochs`` epochs of Adam from ``theta0``.
 
-    When ``loss_fn`` is given it is checked each step and a non-finite value
-    aborts with a diagnostic.
+    Each epoch takes one step per item of ``epoch_batches()``, on the
+    gradient ``grad_fn(theta, item)``. Parameters that are not finite after
+    an epoch abort with a diagnostic.
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     adam = AdamState.zeros(theta.size)
     for epoch in range(config.epochs):
-        grad = grad_fn(theta)
-        theta = adam.update(theta, grad, config)
-        if loss_fn is not None:
-            loss = loss_fn(theta)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss} at epoch {epoch + 1} "
-                                       f"(lr={config.lr})")
-        elif not np.all(np.isfinite(theta)):
-            raise TrainingDiverged(f"parameters became non-finite at epoch {epoch + 1}")
+        for batch in epoch_batches():
+            # kept over the next step; freed early, its pages were unmapped and faulted back
+            grad = grad_fn(theta, batch)
+            theta = adam.update(theta, grad, config)
+        if not np.all(np.isfinite(theta)):
+            raise TrainingDiverged(f"parameters became non-finite at epoch {epoch + 1} "
+                                   f"(lr={config.lr})")
     return theta

@@ -2,9 +2,9 @@
 and buffered samples, select a few training examples into the buffer, and
 score the model on every task seen so far.
 
-The loop is model-agnostic: anything exposing activate/fit/loss/predict (and
-optionally ``embed``) works, which is how the propagated-feature linear model
-and the pixel MLP share one engine.
+The loop is model-agnostic: anything exposing activate/fit/loss/predict and
+``embed`` works. Graph tasks train the depth-0 MlpModel (softmax regression
+on propagated features), image tasks the two-hidden-layer one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import ImageTask, TaskSequence, TaskSpec
 from .graph import Graph, induced_subgraph, normalize_adjacency, propagate
-from .linear import Batch, LinearModel, LossGroup, stack_samples
+from .linear import Batch, LossGroup, stack_samples
 from .metrics import AccuracyMatrix, accuracy
 from .mlp import MlpModel
 from .optim import TrainConfig
@@ -52,22 +52,27 @@ class ReplayConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.e < 1:
-            raise ValueError(f"e must be >= 1, got {self.e}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
-        if self.probe not in PROBE_MODES:
-            raise ValueError(f"probe must be one of {PROBE_MODES}, got {self.probe!r}")
-        if not 0.0 < self.probe_fraction < 1.0:
-            raise ValueError("probe_fraction must be in (0, 1)")
-        if self.propagation not in PROPAGATIONS:
-            raise ValueError(f"propagation must be one of {PROPAGATIONS}, "
-                             f"got {self.propagation!r}")
-        if self.loss_reduction not in LOSS_REDUCTIONS:
-            raise ValueError(f"loss_reduction must be one of {LOSS_REDUCTIONS}, "
-                             f"got {self.loss_reduction!r}")
+        errors = config_errors(self)
+        if errors:
+            raise ValueError("{} {}".format(*errors[0]))
+
+
+def config_errors(config) -> list[tuple[str, str]]:
+    """``(key, message)`` per invalid replay setting of a ReplayConfig, or of
+    the ExperimentConfig whose same-named keys feed one."""
+    errors = []
+    if config.e < 1:
+        errors.append(("e", "must be >= 1"))
+    if config.k < 0:
+        errors.append(("k", "must be >= 0"))
+    for key, allowed in (("eval_mode", EVAL_MODES), ("probe", PROBE_MODES),
+                         ("propagation", PROPAGATIONS), ("loss_reduction", LOSS_REDUCTIONS)):
+        value = getattr(config, key)
+        if value not in allowed:
+            errors.append((key, f"must be one of {', '.join(allowed)}; got {value!r}"))
+    if not 0.0 < config.probe_fraction < 1.0:
+        errors.append(("probe_fraction", "must be in (0, 1)"))
+    return errors
 
 
 def weight_factor(train_count: int, buffer_count: int) -> float:
@@ -295,7 +300,7 @@ def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
         return select_im(model, candidates, config.e, probes, settings=config.cg,
                          signed=config.signed_im, population=population)
     if strategy.endswith("-embed"):
-        geometry = model.embed(candidates.x) if hasattr(model, "embed") else candidates.x
+        geometry = model.embed(candidates.x)
     else:
         geometry = (candidates.attributes if candidates.attributes is not None
                     else candidates.x)
@@ -375,8 +380,8 @@ def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunS
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     datas = prepare_sequence(seq, config)
-    model = LinearModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
-                              weight_decay=config.weight_decay)
+    model = MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
+                           weight_decay=config.weight_decay)
     state = RunState(model=model, buffer=ExperienceBuffer(config.e),
                      config=config, strategy=strategy)
     for data in datas:

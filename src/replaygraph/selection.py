@@ -16,9 +16,9 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .linear import Batch, LinearModel
+from .linear import Batch
+from .mlp import MlpModel
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +73,7 @@ def coverage_counts(batch: Batch, geometry: np.ndarray,
     ``d="auto"`` uses the median cross-class pairwise distance; with a single
     class every count is zero and d is irrelevant.
     """
+    from scipy.spatial.distance import pdist, squareform  # slow to import; only cm needs it
     dist = squareform(pdist(geometry))
     other = batch.y[:, None] != batch.y[None, :]
     if d == "auto":
@@ -233,8 +234,8 @@ def select_im(model, batch: Batch, e: int, probes: Batch,
 # -- retraining oracle --
 
 
-def fit_to_stationarity(template: LinearModel, batch: Batch, mask=None) -> LinearModel:
-    """Minimize the convex objective to optimizer-grade stationarity.
+def fit_to_stationarity(template: MlpModel, batch: Batch, mask=None) -> MlpModel:
+    """Fit a depth-0 (convex) template to optimizer-grade stationarity.
 
     The oracle compares optima, not training trajectories, so it uses a
     quasi-Newton solve from zero parameters instead of the production Adam
@@ -259,7 +260,7 @@ def fit_to_stationarity(template: LinearModel, batch: Batch, mask=None) -> Linea
     return fitted
 
 
-def _fit_with_and_without(template: LinearModel, train: Batch, index: int, mask):
+def _fit_with_and_without(template: MlpModel, train: Batch, index: int, mask):
     """Optima on all of ``train`` and on ``train`` without row ``index``."""
     if not 0 <= index < len(train):
         raise IndexError(f"index {index} outside [0, {len(train)})")
@@ -270,7 +271,7 @@ def _fit_with_and_without(template: LinearModel, train: Batch, index: int, mask)
     return full, fit_to_stationarity(template, reduced, mask)
 
 
-def loo_retrain_oracle(template: LinearModel, train: Batch, probes: Batch,
+def loo_retrain_oracle(template: MlpModel, train: Batch, probes: Batch,
                        index: int, mask=None) -> float:
     """Ground-truth probe-loss change from dropping one training row.
 
@@ -285,7 +286,7 @@ def loo_retrain_oracle(template: LinearModel, train: Batch, probes: Batch,
             - replace(full, weight_decay=0.0).loss(probes, mask))
 
 
-def loo_parameter_change(template: LinearModel, train: Batch, index: int,
+def loo_parameter_change(template: MlpModel, train: Batch, index: int,
                          mask=None) -> np.ndarray:
     """Actual parameter displacement from dropping one training row."""
     full, loo = _fit_with_and_without(template, train, index, mask)

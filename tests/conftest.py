@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from replaygraph import Batch, LinearModel
+from replaygraph import Batch, LinearModel, MlpModel
 
 
 @pytest.fixture
@@ -14,12 +14,23 @@ def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,
     """A random trained-ish model plus a weighted batch whose labels stay
     inside mask."""
     classes = list(range(class_count)) if mask is None else sorted(mask)
-    model = LinearModel(spread * rng.standard_normal((class_count, feature_dim)),
-                        spread * rng.standard_normal(class_count),
+    model = LinearModel([(spread * rng.standard_normal((class_count, feature_dim)),
+                          spread * rng.standard_normal(class_count))],
                         frozenset(classes), weight_decay)
     rows = [(rng.standard_normal(feature_dim), int(rng.choice(classes)),
              float(rng.uniform(0.5, 2.0))) for _ in range(n)]
     return model, batch_of(rows)
+
+
+def model_of_depth(depth, feature_dim, class_count, weight_decay=0.0):
+    """Depth 0: the zero linear model; depth 2: a seeded He-initialized MLP
+    with four units per hidden layer. Every class is active."""
+    if depth == 0:
+        return LinearModel.zeros(class_count, feature_dim, weight_decay,
+                                 active_classes=range(class_count))
+    assert depth == 2
+    return MlpModel.init(input_dim=feature_dim, hidden_dim=4, class_count=class_count,
+                         weight_decay=weight_decay, active_classes=range(class_count))
 
 
 def batch_of(rows):
@@ -49,7 +60,7 @@ def dense_gauss_newton(model, batch, mask=None, h=1e-6):
 
     def logits(t):
         scratch.set_flat(t)
-        return scratch._forward(batch.x, mask_arr)[2]
+        return scratch._forward(batch.x, mask_arr)[1]
 
     steps = h * np.eye(theta.size)
     jac = np.stack([(logits(theta + s) - logits(theta - s)) / (2 * h) for s in steps],

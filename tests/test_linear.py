@@ -8,7 +8,7 @@ import scipy.special
 from replaygraph import Batch, LinearModel, LossGroup, MaskError, TrainConfig
 from replaygraph.linear import logsumexp, stack_samples
 
-from conftest import finite_difference_gradient, random_instance
+from conftest import finite_difference_gradient, model_of_depth, random_instance
 
 
 class TestLogsumexp:
@@ -115,7 +115,8 @@ class TestLossAndGradient:
         # with a two-class mask the loss is binary cross-entropy over those rows
         model, _ = random_instance(rng, class_count=5)
         x = rng.standard_normal(model.feature_dim)
-        z = model.weights[[1, 3]] @ x + model.bias[[1, 3]]
+        (weights, bias), = model.layers
+        z = weights[[1, 3]] @ x + bias[[1, 3]]
         expected = np.log(np.exp(z).sum()) - z[0]
         assert np.isclose(model.loss(Batch(x[None], [1]), mask=(1, 3)), expected)
 
@@ -233,15 +234,17 @@ class TestFit:
         assert np.array_equal(model.get_flat(), theta_before)
         assert np.array_equal(a.get_flat(), b.get_flat())
 
-    def test_rows_outside_mask_only_decay(self, rng):
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_rows_outside_mask_only_decay(self, rng, depth):
         # with zero decay, classes absent from every group's mask cannot move
-        model = LinearModel.zeros(5, 3, active_classes=range(5))
+        model = model_of_depth(depth, feature_dim=3, class_count=5)
         samples = Batch(rng.standard_normal((6, 3)), [0, 0, 0, 1, 1, 1])
         fitted = model.fit([LossGroup(samples, (0, 1), 1.0)],
                            TrainConfig(epochs=40, lr=0.2))
-        assert np.array_equal(fitted.weights[2:], np.zeros((3, 3)))
-        assert np.array_equal(fitted.bias[2:], np.zeros(3))
-        assert not np.allclose(fitted.weights[:2], 0.0)
+        (weights, bias), (weights0, bias0) = fitted.layers[-1], model.layers[-1]
+        assert np.array_equal(weights[2:], weights0[2:])
+        assert np.array_equal(bias[2:], bias0[2:])
+        assert not np.allclose(weights[:2], weights0[:2])
 
     def test_zero_epochs_is_identity(self, rng):
         model, samples = random_instance(rng)
@@ -254,8 +257,8 @@ class TestPlumbing:
         model, _ = random_instance(rng)
         other = LinearModel.zeros(model.class_count, model.feature_dim)
         other.set_flat(model.get_flat())
-        assert np.array_equal(other.weights, model.weights)
-        assert np.array_equal(other.bias, model.bias)
+        assert np.array_equal(other.layers[0][0], model.layers[0][0])
+        assert np.array_equal(other.layers[0][1], model.layers[0][1])
 
     def test_activate_accumulates(self):
         model = LinearModel.zeros(6, 2)
@@ -277,7 +280,7 @@ class TestPlumbing:
         rebuilt = LinearModel.zeros(model.class_count, model.feature_dim,
                                     active_classes=model.active_classes)
         rebuilt = rebuilt.with_arrays(model.to_arrays())
-        assert np.array_equal(rebuilt.weights, model.weights)
+        assert np.array_equal(rebuilt.layers[0][0], model.layers[0][0])
 
     def test_savez_round_trip(self, rng, tmp_path):
         model = LinearModel.zeros(3, 5, active_classes=(0, 1, 2))

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from replaygraph import (Batch, LinearModel, LossGroup, MaskError, MlpModel,
+from replaygraph import (AdamState, Batch, LinearModel, LossGroup, MaskError, MlpModel,
                          TrainConfig, TrainingDiverged, synthetic_image_dataset)
 from replaygraph.linear import stack_samples
 
-from conftest import batch_of, dense_gauss_newton, finite_difference_gradient
+from conftest import (batch_of, dense_gauss_newton, finite_difference_gradient,
+                      model_of_depth)
 
 
 def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0,
@@ -51,11 +52,12 @@ class TestGradient:
 
     def test_dead_relu_unit_gets_no_input_gradient(self, rng):
         model = tiny_net()
-        model.b1[0] = -1e6  # unit 0 never activates on bounded inputs
+        w1, b1 = model.layers[0]
+        b1[0] = -1e6  # unit 0 never activates on bounded inputs
         samples = random_samples(rng, model, 6)
         grad = model.gradient(samples)
-        dw1 = grad[:model.w1.size].reshape(model.w1.shape)
-        db1 = grad[model.w1.size:model.w1.size + model.b1.size]
+        dw1 = grad[:w1.size].reshape(w1.shape)
+        db1 = grad[w1.size:w1.size + b1.size]
         assert np.allclose(dw1[0], 0.0)
         assert np.isclose(db1[0], 0.0)
 
@@ -123,18 +125,16 @@ class TestHvp:
         dim, classes = 5, 3
         mlp = tiny_net(input_dim=dim, hidden_dim=dim, class_count=classes,
                        weight_decay=0.01)
-        mlp.w1 = np.eye(dim)
-        mlp.b1 = np.zeros(dim)
-        mlp.w2 = np.eye(dim)
-        mlp.b2 = np.zeros(dim)
-        linear = LinearModel(mlp.w3.copy(), mlp.b3.copy(), frozenset(range(classes)),
+        w3, b3 = mlp.layers[2]
+        mlp.layers[:2] = [(np.eye(dim), np.zeros(dim)), (np.eye(dim), np.zeros(dim))]
+        linear = LinearModel([(w3.copy(), b3.copy())], frozenset(range(classes)),
                              weight_decay=0.01)
         inputs = rng.uniform(0.5, 2.0, size=(6, dim))  # positive: ReLU stays active
         samples = Batch(inputs, [int(rng.integers(0, classes)) for _ in range(6)])
 
         v_small = rng.standard_normal(linear.num_params)
         v_full = np.zeros(mlp.num_params)
-        head = mlp.w1.size + mlp.b1.size + mlp.w2.size + mlp.b2.size
+        head = mlp.num_params - linear.num_params
         v_full[head:] = v_small
 
         hv_mlp = mlp.hvp(samples, v=v_full, damping=0.0)[head:]
@@ -167,7 +167,8 @@ class TestForwardProperties:
         x = rng.standard_normal((4, 10))
         perm = rng.permutation(10)
         permuted = model.copy()
-        permuted.w1 = model.w1[:, perm]
+        w1, b1 = model.layers[0]
+        permuted.layers[0] = (w1[:, perm], b1)
         base = model.predict(x)
         twisted = permuted.predict(x[:, perm])
         assert np.array_equal(base, twisted)
@@ -218,21 +219,37 @@ class TestFit:
         fitted = model.fit(groups, TrainConfig(epochs=10, lr=1e-2, batch_size=4))
         assert not np.array_equal(fitted.get_flat(), model.get_flat())
 
-    def test_divergence_detected(self, rng):
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_divergence_detected(self, rng, depth):
         # a NaN feature poisons the gradient, and the per-epoch finite check
         # must refuse to return the corrupted parameters
-        model = tiny_net()
+        model = model_of_depth(depth, feature_dim=10, class_count=3)
         samples = random_samples(rng, model, 4)
         samples = stack_samples([samples, Batch(np.full((1, 10), np.nan), [0])])
         with pytest.raises(TrainingDiverged):
             model.fit([LossGroup(samples, None, 1.0)], TrainConfig(epochs=5, lr=1e-2))
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_full_batch_epoch_is_one_adam_step_on_the_objective(self, rng, depth):
+        # sum_g coeff_g * loss(g) weights the decay term by sum_g coeff_g,
+        # here 1.3, whatever the depth
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.1)
+        model.set_flat(rng.standard_normal(model.num_params))
+        groups = [LossGroup(random_samples(rng, model, 5, classes=(2, 3)), (2, 3), 0.7),
+                  LossGroup(random_samples(rng, model, 3, classes=(0, 1)), (0, 1), 0.6)]
+        config = TrainConfig(epochs=1, lr=0.05)
+        fitted = model.fit(groups, config)
+        objective_grad = sum(g.coeff * model.gradient(g.batch, g.mask) for g in groups)
+        expected = AdamState.zeros(model.num_params).update(model.get_flat(),
+                                                            objective_grad, config)
+        assert np.allclose(fitted.get_flat(), expected, rtol=1e-12, atol=1e-12)
+
     def test_he_init_seeded(self):
         a = MlpModel.init(seed=5)
         b = MlpModel.init(seed=5)
         c = MlpModel.init(seed=6)
-        assert np.array_equal(a.w1, b.w1)
-        assert not np.array_equal(a.w1, c.w1)
+        assert np.array_equal(a.layers[0][0], b.layers[0][0])
+        assert not np.array_equal(a.layers[0][0], c.layers[0][0])
 
 
 class TestPlumbing:

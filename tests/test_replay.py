@@ -11,8 +11,9 @@ from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
 from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig,
                                 combined_loss, learn_task, loss_groups,
-                                prepare_task_data, run_image_tasks,
+                                prepare_sequence, prepare_task_data, run_image_tasks,
                                 run_sequence, weight_factor)
+from replaygraph.selection import select_cm, select_mf
 
 
 class FakeModel:
@@ -243,9 +244,9 @@ class TestLearnTaskBookkeeping:
         config = ReplayConfig(e=1, epochs=30, weight_decay=0.0, seed=0)
         state = run_sequence(seq, "none", config)
         snap_after_first = state.snapshots[0]
-        assert np.all(snap_after_first["weights"][2:] == 0.0)
-        assert np.all(snap_after_first["bias"][2:] == 0.0)
-        assert np.any(snap_after_first["weights"][:2] != 0.0)
+        assert np.all(snap_after_first["w1"][2:] == 0.0)
+        assert np.all(snap_after_first["b1"][2:] == 0.0)
+        assert np.any(snap_after_first["w1"][:2] != 0.0)
 
     def test_unknown_strategy_rejected(self):
         seq = sbm_sequence()
@@ -281,7 +282,7 @@ class TestRunSequenceBehavior:
         assert np.array_equal(a.matrix().values, b.matrix().values,
                               equal_nan=True)
         for s1, s2 in zip(a.snapshots, b.snapshots):
-            assert np.array_equal(s1["weights"], s2["weights"])
+            assert np.array_equal(s1["w1"], s2["w1"])
 
     def test_every_strategy_runs_and_fills_buffer(self):
         seq = sbm_sequence(num_tasks=2)
@@ -291,6 +292,18 @@ class TestRunSequenceBehavior:
             expected = 0 if strategy == "none" else 1 * 2 * 2
             assert len(state.buffer) == expected, strategy
             assert state.matrix().num_tasks == 2
+
+    @pytest.mark.parametrize("strategy, select", [
+        ("mf-embed", lambda train, e: select_mf(train, e, train.x)),
+        ("cm-embed", lambda train, e: select_cm(train, e, train.x))])
+    def test_embed_variants_select_on_propagated_inputs(self, strategy, select):
+        # the linear model's embedding is its input: the propagated features
+        seq = sbm_sequence()
+        config = ReplayConfig(e=2, epochs=15, seed=0)
+        state = run_sequence(seq, strategy, config)
+        for event, data in zip(state.events, prepare_sequence(seq, config)):
+            expected = data.train.node[select(data.train, config.e)]
+            assert event["selected_nodes"] == expected.tolist()
 
     def test_buffer_rows_are_the_selected_training_rows(self):
         seq = sbm_sequence()

@@ -177,6 +177,16 @@ class TestCoverage:
         with pytest.raises(ValueError, match="d must be positive"):
             coverage_counts(batch, batch.x, d=0.0)
 
+    def test_package_import_leaves_scipy_spatial_unloaded(self):
+        # only cm's distance matrix needs it, and it is slow to import
+        import subprocess
+        import sys
+        code = ("import sys, replaygraph; "
+                "print(any(m.startswith('scipy.spatial') for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False"
+
 
 class TestCgSolve:
     def test_identity_system_converges_in_one_iteration(self, rng):
