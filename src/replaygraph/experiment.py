@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -316,6 +315,7 @@ def run_experiment(config: ExperimentConfig, write_report: bool = True) -> dict:
 
     seeds = list(config.seeds)
     if config.jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only jobs > 1
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_seed_worker, [config.to_dict()] * len(seeds), seeds))
     else:

@@ -7,10 +7,13 @@ consumed up front by the functions in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # scipy.sparse is slow to import; only graph runs need it
+    import scipy.sparse as sp
 
 
 class GraphFormatError(ValueError):
@@ -81,6 +84,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Unweighted adjacency as a scipy CSR matrix."""
+        import scipy.sparse as sp
         n = self.features.shape[0]
         data = np.ones(len(self.csr_neighbors), dtype=np.float64)
         return sp.csr_matrix((data, self.csr_neighbors, self.csr_offsets), shape=(n, n))
@@ -93,6 +97,7 @@ def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int,
     Edges are symmetrized and deduplicated; self loops are dropped (the
     normalization step adds its own).
     """
+    import scipy.sparse as sp
     pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
     if pairs:
         arr = np.array(sorted(pairs), dtype=np.int64)
@@ -130,6 +135,7 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     Self loops guarantee every degree is positive, so no special casing of
     isolated nodes is needed.
     """
+    import scipy.sparse as sp
     a_tilde = (g.adjacency() + sp.eye(g.num_nodes, format="csr")).tocsr()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)

@@ -142,11 +142,11 @@ class MlpModel:
         on; at depth 0, the inputs themselves."""
         return self._hidden(np.atleast_2d(inputs))[-1]
 
-    def _head_error(self, z: np.ndarray, mask_arr: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-row cross-entropy derivative in the logits: softmax minus one-hot."""
-        pos = label_positions(mask_arr, y)
+    def _head_error(self, z: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Per-row cross-entropy derivative in the logits: softmax minus one-hot
+        at each label's position in the mask (``label_positions``)."""
         g = np.exp(z - logsumexp(z, keepdims=True))
-        g[np.arange(len(y)), pos] -= 1.0
+        g[np.arange(len(pos)), pos] -= 1.0
         return g
 
     def _deltas(self, acts, g_out, mask_arr) -> list[np.ndarray]:
@@ -157,19 +157,25 @@ class MlpModel:
             deltas.append((deltas[-1] @ w) * (a > 0))
         return deltas[::-1]
 
-    def _backprop(self, acts, g_out, mask_arr) -> np.ndarray:
-        """Flat summed-CE gradient from the logits' error; unmasked rows get zero."""
-        grads = [(g.T @ a, g.sum(axis=0))
-                 for a, g in zip(acts, self._deltas(acts, g_out, mask_arr))]
-        dw, db = (np.zeros_like(a) for a in self.layers[-1])
-        dw[mask_arr], db[mask_arr] = grads[-1]
-        grads[-1] = (dw, db)
-        return np.concatenate([a.ravel() for layer in grads for a in layer])
+    def _backprop(self, acts, g_out, mask_arr, out=None) -> np.ndarray:
+        """Flat summed-CE gradient from the logits' error, written into ``out``
+        (a new vector when None); unmasked rows get zero."""
+        out = np.empty(self.num_params) if out is None else out
+        *hidden, (head_w, head_b) = self._split(out)
+        deltas = self._deltas(acts, g_out, mask_arr)
+        for (dw, db), a, g in zip(hidden, acts, deltas):
+            np.matmul(g.T, a, out=dw)
+            np.sum(g, axis=0, out=db)
+        head_w.fill(0.0)
+        head_b.fill(0.0)
+        head_w[mask_arr] = deltas[-1].T @ acts[-1]
+        head_b[mask_arr] = deltas[-1].sum(axis=0)
+        return out
 
-    def _ce_gradient(self, x, y, w, mask_arr) -> np.ndarray:
-        """Flat gradient of the row-weighted summed cross-entropy."""
+    def _ce_gradient(self, x, pos, w, mask_arr, out=None) -> np.ndarray:
+        """Flat gradient of the row-weighted summed cross-entropy, into ``out``."""
         acts, z = self._forward(x, mask_arr)
-        return self._backprop(acts, self._head_error(z, mask_arr, y) * w[:, None], mask_arr)
+        return self._backprop(acts, self._head_error(z, pos) * w[:, None], mask_arr, out)
 
     # -- public contract --
 
@@ -184,7 +190,8 @@ class MlpModel:
 
     def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         """Exact flat gradient of :meth:`loss`."""
-        return (self._ce_gradient(batch.x, batch.y, batch.w, self.resolve_mask(mask))
+        mask_arr = self.resolve_mask(mask)
+        return (self._ce_gradient(batch.x, label_positions(mask_arr, batch.y), batch.w, mask_arr)
                 + self.weight_decay * self.get_flat())
 
     def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
@@ -227,7 +234,8 @@ class MlpModel:
         vec = self._vector(vec)
         mask_arr = self.resolve_mask(mask)
         acts, z = self._forward(batch.x, mask_arr)
-        deltas = self._deltas(acts, self._head_error(z, mask_arr, batch.y), mask_arr)
+        deltas = self._deltas(acts, self._head_error(z, label_positions(mask_arr, batch.y)),
+                              mask_arr)
         dots = sum(np.sum(g * (a @ vw.T + vb), axis=1) for a, g, (vw, vb)
                    in zip(acts, deltas, _head_rows(self._split(vec), mask_arr)))
         return dots * batch.w
@@ -249,13 +257,16 @@ class MlpModel:
         objective's decay term exactly once. Returns a trained copy; the
         receiver is left untouched.
         """
-        resolved = [(g.batch, self.resolve_mask(g.mask), g.coeff) for g in groups]
-        sizes = [len(batch) for batch, _, _ in resolved]
+        resolved = []
+        for g in groups:
+            mask_arr = self.resolve_mask(g.mask)
+            resolved.append((g.batch, label_positions(mask_arr, g.batch.y), mask_arr, g.coeff))
+        sizes = [len(batch) for batch, *_ in resolved]
         total = sum(sizes)
         size = config.batch_size if config.batch_size is not None else total
         if size <= 0:
             raise ValueError("batch_size must be positive")
-        decay = sum(coeff for _, _, coeff in resolved) * self.weight_decay
+        decay = sum(coeff for *_, coeff in resolved) * self.weight_decay
         group_of = np.repeat(np.arange(len(sizes)), sizes)
         local_of = np.concatenate([np.arange(n) for n in sizes])
         rng = np.random.default_rng(config.seed)
@@ -266,21 +277,23 @@ class MlpModel:
             order = rng.permutation(total)
             return [order[start:start + size] for start in range(0, total, size)]
 
-        scratch = self.copy()
+        theta = self.get_flat()
+        scratch = replace(self, layers=self._split(theta))  # views: each step moves them
+        grad_out, term = np.empty_like(theta), np.empty_like(theta)
 
         def grad_fn(theta, rows):
-            scratch.set_flat(theta)
-            grad = ((total if rows is None else len(rows)) / total) * decay * theta
-            for gi, (batch, mask_arr, coeff) in enumerate(resolved):
-                x, y, w = batch.x, batch.y, batch.w
+            grad = np.multiply(((total if rows is None else len(rows)) / total) * decay, theta,
+                               out=grad_out)
+            for gi, (batch, pos, mask_arr, coeff) in enumerate(resolved):
+                x, w = batch.x, batch.w
                 if rows is not None:
                     members = local_of[rows[group_of[rows] == gi]]
                     if members.size == 0:
                         continue
-                    x, y, w = x[members], y[members], w[members]
-                grad += coeff * scratch._ce_gradient(x, y, w, mask_arr)
+                    x, pos, w = x[members], pos[members], w[members]
+                scratch._ce_gradient(x, pos, w, mask_arr, out=term)
+                grad += np.multiply(coeff, term, out=term)
             return grad
 
-        trained = self.copy()
-        trained.set_flat(adam_minimize(self.get_flat(), grad_fn, config, epoch_batches))
-        return trained
+        adam_minimize(theta, grad_fn, config, epoch_batches)
+        return scratch.copy()  # arrays of its own, not views of theta

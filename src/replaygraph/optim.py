@@ -1,7 +1,9 @@
 """Adam on flat parameter vectors.
 
-``AdamState`` holds the moments and takes one step; ``adam_minimize`` is the
-one training loop, full-batch or mini-batch, that every model's ``fit`` runs.
+``AdamState`` holds the moments and takes one step in place: it overwrites θ
+and returns it, allocating nothing. ``adam_minimize`` is the one training
+loop, full-batch or mini-batch, that every model's ``fit`` runs; it steps one
+θ buffer for the whole run.
 """
 
 from __future__ import annotations
@@ -39,36 +41,53 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # the step's two intermediate vectors: its numerator and its denominator
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, self.m.size))
 
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
         return cls(np.zeros(dim), np.zeros(dim))
 
     def update(self, theta: np.ndarray, grad: np.ndarray, config: TrainConfig) -> np.ndarray:
-        """One bias-corrected Adam step; returns the new parameter vector."""
+        """One bias-corrected Adam step, in place: overwrites ``m``, ``v`` and
+        ``theta`` and returns ``theta``; ``grad`` is only read.
+
+        The arithmetic is the textbook step's, operation for operation:
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``theta - lr m_hat / (sqrt(v_hat) + eps)``.
+        """
         self.step += 1
-        self.m = config.beta1 * self.m + (1.0 - config.beta1) * grad
-        self.v = config.beta2 * self.v + (1.0 - config.beta2) * grad * grad
-        m_hat = self.m / (1.0 - config.beta1 ** self.step)
-        v_hat = self.v / (1.0 - config.beta2 ** self.step)
-        return theta - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        num, den = self.work
+        self.m *= config.beta1
+        self.m += np.multiply(1.0 - config.beta1, grad, out=num)
+        self.v *= config.beta2
+        np.multiply(1.0 - config.beta2, grad, out=num)
+        self.v += np.multiply(num, grad, out=num)
+        np.divide(self.v, 1.0 - config.beta2 ** self.step, out=den)
+        np.sqrt(den, out=den)
+        den += config.eps
+        np.divide(self.m, 1.0 - config.beta1 ** self.step, out=num)
+        num *= config.lr
+        theta -= np.divide(num, den, out=num)
+        return theta
 
 
-def adam_minimize(theta0: np.ndarray, grad_fn, config: TrainConfig,
+def adam_minimize(theta: np.ndarray, grad_fn, config: TrainConfig,
                   epoch_batches) -> np.ndarray:
-    """Run ``config.epochs`` epochs of Adam from ``theta0``.
+    """Run ``config.epochs`` epochs of Adam on ``theta`` in place; returns it.
 
-    Each epoch takes one step per item of ``epoch_batches()``, on the
-    gradient ``grad_fn(theta, item)``. Parameters that are not finite after
-    an epoch abort with a diagnostic.
+    ``theta`` is a float64 vector that every step overwrites, so views of it
+    follow the parameters. Each epoch takes one step per item of
+    ``epoch_batches()``, on the gradient ``grad_fn(theta, item)``. Parameters
+    that are not finite after an epoch abort with a diagnostic.
     """
-    theta = np.array(theta0, dtype=np.float64, copy=True)
     adam = AdamState.zeros(theta.size)
     for epoch in range(config.epochs):
         for batch in epoch_batches():
-            # kept over the next step; freed early, its pages were unmapped and faulted back
-            grad = grad_fn(theta, batch)
-            theta = adam.update(theta, grad, config)
+            adam.update(theta, grad_fn(theta, batch), config)
         if not np.all(np.isfinite(theta)):
             raise TrainingDiverged(f"parameters became non-finite at epoch {epoch + 1} "
                                    f"(lr={config.lr})")

@@ -72,3 +72,13 @@ def dense_gauss_newton(model, batch, mask=None, h=1e-6):
     gn = sum(w * j.T @ (np.diag(pi) - np.outer(pi, pi)) @ j
              for w, j, pi in zip(batch.w, jac, p))
     return gn / n + (model.weight_decay / n) * np.eye(theta.size)
+
+
+def textbook_adam_step(theta, m, v, step, grad, config):
+    """One bias-corrected Adam step (Kingma & Ba 2015) on new vectors:
+    returns ``(theta, m, v)`` after step number ``step``."""
+    m = config.beta1 * m + (1.0 - config.beta1) * grad
+    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+    m_hat = m / (1.0 - config.beta1 ** step)
+    v_hat = v / (1.0 - config.beta2 ** step)
+    return theta - config.lr * m_hat / (np.sqrt(v_hat) + config.eps), m, v

@@ -1,10 +1,12 @@
 """The benchmark's traced run wraps program names from outside; every name it
-lists must still exist where it looks for it."""
+lists must still exist where it looks for it, and its spans must still count
+what they name."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -29,3 +31,24 @@ def test_traced_methods_are_defined_on_their_class(tracing):
     for module_name, class_name, method, _ in tracing.METHODS:
         cls = getattr(importlib.import_module(module_name), class_name)
         assert method in cls.__dict__, f"{class_name}.{method}"
+
+
+def test_install_counts_one_update_span_per_adam_step(tracing):
+    from replaygraph import AdamState, Batch, LossGroup, MlpModel, TrainConfig
+    update, fit = AdamState.__dict__["update"], MlpModel.__dict__["fit"]
+    rng = np.random.default_rng(0)
+    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3, active_classes=range(3))
+    batch = Batch(rng.standard_normal((10, 5)), rng.integers(0, 3, 10))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        model.fit([LossGroup(batch, None, 1.0)], TrainConfig(epochs=3, lr=1e-2, batch_size=4))
+    finally:
+        tracer.run = None
+        tracing.uninstall(patches)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("optim.update") == 3 * 3  # epochs x batches of 4, 4 and 2 rows
+    assert names.count("mlp.fit") == 1
+    assert AdamState.__dict__["update"] is update
+    assert MlpModel.__dict__["fit"] is fit

@@ -5,10 +5,10 @@ import pytest
 
 from replaygraph import (AdamState, Batch, LinearModel, LossGroup, MaskError, MlpModel,
                          TrainConfig, TrainingDiverged, synthetic_image_dataset)
-from replaygraph.linear import stack_samples
+from replaygraph.linear import label_positions, logsumexp, stack_samples
 
 from conftest import (batch_of, dense_gauss_newton, finite_difference_gradient,
-                      model_of_depth)
+                      model_of_depth, textbook_adam_step)
 
 
 def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0,
@@ -29,6 +29,49 @@ def random_samples(rng, model, n, classes=None):
     classes = classes if classes is not None else sorted(model.active_classes)
     return batch_of([(rng.standard_normal(model.feature_dim), int(rng.choice(classes)),
                       float(rng.uniform(0.5, 2.0))) for _ in range(n)])
+
+
+def reference_fit(model, groups, config):
+    """``fit``'s loop written out of place: a new gradient, a copy of theta
+    in the scratch model and new Adam vectors on every step. Returns theta."""
+    resolved = [(g.batch, model.resolve_mask(g.mask), g.coeff) for g in groups]
+    sizes = [len(batch) for batch, _, _ in resolved]
+    total = sum(sizes)
+    size = config.batch_size if config.batch_size is not None else total
+    decay = sum(coeff for _, _, coeff in resolved) * model.weight_decay
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    local_of = np.concatenate([np.arange(n) for n in sizes])
+    rng = np.random.default_rng(config.seed)
+    scratch = model.copy()
+    theta, m, v, step = model.get_flat(), np.zeros(model.num_params), np.zeros(model.num_params), 0
+    for _ in range(config.epochs):
+        if size >= total:
+            batches = [None]
+        else:
+            order = rng.permutation(total)
+            batches = [order[start:start + size] for start in range(0, total, size)]
+        for rows in batches:
+            scratch.set_flat(theta)
+            grad = ((total if rows is None else len(rows)) / total) * decay * theta
+            for gi, (batch, mask_arr, coeff) in enumerate(resolved):
+                x, y, w = batch.x, batch.y, batch.w
+                if rows is not None:
+                    members = local_of[rows[group_of[rows] == gi]]
+                    if members.size == 0:
+                        continue
+                    x, y, w = x[members], y[members], w[members]
+                acts, z = scratch._forward(x, mask_arr)
+                g_out = np.exp(z - logsumexp(z, keepdims=True))
+                g_out[np.arange(len(y)), label_positions(mask_arr, y)] -= 1.0
+                deltas = scratch._deltas(acts, g_out * w[:, None], mask_arr)
+                grads = [(g.T @ a, g.sum(axis=0)) for a, g in zip(acts, deltas)]
+                dw, db = (np.zeros_like(a) for a in scratch.layers[-1])
+                dw[mask_arr], db[mask_arr] = grads[-1]
+                grads[-1] = (dw, db)
+                grad += coeff * np.concatenate([a.ravel() for layer in grads for a in layer])
+            step += 1
+            theta, m, v = textbook_adam_step(theta, m, v, step, grad, config)
+    return theta
 
 
 class TestGradient:
@@ -243,6 +286,31 @@ class TestFit:
         expected = AdamState.zeros(model.num_params).update(model.get_flat(),
                                                             objective_grad, config)
         assert np.allclose(fitted.get_flat(), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_matches_out_of_place_loop_bit_for_bit(self, rng, depth, batch_size):
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.1)
+        model.set_flat(rng.standard_normal(model.num_params))
+        groups = [LossGroup(random_samples(rng, model, 7, classes=(1, 2, 3)), (1, 2, 3), 0.7),
+                  LossGroup(random_samples(rng, model, 4, classes=(0, 1)), (0, 1), 0.45)]
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=3)
+        fitted = model.fit(groups, config)
+        assert np.array_equal(fitted.get_flat(), reference_fit(model, groups, config))
+
+    def test_receiver_unchanged_and_fits_share_no_memory(self, rng):
+        model = tiny_net(seed=1, weight_decay=0.01)
+        before = model.get_flat()
+        groups = [LossGroup(random_samples(rng, model, 12), None, 1.0)]
+        config = TrainConfig(epochs=3, lr=1e-2, batch_size=5)
+        first, second = model.fit(groups, config), model.fit(groups, config)
+        assert np.array_equal(model.get_flat(), before)
+        arrays = {name: [a for layer in m.layers for a in layer]
+                  for name, m in (("receiver", model), ("first", first), ("second", second))}
+        for one, other in (("first", "second"), ("first", "receiver"), ("second", "receiver")):
+            for a in arrays[one]:
+                for b in arrays[other]:
+                    assert not np.shares_memory(a, b), (one, other)
 
     def test_he_init_seeded(self):
         a = MlpModel.init(seed=5)

@@ -187,6 +187,16 @@ class TestCoverage:
                               check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_package_import_leaves_scipy_sparse_and_process_pool_unloaded(self):
+        # only graph runs need scipy.sparse, and only jobs > 1 a process pool
+        import subprocess
+        import sys
+        code = ("import sys, replaygraph; print([m for m in "
+                "('scipy.sparse', 'concurrent.futures.process') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCgSolve:
     def test_identity_system_converges_in_one_iteration(self, rng):
