@@ -24,9 +24,9 @@ from .metrics import (AccuracyMatrix, accuracy, forgetting_mean, micro_f1,
 from .mlp import MlpModel
 from .optim import AdamState, TrainConfig, TrainingDiverged, adam_minimize
 from .replay import (ExperienceBuffer, ReplayConfig, RunState, TaskData,
-                     combined_loss, learn_task, prepare_image_task,
-                     prepare_sequence, prepare_task_data, run_image_tasks,
-                     run_sequence, weight_factor)
+                     learn_task, prepare_image_task, prepare_sequence,
+                     prepare_task_data, run_image_tasks, run_sequence,
+                     weight_factor)
 from .selection import (CgResult, CgSettings, cg_solve, coverage_counts,
                         fit_to_stationarity, influence_scores, loo_parameter_change,
                         loo_retrain_oracle, predicted_loss_change, select_cm,
@@ -42,7 +42,7 @@ __all__ = [
     "ReplayConfig", "RunState", "TaskData",
     "TaskSequence", "TaskSpec", "TrainConfig", "TrainingDiverged",
     "accuracy", "adam_minimize", "build_task_sequence", "cg_solve",
-    "combined_loss", "coverage_counts", "fit_to_stationarity",
+    "coverage_counts", "fit_to_stationarity",
     "forgetting_mean", "graph_from_edges",
     "induced_subgraph", "influence_scores", "learn_task",
     "load_citation_dataset", "load_mnist", "loo_parameter_change",

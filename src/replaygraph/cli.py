@@ -10,13 +10,12 @@ command-line flags taking precedence; relative dataset paths resolve against
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .experiment import (DATA_DIR_ENV, DATASETS, FM_DENOMINATORS, MODELS,
-                         ExperimentConfig, ExperimentError, run_experiment,
-                         sweep_e, validate_config_file)
+                         ExperimentConfig, ExperimentError, read_config_file,
+                         run_experiment, sweep_e, validate_config_file)
 from .replay import EVAL_MODES, PROBE_MODES, STRATEGIES
 
 
@@ -85,17 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
-    if args.config is not None:
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ExperimentError(f"cannot read {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ExperimentError(f"{args.config}: top level must be a JSON object")
-
+    data = read_config_file(args.config) if args.config is not None else {}
     skip = {"config", "command", "e_values"}
     for key, value in vars(args).items():
         if key in skip or value is None:

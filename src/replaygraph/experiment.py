@@ -21,7 +21,6 @@ from . import datasets
 from .metrics import AccuracyMatrix, forgetting_mean, performance_mean
 from .replay import (STRATEGIES, ReplayConfig, config_errors, run_image_tasks,
                      run_sequence)
-from .selection import LINEAR_CG, MLP_CG, CgSettings
 
 SCHEMA_VERSION = 1
 DATA_DIR_ENV = "REPLAYGRAPH_DATA_DIR"
@@ -33,6 +32,22 @@ FM_DENOMINATORS = ("m-1", "m")
 
 class ExperimentError(RuntimeError):
     """Configuration or orchestration failure; message is user-facing."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation -> (accepts value, what it must be). cm_d's number-or-"auto"
+# check lives in config_errors.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  "a list of integers"),
+}
 
 
 @dataclass
@@ -63,12 +78,6 @@ class ExperimentConfig:
     batch_size: int = 64
     hidden_dim: int = 256
     cm_d: float | str = "auto"
-    signed_im: bool = False
-    propagation: str = "task"
-    loss_reduction: str = "sum"
-    cg_max_iters: int | None = None
-    cg_tol: float | None = None
-    cg_damping: float | None = None
     # image-task construction
     mnist_train_per_task: int = 1000
     mnist_test_per_task: int = 500
@@ -134,8 +143,15 @@ class ExperimentConfig:
     # -- validation --
 
     def validate(self, check_paths: bool = True) -> list[str]:
-        """All violations, each prefixed with the offending key."""
+        """All violations, each prefixed with the offending key. Values of the
+        wrong type are reported alone, before any range is checked."""
         errors = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in _TYPE_CHECKS and not _TYPE_CHECKS[f.type][0](value):
+                errors.append(f"{f.name}: must be {_TYPE_CHECKS[f.type][1]}; got {value!r}")
+        if errors:
+            return errors
         if self.dataset not in DATASETS:
             errors.append(f"dataset: must be one of {', '.join(DATASETS)}; "
                           f"got {self.dataset!r}")
@@ -145,10 +161,6 @@ class ExperimentConfig:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "
                           f"got {self.strategy!r}")
         errors += [f"{key}: {message}" for key, message in config_errors(self)]
-        if self.epochs < 0:
-            errors.append("epochs: must be >= 0")
-        if self.lr <= 0:
-            errors.append("lr: must be > 0")
         if self.decay < 0:
             errors.append("decay: must be >= 0")
         if self.tasks < 1:
@@ -165,26 +177,12 @@ class ExperimentConfig:
             errors.append("seeds: duplicate values")
         if self.jobs < 1:
             errors.append("jobs: must be >= 1")
-        if self.batch_size < 1:
-            errors.append("batch_size: must be >= 1")
         if self.hidden_dim < 1:
             errors.append("hidden_dim: must be >= 1")
-        if self.cm_d != "auto":
-            try:
-                if float(self.cm_d) <= 0:
-                    errors.append("cm_d: must be positive or 'auto'")
-            except (TypeError, ValueError):
-                errors.append("cm_d: must be a number or 'auto'")
         if self.mnist_train_per_task < 1:
             errors.append("mnist_train_per_task: must be >= 1")
         if self.mnist_test_per_task < 1:
             errors.append("mnist_test_per_task: must be >= 1")
-        if self.cg_tol is not None and self.cg_tol <= 0:
-            errors.append("cg_tol: must be > 0")
-        if self.cg_damping is not None and self.cg_damping < 0:
-            errors.append("cg_damping: must be >= 0")
-        if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            errors.append("cg_max_iters: must be >= 1")
 
         if self.dataset in ("permuted-mnist", "synthetic-images") and self.model != "mlp":
             errors.append(f"model: dataset {self.dataset!r} requires model 'mlp'")
@@ -215,23 +213,13 @@ class ExperimentConfig:
                     errors.append(f"mnist_dir: {root} does not exist")
         return errors
 
-    def cg_settings(self) -> CgSettings:
-        base = MLP_CG if self.model == "mlp" else LINEAR_CG
-        return CgSettings(
-            max_iters=self.cg_max_iters if self.cg_max_iters is not None else base.max_iters,
-            residual_tol=self.cg_tol if self.cg_tol is not None else base.residual_tol,
-            damping=self.cg_damping if self.cg_damping is not None else base.damping)
-
     def replay_config(self, seed: int) -> ReplayConfig:
         return ReplayConfig(
             e=self.e, k=self.k, epochs=self.epochs, lr=self.lr,
             weight_decay=self.decay,
             batch_size=self.batch_size if self.model == "mlp" else None,
             eval_mode=self.eval_mode, probe=self.probe,
-            probe_fraction=self.probe_fraction, cm_d=self.cm_d,
-            cg=self.cg_settings(), signed_im=self.signed_im,
-            propagation=self.propagation, loss_reduction=self.loss_reduction,
-            seed=seed)
+            probe_fraction=self.probe_fraction, cm_d=self.cm_d, seed=seed)
 
 
 def _load_graph(config: ExperimentConfig, seed: int):
@@ -364,22 +352,24 @@ def sweep_e(config: ExperimentConfig, e_values) -> list[dict]:
     return reports
 
 
+def read_config_file(path) -> dict:
+    """The JSON object in a config file; ExperimentError if it cannot be
+    read, is not JSON, or is not an object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ExperimentError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ExperimentError(f"{path}: top level must be a JSON object")
+    return data
+
+
 def validate_config_file(path) -> list[str]:
     """Full validation without compute; one message per violation."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return [f"{path}: not valid JSON: {exc}"]
-    if not isinstance(data, dict):
-        return [f"{path}: top level must be a JSON object"]
-    try:
-        config = ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.from_dict(read_config_file(path))
     except ExperimentError as exc:
         return [str(exc)]
-    except (TypeError, ValueError) as exc:
-        return [f"{path}: {exc}"]
     return config.validate()

@@ -21,14 +21,12 @@ from .linear import Batch, LossGroup, stack_samples
 from .metrics import AccuracyMatrix, accuracy
 from .mlp import MlpModel
 from .optim import TrainConfig
-from .selection import (CgSettings, class_rows, select_cm, select_im, select_mf,
-                        select_random)
+from .selection import (LINEAR_CG, MLP_CG, class_rows, select_cm, select_im,
+                        select_mf, select_random)
 
 STRATEGIES = ("none", "random", "mf", "mf-embed", "cm", "cm-embed", "im")
 EVAL_MODES = ("task-aware", "class-incremental")
 PROBE_MODES = ("holdout", "test")
-PROPAGATIONS = ("task", "full")
-LOSS_REDUCTIONS = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,12 @@ class ReplayConfig:
     probe: str = "holdout"
     probe_fraction: float = 0.25
     cm_d: float | str = "auto"
-    cg: CgSettings = field(default_factory=CgSettings)
-    signed_im: bool = False
-    propagation: str = "task"
-    loss_reduction: str = "sum"
     seed: int = 0
 
     def __post_init__(self):
         errors = config_errors(self)
+        if self.weight_decay < 0:
+            errors.append(("weight_decay", "must be >= 0"))
         if errors:
             raise ValueError("{} {}".format(*errors[0]))
 
@@ -60,18 +56,25 @@ class ReplayConfig:
 def config_errors(config) -> list[tuple[str, str]]:
     """``(key, message)`` per invalid replay setting of a ReplayConfig, or of
     the ExperimentConfig whose same-named keys feed one."""
-    errors = []
-    if config.e < 1:
-        errors.append(("e", "must be >= 1"))
-    if config.k < 0:
-        errors.append(("k", "must be >= 0"))
-    for key, allowed in (("eval_mode", EVAL_MODES), ("probe", PROBE_MODES),
-                         ("propagation", PROPAGATIONS), ("loss_reduction", LOSS_REDUCTIONS)):
+    errors = [(key, f"must be >= {low}")
+              for key, low in (("e", 1), ("k", 0), ("epochs", 0))
+              if getattr(config, key) < low]
+    if config.lr <= 0:
+        errors.append(("lr", "must be > 0"))
+    if config.batch_size is not None and config.batch_size < 1:
+        errors.append(("batch_size", "must be >= 1"))
+    for key, allowed in (("eval_mode", EVAL_MODES), ("probe", PROBE_MODES)):
         value = getattr(config, key)
         if value not in allowed:
             errors.append((key, f"must be one of {', '.join(allowed)}; got {value!r}"))
     if not 0.0 < config.probe_fraction < 1.0:
         errors.append(("probe_fraction", "must be in (0, 1)"))
+    if config.cm_d != "auto":
+        try:
+            if float(config.cm_d) <= 0:
+                errors.append(("cm_d", "must be positive or 'auto'"))
+        except (TypeError, ValueError):
+            errors.append(("cm_d", "must be a number or 'auto'"))
     return errors
 
 
@@ -84,39 +87,24 @@ def weight_factor(train_count: int, buffer_count: int) -> float:
     return buffer_count / (train_count + buffer_count)
 
 
-def loss_groups(train: Batch, buffer: Batch | None, train_mask, buffer_mask,
-                reduction: str = "sum", beta: float | None = None) -> list[LossGroup]:
-    """Loss terms realizing the weighted combination of current and buffered
-    rows.
+def loss_groups(train: Batch, buffer: Batch | None, train_mask,
+                buffer_mask) -> list[LossGroup]:
+    """Loss terms realizing beta * loss(train) + (1 - beta) * loss(buffer)
+    over sum-reduced losses.
 
-    With sum-reduced losses the balance is exact: the total weight placed on
-    the current task, beta * len(train), equals the total weight on the
-    buffer, (1 - beta) * len(buffer). An empty buffer (None or no rows)
-    contributes nothing and the current task keeps coefficient 1, otherwise
-    the first task could never be learned (beta would zero it out).
+    The balance is exact: the total weight placed on the current task,
+    beta * len(train), equals the total weight on the buffer,
+    (1 - beta) * len(buffer). An empty buffer (None or no rows) contributes
+    nothing and the current task keeps coefficient 1, otherwise the first
+    task could never be learned (beta would zero it out).
     """
     if len(train) == 0:
         raise ValueError("train batch is empty")
     if buffer is None or len(buffer) == 0:
         return [LossGroup(train, train_mask, 1.0)]
-    b = weight_factor(len(train), len(buffer)) if beta is None else beta
-    train_coeff, buffer_coeff = b, 1.0 - b
-    if reduction == "mean":
-        train_coeff /= len(train)
-        buffer_coeff /= len(buffer)
-    return [LossGroup(train, train_mask, train_coeff),
-            LossGroup(buffer, buffer_mask, buffer_coeff)]
-
-
-def combined_loss(model, train: Batch, buffer: Batch | None, train_mask=None,
-                  buffer_mask=None, beta: float | None = None,
-                  reduction: str = "sum") -> float:
-    """beta * loss(train) + (1 - beta) * loss(buffer); loss(train) alone when
-    the buffer is empty. ``beta=None`` computes the weight factor from the
-    row counts; passing a value overrides it (useful for the endpoint
-    identities beta=0 and beta=1)."""
-    groups = loss_groups(train, buffer, train_mask, buffer_mask, reduction, beta)
-    return sum(g.coeff * model.loss(g.batch, g.mask) for g in groups)
+    beta = weight_factor(len(train), len(buffer))
+    return [LossGroup(train, train_mask, beta),
+            LossGroup(buffer, buffer_mask, 1.0 - beta)]
 
 
 class ExperienceBuffer:
@@ -181,29 +169,16 @@ class TaskData:
     test_labels: np.ndarray
 
 
-def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2,
-                      propagation: str = "task",
-                      full_propagated: np.ndarray | None = None) -> TaskData:
-    """Propagate features for one task and package its splits.
-
-    ``propagation="task"`` propagates over the subgraph induced by the task's
-    own nodes (nodes from other tasks are invisible while it is current);
-    ``"full"`` slices rows from a whole-graph propagation, which the caller
-    supplies so it is computed once per run.
-    """
+def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
+    """Propagate features over the subgraph induced by the task's own nodes
+    (nodes from other tasks are invisible while it is current) and package
+    its splits."""
     nodes = np.concatenate([task.train_nodes, task.test_nodes])
-    if propagation == "task":
-        sub, mapping = induced_subgraph(graph, nodes)
-        values = propagate(normalize_adjacency(sub), sub.features, k).values
-        row_of = {node: mapping[node] for node in nodes.tolist()}
-    else:
-        if full_propagated is None:
-            full_propagated = propagate(normalize_adjacency(graph), graph.features, k).values
-        values = full_propagated
-        row_of = {node: node for node in nodes.tolist()}
+    sub, mapping = induced_subgraph(graph, nodes)
+    values = propagate(normalize_adjacency(sub), sub.features, k).values
 
     def rows(node_list):
-        return values[[row_of[n] for n in node_list.tolist()]]
+        return values[[mapping[n] for n in node_list.tolist()]]
 
     train = Batch(rows(task.train_nodes), graph.labels[task.train_nodes],
                   node=task.train_nodes, task=np.full(len(task.train_nodes), task.task_id),
@@ -213,11 +188,7 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2,
 
 
 def prepare_sequence(seq: TaskSequence, config: ReplayConfig) -> list[TaskData]:
-    full = None
-    if config.propagation == "full":
-        full = propagate(normalize_adjacency(seq.graph), seq.graph.features, config.k).values
-    return [prepare_task_data(seq.graph, task, config.k, config.propagation, full)
-            for task in seq.tasks]
+    return [prepare_task_data(seq.graph, task, config.k) for task in seq.tasks]
 
 
 def prepare_image_task(task: ImageTask) -> TaskData:
@@ -297,8 +268,9 @@ def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
         return select_random(candidates, config.e, _derived_seed(config.seed, task_id, 1))
     if strategy == "im":
         population = candidates if buffer is None else stack_samples([candidates, buffer])
-        return select_im(model, candidates, config.e, probes, settings=config.cg,
-                         signed=config.signed_im, population=population)
+        settings = MLP_CG if len(model.layers) > 1 else LINEAR_CG
+        return select_im(model, candidates, config.e, probes, settings=settings,
+                         population=population)
     if strategy.endswith("-embed"):
         geometry = model.embed(candidates.x)
     else:
@@ -334,7 +306,7 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
             probes = Batch(data.test_inputs, data.test_labels)
 
     beta = weight_factor(len(train), buffer_before)
-    groups = loss_groups(train, buffer, data.classes, buffer_classes, config.loss_reduction)
+    groups = loss_groups(train, buffer, data.classes, buffer_classes)
     state.model = state.model.fit(groups, _train_config(config, data.task_id))
 
     selected = train.take(_select(state.model, strategy, train, probes, buffer, config,

@@ -213,22 +213,21 @@ def predicted_loss_change(scores: np.ndarray, population_size: int) -> np.ndarra
 
 
 def select_im(model, batch: Batch, e: int, probes: Batch,
-              settings: CgSettings = CgSettings(), signed: bool = False,
-              mask=None, population: Batch | None = None) -> np.ndarray:
-    """Per class, the e candidates with the largest influence on the probes.
+              settings: CgSettings = CgSettings(), mask=None,
+              population: Batch | None = None) -> np.ndarray:
+    """Per class, the e candidates with the largest |influence| on the probes.
 
-    Default ranking is by |score|: influence is signed and a strongly negative
-    row shapes the decision boundary as much as a strongly positive one.
-    ``signed=True`` ranks by raw score descending instead. Candidates are
-    scored as unit-weight rows in class order.
+    Influence is signed, and a strongly negative row shapes the decision
+    boundary as much as a strongly positive one. Candidates are scored as
+    unit-weight rows in class order.
     """
     groups = _candidate_classes(batch, e)
     order = np.concatenate([rows for _, rows in groups])
     scores = np.empty(len(batch))
     scores[order] = influence_scores(model, Batch(batch.x[order], batch.y[order]), probes,
                                      settings, mask, population)
-    keys = -scores if signed else -np.abs(scores)
-    return np.concatenate([_take_lowest(rows, keys[rows], e) for _, rows in groups])
+    return np.concatenate([_take_lowest(rows, -np.abs(scores[rows]), e)
+                           for _, rows in groups])
 
 
 # -- retraining oracle --

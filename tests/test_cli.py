@@ -87,6 +87,16 @@ class TestRunCommand:
         assert captured.err.startswith("error:")
         assert "e: must be >= 1" in captured.err
 
+    def test_wrong_value_types_reported_without_traceback(self, tmp_path, capsys):
+        for bad, key in (({"e": "3"}, "e"), ({"seeds": 5}, "seeds"), ({"lr": None}, "lr")):
+            config = write_config(tmp_path, **bad)
+            code = main(["run", "--config", str(config)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith("error:")
+            assert f"{key}: must be " in captured.err
+            assert "Traceback" not in captured.err
+
     def test_missing_config_file_reported(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json")])
         captured = capsys.readouterr()

@@ -1,16 +1,22 @@
 """Experiment orchestration: config validation, artifact files, aggregation,
 and end-to-end determinism."""
 
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from replaygraph import datasets, replay
 from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
                                     ExperimentError, run_experiment,
                                     run_single_seed, sweep_e,
                                     validate_config_file)
+from replaygraph.replay import ReplayConfig, run_image_tasks
+from replaygraph.selection import LINEAR_CG, MLP_CG
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 def sbm_config(tmp_path, **overrides):
@@ -20,6 +26,15 @@ def sbm_config(tmp_path, **overrides):
                 sbm_test_per_class=10, seeds=[0], out=str(tmp_path / "out"))
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def bench_workloads() -> dict:
+    """The benchmark's WORKLOADS, read without importing bench/run.py (which
+    pins BLAS threads through environment variables on import)."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "WORKLOADS")
 
 
 class TestConfigParsing:
@@ -64,6 +79,14 @@ class TestValidation:
 
     def test_valid_config_produces_no_errors(self, tmp_path):
         assert sbm_config(tmp_path).validate() == []
+
+    def test_integer_accepted_for_float_key(self):
+        assert ExperimentConfig(lr=1, decay=0).validate(check_paths=False) == []
+
+    def test_benchmark_configs_stay_valid(self):
+        for name, spec in bench_workloads().items():
+            errors = ExperimentConfig.from_dict(spec["config"]).validate(check_paths=False)
+            assert errors == [], name
 
 
 class TestPathResolution:
@@ -110,16 +133,42 @@ class TestPathResolution:
 
 
 class TestDerivedSettings:
-    def test_cg_defaults_depend_on_model(self):
-        assert ExperimentConfig(model="sgc").cg_settings().residual_tol == 1e-6
-        assert ExperimentConfig(model="mlp", dataset="permuted-mnist") \
-            .cg_settings().residual_tol == 1e-3
+    def test_cg_defaults_depend_on_model(self, tmp_path, monkeypatch):
+        # replay._select chooses the settings from the model's depth
+        seen = []
+        real = replay.select_im
 
-    def test_cg_overrides_honored(self):
-        config = ExperimentConfig(cg_tol=1e-4, cg_damping=0.5, cg_max_iters=7)
-        settings = config.cg_settings()
-        assert (settings.residual_tol, settings.damping, settings.max_iters) \
-            == (1e-4, 0.5, 7)
+        def spy(*args, settings, **kwargs):
+            seen.append(settings)
+            return real(*args, settings=settings, **kwargs)
+
+        monkeypatch.setattr(replay, "select_im", spy)
+        run_single_seed(sbm_config(tmp_path, strategy="im"), seed=0)
+        assert seen and all(s is LINEAR_CG for s in seen)
+        seen.clear()
+        run_single_seed(ExperimentConfig.from_dict(dict(
+            dataset="synthetic-images", model="mlp", strategy="im", e=1,
+            epochs=2, lr=1e-2, batch_size=16, tasks=2, hidden_dim=8,
+            syn_images_per_class=20, mnist_train_per_task=60,
+            mnist_test_per_task=30)), seed=0)
+        assert seen and all(s is MLP_CG for s in seen)
+        assert MLP_CG.residual_tol == 1e-3 and LINEAR_CG.residual_tol == 1e-6
+
+    def test_library_and_cli_select_the_same_im_rows(self):
+        # The benchmark's mlp-images config, run once through the experiment
+        # layer and once as a library user builds it.
+        config = ExperimentConfig.from_dict(dict(bench_workloads()["mlp-images"]["config"],
+                                                 strategy="im"))
+        expected = [event["selected_nodes"] for event in run_single_seed(config, 0)["events"]]
+        images, labels = datasets.synthetic_image_dataset(
+            10, config.syn_images_per_class, config.syn_noise, seed=0)
+        tasks = datasets.make_permuted_tasks(images, labels, config.tasks,
+                                             config.mnist_train_per_task,
+                                             config.mnist_test_per_task, seed=0)
+        state = run_image_tasks(tasks, "im", ReplayConfig(
+            e=config.e, epochs=config.epochs, lr=config.lr, weight_decay=config.decay,
+            batch_size=config.batch_size, seed=0), hidden_dim=config.hidden_dim)
+        assert [event["selected_nodes"] for event in state.events] == expected
 
     def test_replay_config_batches_only_the_mlp(self):
         assert ExperimentConfig(model="sgc").replay_config(0).batch_size is None
@@ -261,10 +310,28 @@ class TestValidateConfigFile:
     def test_replay_only_values_rejected_before_run(self, tmp_path):
         # the same values make ReplayConfig refuse to build at run time
         path = tmp_path / "replay_values.json"
-        path.write_text(json.dumps({"propagation": "bogus", "loss_reduction": "avg"}))
+        path.write_text(json.dumps({"probe": "bogus", "probe_fraction": 1.5}))
         errors = validate_config_file(path)
-        assert any(e.startswith("propagation:") for e in errors)
-        assert any(e.startswith("loss_reduction:") for e in errors)
+        assert any(e.startswith("probe:") for e in errors)
+        assert any(e.startswith("probe_fraction:") for e in errors)
+
+    def test_wrong_types_reported_with_keys(self, tmp_path):
+        # a type error is reported alone: the tasks range check never runs
+        path = tmp_path / "typed.json"
+        for data, message in (
+                ({"e": "3"}, "e: must be an integer; got '3'"),
+                ({"seeds": 5, "tasks": 0}, "seeds: must be a list of integers; got 5"),
+                ({"lr": None}, "lr: must be a number; got None"),
+                ({"seeds": [0, True]}, "seeds: must be a list of integers; got [0, True]"),
+                ({"e": 2.0}, "e: must be an integer; got 2.0"),
+                ({"content": 3}, "content: must be a string or null; got 3")):
+            path.write_text(json.dumps(data))
+            assert validate_config_file(path) == [message]
+
+    def test_removed_keys_are_unknown(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"cg_tol": 1e-4, "signed_im": True}))
+        assert validate_config_file(path) == ["unknown config key(s): cg_tol, signed_im"]
 
     def test_valid_file_is_clean(self, tmp_path):
         path = tmp_path / "good.json"

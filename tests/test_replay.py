@@ -1,4 +1,4 @@
-"""The continual loop: weight factor, combined loss, buffer bookkeeping, and
+"""The continual loop: weight factor, loss groups, buffer bookkeeping, and
 full runs on a stochastic-block-model fixture."""
 
 import numpy as np
@@ -10,9 +10,9 @@ from replaygraph.graph import induced_subgraph, normalize_adjacency, propagate
 from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
 from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig,
-                                combined_loss, learn_task, loss_groups,
-                                prepare_sequence, prepare_task_data, run_image_tasks,
-                                run_sequence, weight_factor)
+                                learn_task, loss_groups, prepare_sequence,
+                                prepare_task_data, run_image_tasks, run_sequence,
+                                weight_factor)
 from replaygraph.selection import select_cm, select_mf
 
 
@@ -56,18 +56,11 @@ class TestWeightFactor:
 
 
 class TestCombinedLoss:
-    def test_beta_half_mixes_evenly(self):
-        out = combined_loss(FakeModel(), values(2), values(4), beta=0.5)
-        assert out == pytest.approx(3.0)
-
     def test_empty_buffer_returns_train_loss_exactly(self):
-        out = combined_loss(FakeModel(), values(2), None)
-        assert out == 2.0
-
-    def test_forced_endpoints(self):
-        train, buf = values(2), values(4)
-        assert combined_loss(FakeModel(), train, buf, beta=1.0) == pytest.approx(2.0)
-        assert combined_loss(FakeModel(), train, buf, beta=0.0) == pytest.approx(4.0)
+        for buf in (None, values()):
+            groups = loss_groups(values(2), buf, None, None)
+            assert len(groups) == 1
+            assert sum(g.coeff * FakeModel().loss(g.batch) for g in groups) == 2.0
 
     def test_balance_identity_for_sum_reduction(self):
         # beta * |D| == (1 - beta) * |B| == |D||B| / (|D| + |B|)
@@ -79,16 +72,9 @@ class TestCombinedLoss:
         assert train_total == pytest.approx(buffer_total)
         assert train_total == pytest.approx(40 / 21)
 
-    def test_mean_reduction_normalizes_each_group(self):
-        train = values(2, 2, 2, 2)
-        buf = values(6, 6)
-        beta = weight_factor(4, 2)
-        out = combined_loss(FakeModel(), train, buf, reduction="mean")
-        assert out == pytest.approx(beta * 2.0 + (1 - beta) * 6.0)
-
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="train batch is empty"):
-            combined_loss(FakeModel(), values(), values(1))
+            loss_groups(values(), values(1), None, None)
 
     def test_masks_forwarded_to_groups(self):
         groups = loss_groups(values(1), values(2, label=9), (0, 1), (9,))
@@ -161,31 +147,26 @@ class TestReplayConfig:
             ReplayConfig(eval_mode="both")
         with pytest.raises(ValueError, match="probe_fraction"):
             ReplayConfig(probe_fraction=1.0)
-        with pytest.raises(ValueError, match="propagation"):
-            ReplayConfig(propagation="half")
-        with pytest.raises(ValueError, match="loss_reduction"):
-            ReplayConfig(loss_reduction="max")
+        for bad, message in ((dict(lr=-1.0), "lr must be > 0"),
+                             (dict(epochs=-3), "epochs must be >= 0"),
+                             (dict(weight_decay=-1.0), "weight_decay must be >= 0"),
+                             (dict(batch_size=0), "batch_size must be >= 1"),
+                             (dict(cm_d=-2.0), "cm_d must be positive"),
+                             (dict(cm_d="far"), "cm_d must be a number")):
+            with pytest.raises(ValueError, match=message):
+                ReplayConfig(**bad)
 
 
 class TestPrepareTaskData:
     def test_task_propagation_ignores_outside_nodes(self):
         seq = sbm_sequence()
         task = seq.tasks[0]
-        data = prepare_task_data(seq.graph, task, k=2, propagation="task")
+        data = prepare_task_data(seq.graph, task, k=2)
         sub, mapping = induced_subgraph(
             seq.graph, np.concatenate([task.train_nodes, task.test_nodes]))
         expected = propagate(normalize_adjacency(sub), sub.features, 2).values
         rows = [mapping[node] for node in data.train.node.tolist()]
         assert np.allclose(data.train.x, expected[rows])
-
-    def test_full_propagation_slices_whole_graph_rows(self):
-        seq = sbm_sequence()
-        task = seq.tasks[1]
-        data = prepare_task_data(seq.graph, task, k=2, propagation="full")
-        expected = propagate(normalize_adjacency(seq.graph),
-                             seq.graph.features, 2).values
-        assert np.allclose(data.train.x, expected[data.train.node])
-        assert np.allclose(data.test_inputs, expected[task.test_nodes])
 
     def test_candidates_keep_raw_attributes(self):
         seq = sbm_sequence()

@@ -367,18 +367,16 @@ class TestSelectIm:
         b = select_im(model, train, e=3, probes=doubled)
         assert a.tolist() == b.tolist()
 
-    def test_signed_and_absolute_rankings_follow_scores(self):
+    def test_absolute_ranking_follows_scores(self):
         template, train, probes = two_blob_problem(seed=6)
         model = fit_to_stationarity(template, train)
         scores = influence_scores(model, train, probes)  # rows already class-sorted
 
-        for signed in (False, True):
-            rows = select_im(model, train, e=1, probes=probes, signed=signed)
-            for label in (0, 1):
-                idx = np.flatnonzero(train.y == label)
-                key = scores[idx] if signed else np.abs(scores[idx])
-                expected = idx[int(np.argmax(key))]
-                assert next(r for r in rows if train.y[r] == label) == expected
+        rows = select_im(model, train, e=1, probes=probes)
+        for label in (0, 1):
+            idx = np.flatnonzero(train.y == label)
+            expected = idx[int(np.argmax(np.abs(scores[idx])))]
+            assert next(r for r in rows if train.y[r] == label) == expected
 
 
 class TestLooOracle:
