@@ -79,12 +79,14 @@ class ImageTask:
     test_labels: np.ndarray
 
 
-def _parse_attributes(blocks: list[str]) -> np.ndarray:
-    """Parse whitespace-separated attribute blocks into an (n, d) float64 matrix.
+def _parse_attributes(blocks: list[str]):
+    """Parse whitespace-separated attribute blocks into (n, d) float64 values:
+    a sparse CSR matrix for bag-of-words blocks, a dense array otherwise.
 
     Bag-of-words blocks (every one `d` single `0`/`1` digits joined by one
-    space or tab) are decoded straight from their bytes; anything else goes
-    through ``np.loadtxt``, which gives the same matrix for binary blocks.
+    space or tab) are decoded straight from their bytes, and only their ones
+    are stored; anything else goes through ``np.loadtxt``, which gives the
+    same entries for binary blocks. ``Graph`` stores either as CSR.
     """
     width = len(blocks[0])
     if width % 2 and all(len(block) == width for block in blocks):
@@ -94,7 +96,11 @@ def _parse_attributes(blocks: list[str]) -> np.ndarray:
             digits = grid[:, 0::2] - ord("0")
             gaps = grid[:, 1::2]
             if (digits <= 1).all() and ((gaps == ord(" ")) | (gaps == ord("\t"))).all():
-                return digits.astype(np.float64)
+                import scipy.sparse as sp
+                ones = np.flatnonzero(raw == ord("1"))
+                indptr = np.searchsorted(ones, np.arange(len(blocks) + 1) * width)
+                return sp.csr_matrix((np.ones(ones.size), (ones % width) // 2, indptr),
+                                     shape=digits.shape)
     return np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
 
 

@@ -2,7 +2,8 @@
 
 The classifier for graph tasks is linear over K-step propagated features
 ``S^K X`` with ``S = D^{-1/2} (A + I) D^{-1/2}``, so all graph structure is
-consumed up front by the functions in this module.
+consumed up front by the functions in this module. Node features ``X`` are
+held as a sparse CSR matrix until propagation ends; only ``S^K X`` is dense.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ class Graph:
 
     ``csr_offsets``/``csr_neighbors`` encode an unweighted symmetric
     adjacency: the neighbors of node ``u`` are
-    ``csr_neighbors[csr_offsets[u]:csr_offsets[u + 1]]``. ``labels`` holds
-    global class ids in ``[0, class_count)``. ``label_names``, when present,
-    records the original string labels in first-appearance order.
+    ``csr_neighbors[csr_offsets[u]:csr_offsets[u + 1]]``. ``features`` is
+    given dense or sparse and always stored as an (n, d) float64 scipy CSR
+    matrix (see :func:`_feature_matrix`). ``labels`` holds global class
+    ids in ``[0, class_count)``. ``label_names``, when present, records the
+    original string labels in first-appearance order.
     """
 
     csr_offsets: np.ndarray
     csr_neighbors: np.ndarray
-    features: np.ndarray
+    features: sp.csr_matrix
     labels: np.ndarray
     class_count: int
     label_names: tuple[str, ...] | None = None
@@ -41,15 +44,13 @@ class Graph:
     def __post_init__(self):
         offsets = np.asarray(self.csr_offsets, dtype=np.int64)
         neighbors = np.asarray(self.csr_neighbors, dtype=np.int64)
-        features = np.asarray(self.features, dtype=np.float64)
+        features = _feature_matrix(self.features)
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "csr_offsets", offsets)
         object.__setattr__(self, "csr_neighbors", neighbors)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-        if features.ndim != 2:
-            raise GraphFormatError(f"features must be 2-D, got shape {features.shape}")
         n = features.shape[0]
         if offsets.shape != (n + 1,):
             raise GraphFormatError(f"csr_offsets must have length num_nodes + 1 = {n + 1}")
@@ -88,6 +89,23 @@ class Graph:
         n = self.features.shape[0]
         data = np.ones(len(self.csr_neighbors), dtype=np.float64)
         return sp.csr_matrix((data, self.csr_neighbors, self.csr_offsets), shape=(n, n))
+
+
+def _feature_matrix(x) -> sp.csr_matrix:
+    """Return a feature matrix, dense or sparse, as (n, d) float64 CSR.
+
+    A dense input keeps every entry that is not ``+0.0``, so a ``-0.0`` is
+    stored too. (``.toarray()`` adds stored entries onto ``+0.0`` and reads
+    it back as ``+0.0``, as any propagation hop would.)
+    """
+    import scipy.sparse as sp
+    if sp.issparse(x):
+        return sp.csr_matrix(x, dtype=np.float64)
+    dense = np.asarray(x, dtype=np.float64)
+    if dense.ndim != 2:
+        raise GraphFormatError(f"features must be 2-D, got shape {dense.shape}")
+    rows, cols = np.nonzero((dense != 0) | np.signbit(dense))
+    return sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
 
 
 def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int,
@@ -145,18 +163,23 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(s)
 
 
-def propagate(s: NormalizedAdjacency, x: np.ndarray, k: int) -> PropagatedFeatures:
-    """Compute S^k X by k successive sparse-dense multiplies."""
-    x = np.asarray(x, dtype=np.float64)
+def propagate(s: NormalizedAdjacency, x, k: int) -> PropagatedFeatures:
+    """Compute S^k X by k successive sparse-sparse multiplies, densified once.
+
+    ``x`` may be dense or sparse; it is taken as CSR (:func:`_feature_matrix`).
+    Each output entry sums its products in the order a sparse-dense multiply
+    would, and missing entries would only add ``+0.0``, so the result has the
+    same bytes as ``S @ ... @ S @ dense_x``.
+    """
     if k < 0:
         raise ValueError("propagation depth must be >= 0")
-    if x.ndim != 2 or x.shape[0] != s.num_nodes:
+    out = _feature_matrix(x)
+    if out.shape[0] != s.num_nodes:
         raise ValueError(
-            f"feature matrix has shape {x.shape}, expected ({s.num_nodes}, feature_dim)")
-    out = x.copy()
+            f"feature matrix has shape {out.shape}, expected ({s.num_nodes}, feature_dim)")
     for _ in range(k):
         out = s.matrix @ out
-    return PropagatedFeatures(out, k)
+    return PropagatedFeatures(out.toarray(), k)
 
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:

@@ -182,7 +182,7 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
 
     train = Batch(rows(task.train_nodes), graph.labels[task.train_nodes],
                   node=task.train_nodes, task=np.full(len(task.train_nodes), task.task_id),
-                  attributes=graph.features[task.train_nodes])
+                  attributes=graph.features[task.train_nodes].toarray())
     return TaskData(task.task_id, tuple(task.classes), train,
                     rows(task.test_nodes), graph.labels[task.test_nodes])
 

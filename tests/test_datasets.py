@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from replaygraph import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,
                          load_citation_dataset, load_mnist, make_permuted_tasks,
@@ -30,7 +31,7 @@ class TestCitationLoader:
         assert g.class_count == 2
         assert g.label_names == ("theory", "systems")
         assert np.array_equal(g.labels, [0, 1, 0])
-        assert np.array_equal(g.features[0], [0, 1, 0])
+        assert np.array_equal(g.features.toarray()[0], [0, 1, 0])
         assert g.num_edges == 2
 
     def test_unknown_edge_ids_dropped_with_warning(self, tmp_path, caplog):
@@ -62,7 +63,7 @@ class TestCitationLoader:
             tmp_path, ["35\t0\t1\t0\ttheory", "40 \t1\t 0  0\tsystems"], ["35\t40"])
         g = load_citation_dataset(content, cites)
         assert g.label_names == ("theory", "systems")
-        assert np.array_equal(g.features, [[0, 1, 0], [1, 0, 0]])
+        assert np.array_equal(g.features.toarray(), [[0, 1, 0], [1, 0, 0]])
         assert g.num_edges == 1
 
     def test_numeric_spellings_parse_as_float(self, tmp_path):
@@ -70,7 +71,7 @@ class TestCitationLoader:
             tmp_path, ["1 1e3 -2.5 +.5 5. a", "2 -0 1E-3 inf -Infinity b"], [])
         g = load_citation_dataset(content, cites)
         assert g.features.dtype == np.float64
-        assert np.array_equal(g.features,
+        assert np.array_equal(g.features.toarray(),
                               [[1e3, -2.5, 0.5, 5.0], [0.0, 1e-3, np.inf, -np.inf]])
 
     def test_blank_lines_skipped_and_counted_in_errors(self, tmp_path):
@@ -100,7 +101,7 @@ class TestCitationLoader:
         content, cites = write_citation(tmp_path, ["1 0 a", "2 1 b", "3 1 a"], ["1 3"])
         g = load_citation_dataset(content, cites)
         assert g.features.shape == (3, 1)
-        assert np.array_equal(g.features[:, 0], [0, 1, 1])
+        assert np.array_equal(g.features.toarray()[:, 0], [0, 1, 1])
 
     def test_one_row_file(self, tmp_path):
         content, cites = write_citation(tmp_path, ["7 0 1 1 a"], [])
@@ -112,7 +113,7 @@ class TestCitationLoader:
         content, cites = write_citation(tmp_path, ["7 2.5 a"], [])
         g = load_citation_dataset(content, cites)
         assert g.features.shape == (1, 1)
-        assert g.features[0, 0] == 2.5
+        assert g.features.toarray()[0, 0] == 2.5
 
     def test_hash_in_id_and_label_is_data(self, tmp_path):
         content, cites = write_citation(
@@ -121,7 +122,7 @@ class TestCitationLoader:
         assert g.num_nodes == 3
         assert g.label_names == ("a#b", "#c")
         assert np.array_equal(g.labels, [0, 1, 0])
-        assert np.array_equal(g.features, [[0, 1], [1, 0], [1, 1]])
+        assert np.array_equal(g.features.toarray(), [[0, 1], [1, 0], [1, 1]])
         assert g.num_edges == 2
 
     def test_hash_attribute_is_not_a_comment(self, tmp_path):
@@ -164,10 +165,11 @@ class TestCitationLoader:
             tmp_path, [f"{i} {block} c{i % 2}" for i, block in enumerate(blocks)], [])
         g = load_citation_dataset(content, cites)
         expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
-        assert g.features.shape == expected.shape
-        assert g.features.dtype == expected.dtype
-        assert g.features.flags.c_contiguous == expected.flags.c_contiguous
-        assert g.features.tobytes() == expected.tobytes()
+        dense = g.features.toarray()
+        assert dense.shape == expected.shape
+        assert dense.dtype == expected.dtype
+        assert dense.flags.c_contiguous == expected.flags.c_contiguous
+        assert dense.tobytes() == expected.tobytes()
 
     def test_binary_attributes_read_without_loadtxt(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -176,7 +178,30 @@ class TestCitationLoader:
         content, cites = write_citation(tmp_path, ["1 0 1 0 a", "2 1\t1 0 b"], [])
         monkeypatch.setattr(np, "loadtxt", refuse)
         g = load_citation_dataset(content, cites)
-        assert np.array_equal(g.features, [[0, 1, 0], [1, 1, 0]])
+        assert np.array_equal(g.features.toarray(), [[0, 1, 0], [1, 1, 0]])
+
+    def test_binary_attributes_become_csr_holding_only_the_ones(self, tmp_path):
+        rng = np.random.default_rng(3)
+        bag = (rng.random((40, 25)) < 0.1).astype(int)
+        blocks = [" ".join(map(str, row)) for row in bag]
+        content, cites = write_citation(
+            tmp_path, [f"{i} {block} c{i % 3}" for i, block in enumerate(blocks)], [])
+        g = load_citation_dataset(content, cites)
+        assert sp.issparse(g.features) and g.features.format == "csr"
+        assert g.features.dtype == np.float64
+        assert g.features.nnz == sum(block.split().count("1") for block in blocks)
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        assert g.features.toarray().tobytes() == expected.tobytes()
+
+    def test_loadtxt_attributes_become_csr_too(self, tmp_path):
+        blocks = ["0.5 0 2", "0 0 0", "1e-3 -4 0"]
+        content, cites = write_citation(
+            tmp_path, [f"{i} {block} c" for i, block in enumerate(blocks)], [])
+        g = load_citation_dataset(content, cites)
+        assert sp.issparse(g.features) and g.features.format == "csr"
+        assert g.features.nnz == 4
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        assert g.features.toarray().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("block, expected", [
         ("01 1", [1.0, 1.0]),
@@ -189,7 +214,12 @@ class TestCitationLoader:
     def test_near_binary_attributes_parse_as_floats(self, tmp_path, block, expected):
         content, cites = write_citation(tmp_path, ["1 1 0 a", f"2 {block} b"], [])
         g = load_citation_dataset(content, cites)
-        assert g.features.tobytes() == np.array([[1.0, 0.0], expected]).tobytes()
+        # Read the stored entries: toarray() adds them onto +0.0, which
+        # would turn a stored -0.0 into +0.0.
+        coo = g.features.tocoo()
+        stored = np.zeros(coo.shape)
+        stored[coo.row, coo.col] = coo.data
+        assert stored.tobytes() == np.array([[1.0, 0.0], expected]).tobytes()
 
     def test_non_ascii_digit_among_binary_attributes_rejected(self, tmp_path):
         content, cites = write_citation(tmp_path, ["1 1 0 a", "2 \u0661 0 b"], [])
@@ -391,7 +421,7 @@ class TestSyntheticFixtures:
         a = synthetic_sbm_graph([6, 6], 0.4, 0.1, 0.2, seed=2)
         b = synthetic_sbm_graph([6, 6], 0.4, 0.1, 0.2, seed=2)
         assert np.array_equal(a.csr_neighbors, b.csr_neighbors)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.features.toarray(), b.features.toarray())
 
     def test_image_fixture(self):
         images, labels = synthetic_image_dataset(4, 10, 0.2, seed=0, dim=25)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from replaygraph import (Graph, graph_from_edges, induced_subgraph,
-                         normalize_adjacency, propagate)
+                         normalize_adjacency, propagate, synthetic_sbm_graph)
 from replaygraph.graph import GraphFormatError
 
 
@@ -45,6 +45,20 @@ class TestGraphValidation:
         with pytest.raises(GraphFormatError, match="symmetric"):
             Graph(np.array([0, 1, 1]), np.array([1]),
                   np.zeros((2, 1)), np.zeros(2, dtype=np.int64), 1)
+
+    def test_dense_features_are_stored_as_float64_csr(self):
+        features = np.array([[1, 0, -0.0], [0, 0, 2]])
+        g = Graph(np.array([0, 1, 2]), np.array([1, 0]), features,
+                  np.zeros(2, dtype=np.int64), 1)
+        assert sp.issparse(g.features) and g.features.format == "csr"
+        assert g.features.dtype == np.float64
+        assert np.array_equal(g.features.toarray(), features)
+        assert g.features.nnz == 3  # the -0.0 is stored, the +0.0s are not
+
+    def test_features_must_be_2d(self):
+        with pytest.raises(GraphFormatError, match="2-D"):
+            Graph(np.array([0, 0, 0]), np.array([], dtype=np.int64),
+                  np.zeros(2), np.zeros(2, dtype=np.int64), 1)
 
     def test_from_edges_symmetrizes_dedupes_and_drops_self_loops(self):
         g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 2)],
@@ -94,7 +108,7 @@ class TestPropagate:
         g = random_graph(rng, 8)
         s = normalize_adjacency(g)
         out = propagate(s, g.features, 0)
-        assert np.array_equal(out.values, g.features)
+        assert np.array_equal(out.values, g.features.toarray())
         assert out.depth == 0
 
     def test_two_node_average(self):
@@ -119,6 +133,30 @@ class TestPropagate:
         direct = propagate(s, x, 5).values
         staged = propagate(s, propagate(s, x, 2).values, 3).values
         assert np.allclose(direct, staged, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["sbm", "bag-of-words"])
+    def test_sparse_product_has_the_bytes_of_the_dense_product(self, kind, k):
+        # S^k X over CSR X sums each entry in the order S @ dense X does, so
+        # keeping X sparse changes no propagated bit.
+        if kind == "sbm":
+            g = synthetic_sbm_graph([30, 30, 30], 0.2, 0.02, 0.5, seed=k)
+            assert g.features.nnz == g.num_nodes * g.feature_dim
+        else:
+            rng = np.random.default_rng(k)
+            n = 90
+            bag = (rng.random((n, 60)) < 0.05).astype(np.float64)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.05]
+            g = graph_from_edges(n, edges, bag, np.zeros(n, dtype=np.int64), 1)
+            assert g.features.nnz == bag.sum()
+        s = normalize_adjacency(g)
+        expected = g.features.toarray()
+        for _ in range(k):
+            expected = s.matrix @ expected
+        out = propagate(s, g.features, k).values
+        assert isinstance(out, np.ndarray) and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         g = path_graph(3)
@@ -146,7 +184,7 @@ class TestInducedSubgraph:
         sub, mapping = induced_subgraph(g, [2])
         assert sub.num_nodes == 1
         assert sub.num_edges == 0
-        assert np.array_equal(sub.features, g.features[[2]])
+        assert np.array_equal(sub.features.toarray(), g.features.toarray()[[2]])
 
     def test_path_keeping_endpoints_drops_edges(self):
         g = path_graph(3)

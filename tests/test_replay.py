@@ -172,9 +172,18 @@ class TestPrepareTaskData:
         seq = sbm_sequence()
         data = prepare_task_data(seq.graph, seq.tasks[0], k=2)
         train = data.train
-        assert np.array_equal(train.attributes, seq.graph.features[train.node])
+        assert np.array_equal(train.attributes, seq.graph.features.toarray()[train.node])
         assert np.array_equal(train.y, seq.graph.labels[train.node])
         assert np.all(train.task == 0)
+
+
+    def test_train_attributes_are_dense_feature_rows(self):
+        seq = sbm_sequence()
+        task = seq.tasks[1]
+        attributes = prepare_task_data(seq.graph, task, k=2).train.attributes
+        assert type(attributes) is np.ndarray and attributes.dtype == np.float64
+        expected = seq.graph.features.toarray()[task.train_nodes]
+        assert attributes.tobytes() == expected.tobytes()
 
 
 class TestLearnTaskBookkeeping:
