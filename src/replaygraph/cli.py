@@ -118,7 +118,11 @@ def main(argv=None) -> int:
             _print_report(run_experiment(config))
             return 0
 
-        e_values = [int(v) for v in args.e_values.split(",") if v.strip() != ""]
+        try:
+            e_values = [int(v) for v in args.e_values.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ValueError(f"bad --e-values {args.e_values!r}; expected a comma list of "
+                             "integers like 1,5,10") from None
         reports = sweep_e(config, e_values)
         for e, report in zip(e_values, reports):
             print(f"e={e}: pm {report['pm_mean']:.4f} fm {report['fm_mean']:.4f}")

@@ -14,6 +14,7 @@ depth 0 it is the exact Hessian.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,9 +173,13 @@ class MlpModel:
         head_b[mask_arr] = deltas[-1].sum(axis=0)
         return out
 
-    def _ce_gradient(self, x, pos, w, mask_arr, out=None) -> np.ndarray:
-        """Flat gradient of the row-weighted summed cross-entropy, into ``out``."""
+    def _ce_gradient(self, x, pos, w, mask_arr, blocked=None, out=None) -> np.ndarray:
+        """Flat gradient of the row-weighted summed cross-entropy, into ``out``.
+        Logits where ``blocked`` (rows x mask) is set become ``-inf``: softmax
+        weight 0, so each row's cross-entropy runs over its own classes only."""
         acts, z = self._forward(x, mask_arr)
+        if blocked is not None:
+            z[blocked] = -np.inf
         return self._backprop(acts, self._head_error(z, pos) * w[:, None], mask_arr, out)
 
     # -- public contract --
@@ -250,25 +255,30 @@ class MlpModel:
         """Adam on ``sum_g coeff_g * loss(g.batch, g.mask)`` in steps of
         ``config.batch_size`` rows (full batch when None).
 
-        Groups are pooled; a pool larger than one batch is shuffled together
-        each epoch, and within a batch each group's members keep their own
-        mask. A step adds the decay gradient ``(rows in step / rows in pool)
-        * sum_g coeff_g * weight_decay * theta``, so one epoch applies the
-        objective's decay term exactly once. Returns a trained copy; the
-        receiver is left untouched.
+        The groups' rows are pooled once, each weighted ``coeff_g * w_i`` and
+        labelled by its position in the union of the masks; a pool larger than
+        one batch is shuffled together each epoch. Where the masks differ, a
+        row's union classes outside its own group's mask are blocked (``-inf``
+        logits), so each step is one gradient pass over its rows. A step adds
+        the decay gradient ``(rows in step / rows in pool) * sum_g coeff_g *
+        weight_decay * theta``, so one epoch applies the objective's decay term
+        exactly once. Returns a trained copy; the receiver is left untouched.
         """
-        resolved = []
-        for g in groups:
-            mask_arr = self.resolve_mask(g.mask)
-            resolved.append((g.batch, label_positions(mask_arr, g.batch.y), mask_arr, g.coeff))
-        sizes = [len(batch) for batch, *_ in resolved]
-        total = sum(sizes)
+        masks = [self.resolve_mask(g.mask) for g in groups]
+        for g, mask_arr in zip(groups, masks):
+            label_positions(mask_arr, g.batch.y)  # own mask: the union below is looser
+        union = functools.reduce(np.union1d, masks)
+        x = np.concatenate([g.batch.x for g in groups])
+        pos = label_positions(union, np.concatenate([g.batch.y for g in groups]))
+        w = np.concatenate([g.coeff * g.batch.w for g in groups])
+        outside = np.array([~np.isin(union, mask_arr) for mask_arr in masks])
+        blocked = (np.repeat(outside, [len(g.batch) for g in groups], axis=0)
+                   if outside.any() else None)
+        total = len(pos)
         size = config.batch_size if config.batch_size is not None else total
         if size <= 0:
             raise ValueError("batch_size must be positive")
-        decay = sum(coeff for *_, coeff in resolved) * self.weight_decay
-        group_of = np.repeat(np.arange(len(sizes)), sizes)
-        local_of = np.concatenate([np.arange(n) for n in sizes])
+        decay = sum(g.coeff for g in groups) * self.weight_decay
         rng = np.random.default_rng(config.seed)
 
         def epoch_batches():
@@ -284,15 +294,9 @@ class MlpModel:
         def grad_fn(theta, rows):
             grad = np.multiply(((total if rows is None else len(rows)) / total) * decay, theta,
                                out=grad_out)
-            for gi, (batch, pos, mask_arr, coeff) in enumerate(resolved):
-                x, w = batch.x, batch.w
-                if rows is not None:
-                    members = local_of[rows[group_of[rows] == gi]]
-                    if members.size == 0:
-                        continue
-                    x, pos, w = x[members], pos[members], w[members]
-                scratch._ce_gradient(x, pos, w, mask_arr, out=term)
-                grad += np.multiply(coeff, term, out=term)
+            step = slice(None) if rows is None else rows  # the whole pool: views, no copies
+            grad += scratch._ce_gradient(x[step], pos[step], w[step], union,
+                                         None if blocked is None else blocked[step], term)
             return grad
 
         adam_minimize(theta, grad_fn, config, epoch_batches)

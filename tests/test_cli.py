@@ -134,6 +134,15 @@ class TestSweepCommand:
         assert code == 1
         assert "duplicate e values" in captured.err
 
+    @pytest.mark.parametrize("text", ["1,x", "1, 2.5"])
+    def test_bad_e_values_name_the_flag(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        code = main(["sweep-e", "--config", str(config), "--e-values", text])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: bad --e-values {text!r}; expected a comma list of "
+                                "integers like 1,5,10\n")
+
 
 class TestValidateCommand:
     def test_valid_file_prints_ok(self, tmp_path, capsys):

@@ -32,8 +32,55 @@ def random_samples(rng, model, n, classes=None):
 
 
 def reference_fit(model, groups, config):
-    """``fit``'s loop written out of place: a new gradient, a copy of theta
-    in the scratch model and new Adam vectors on every step. Returns theta."""
+    """``fit`` written out of place: the groups' rows pooled, each weighted
+    ``coeff * w`` and labelled within the union of the masks, the logits of
+    union classes outside a row's own mask set to ``-inf``; a new gradient, a
+    copy of theta in the scratch model and new Adam vectors on every step.
+    Returns theta."""
+    masks = [model.resolve_mask(g.mask) for g in groups]
+    union = np.unique(np.concatenate(masks))
+    x = np.vstack([g.batch.x for g in groups])
+    y = np.concatenate([g.batch.y for g in groups])
+    w = np.concatenate([g.coeff * g.batch.w for g in groups])
+    blocked = np.vstack([np.tile(~np.isin(union, mask_arr), (len(g.batch), 1))
+                         for g, mask_arr in zip(groups, masks)])
+    total = len(y)
+    size = config.batch_size if config.batch_size is not None else total
+    decay = sum(g.coeff for g in groups) * model.weight_decay
+    rng = np.random.default_rng(config.seed)
+    scratch = model.copy()
+    theta, m, v, step = model.get_flat(), np.zeros(model.num_params), np.zeros(model.num_params), 0
+    for _ in range(config.epochs):
+        if size >= total:
+            batches = [None]
+        else:
+            order = rng.permutation(total)
+            batches = [order[start:start + size] for start in range(0, total, size)]
+        for rows in batches:
+            scratch.set_flat(theta)
+            grad = ((total if rows is None else len(rows)) / total) * decay * theta
+            xs, ys, ws, bs = (x, y, w, blocked) if rows is None else (
+                x[rows], y[rows], w[rows], blocked[rows])
+            acts, z = scratch._forward(xs, union)
+            z[bs] = -np.inf
+            g_out = np.exp(z - logsumexp(z, keepdims=True))
+            g_out[np.arange(len(ys)), label_positions(union, ys)] -= 1.0
+            deltas = scratch._deltas(acts, g_out * ws[:, None], union)
+            grads = [(g.T @ a, g.sum(axis=0)) for a, g in zip(acts, deltas)]
+            dw, db = (np.zeros_like(a) for a in scratch.layers[-1])
+            dw[union], db[union] = grads[-1]
+            grads[-1] = (dw, db)
+            grad += np.concatenate([a.ravel() for layer in grads for a in layer])
+            step += 1
+            theta, m, v = textbook_adam_step(theta, m, v, step, grad, config)
+    return theta
+
+
+def per_group_reference_fit(model, groups, config):
+    """The objective one group at a time: each step runs a gradient pass per
+    group present in it, under that group's own mask, and adds
+    ``coeff * term``; out of place, with a new gradient, a copy of theta in
+    the scratch model and new Adam vectors on every step. Returns theta."""
     resolved = [(g.batch, model.resolve_mask(g.mask), g.coeff) for g in groups]
     sizes = [len(batch) for batch, _, _ in resolved]
     total = sum(sizes)
@@ -297,6 +344,62 @@ class TestFit:
         config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=3)
         fitted = model.fit(groups, config)
         assert np.array_equal(fitted.get_flat(), reference_fit(model, groups, config))
+
+    @pytest.mark.parametrize("mask", [None, (1, 2, 3)])
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_one_unit_coefficient_group_matches_per_group_loop_bit_for_bit(
+            self, rng, depth, batch_size, mask):
+        # a lone group with coefficient 1 runs the per-group loop's operations
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.1)
+        model.set_flat(rng.standard_normal(model.num_params))
+        groups = [LossGroup(random_samples(rng, model, 9, classes=(1, 2, 3)), mask, 1.0)]
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=3)
+        fitted = model.fit(groups, config)
+        assert np.array_equal(fitted.get_flat(), per_group_reference_fit(model, groups, config))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_two_groups_match_per_group_loop_up_to_rounding(self, depth, batch_size, seed):
+        # pooling sums each step's rows in one pass instead of one per group,
+        # which moves the last bits and nothing else
+        rng = np.random.default_rng(seed)
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.1)
+        model.set_flat(rng.standard_normal(model.num_params))
+        groups = [LossGroup(random_samples(rng, model, 7, classes=(1, 2, 3)), (1, 2, 3), 0.7),
+                  LossGroup(random_samples(rng, model, 4, classes=(0, 1)), (0, 1), 0.45)]
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=seed)
+        fitted = model.fit(groups, config).get_flat()
+        expected = per_group_reference_fit(model, groups, config)
+        assert np.max(np.abs(fitted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_label_in_another_groups_mask_only_rejected(self, rng):
+        # class 0 is in the pooled union, but not in the first group's mask
+        model = tiny_net(class_count=4)
+        current = random_samples(rng, model, 5, classes=(2, 3))
+        current = stack_samples([current, Batch(np.ones((1, model.feature_dim)), [0])])
+        buffered = random_samples(rng, model, 3, classes=(0, 1))
+        groups = [LossGroup(current, (2, 3), 0.5), LossGroup(buffered, (0, 1), 0.5)]
+        with pytest.raises(MaskError):
+            model.fit(groups, TrainConfig(epochs=1, lr=1e-2, batch_size=4))
+
+    def test_one_gradient_pass_per_adam_step(self, rng, monkeypatch):
+        model = tiny_net(class_count=4)
+        groups = [LossGroup(random_samples(rng, model, 10, classes=(2, 3)), (2, 3), 0.3),
+                  LossGroup(random_samples(rng, model, 5, classes=(0, 1)), (0, 1), 0.7)]
+        calls = {"gradient": 0, "step": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MlpModel, "_ce_gradient", counted("gradient", MlpModel._ce_gradient))
+        monkeypatch.setattr(AdamState, "update", counted("step", AdamState.update))
+        model.fit(groups, TrainConfig(epochs=3, lr=1e-2, batch_size=4))
+        assert calls == {"gradient": 12, "step": 12}  # 3 epochs of ceil(15 / 4) steps
 
     def test_receiver_unchanged_and_fits_share_no_memory(self, rng):
         model = tiny_net(seed=1, weight_decay=0.01)
