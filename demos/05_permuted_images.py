@@ -22,7 +22,7 @@ images, labels = synthetic_image_dataset(num_classes=10, per_class=200,
                                          noise=0.6, seed=0)
 tasks = make_permuted_tasks(images, labels, num_tasks=5,
                             per_task_train=1000, per_task_test=400, seed=0)
-config = ReplayConfig(e=10, epochs=20, lr=5e-3, weight_decay=1e-5,
+config = ReplayConfig(e=10, epochs=20, lr=5e-3, decay=1e-5,
                       batch_size=64, seed=0)
 
 for strategy in ("none", "im"):

@@ -13,10 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import (DATA_DIR_ENV, DATASETS, FM_DENOMINATORS, MODELS,
-                         ExperimentConfig, ExperimentError, read_config_file,
-                         run_experiment, sweep_e, validate_config_file)
-from .replay import EVAL_MODES, PROBE_MODES, STRATEGIES
+from .experiment import (DATA_DIR_ENV, DATASETS, MODELS, ExperimentConfig,
+                         ExperimentError, read_config_file, run_experiment,
+                         sweep_e, validate_config_file)
+from .replay import EVAL_MODES, STRATEGIES
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -56,9 +56,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--classes-per-task", type=int)
     parser.add_argument("--train-per-class", type=int)
     parser.add_argument("--eval-mode", choices=EVAL_MODES)
-    parser.add_argument("--fm-denominator", choices=FM_DENOMINATORS)
-    parser.add_argument("--probe", choices=PROBE_MODES,
-                        help="influence probe source: held-out train or test nodes")
     parser.add_argument("--seeds", help="e.g. 0..9 or 0,1,2")
     parser.add_argument("--jobs", type=int, help="parallel seed workers")
     parser.add_argument("--out", help="output directory")

@@ -27,7 +27,6 @@ DATA_DIR_ENV = "REPLAYGRAPH_DATA_DIR"
 DATASETS = ("cora", "citeseer", "citation", "permuted-mnist", "synthetic-sbm",
             "synthetic-images")
 MODELS = ("sgc", "mlp")
-FM_DENOMINATORS = ("m-1", "m")
 
 
 class ExperimentError(RuntimeError):
@@ -38,8 +37,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Field annotation -> (accepts value, what it must be). cm_d's number-or-"auto"
-# check lives in config_errors.
+# Field annotation -> (accepts value, what it must be).
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
@@ -68,16 +66,12 @@ class ExperimentConfig:
     classes_per_task: int = 2
     train_per_class: int = 20
     eval_mode: str = "task-aware"
-    fm_denominator: str = "m-1"
-    probe: str = "holdout"
-    probe_fraction: float = 0.25
     seeds: list[int] = field(default_factory=lambda: [0])
     jobs: int = 1
     out: str = "out"
     # model/strategy details
     batch_size: int = 64
     hidden_dim: int = 256
-    cm_d: float | str = "auto"
     # image-task construction
     mnist_train_per_task: int = 1000
     mnist_test_per_task: int = 500
@@ -161,16 +155,12 @@ class ExperimentConfig:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "
                           f"got {self.strategy!r}")
         errors += [f"{key}: {message}" for key, message in config_errors(self)]
-        if self.decay < 0:
-            errors.append("decay: must be >= 0")
         if self.tasks < 1:
             errors.append("tasks: must be >= 1")
         if self.classes_per_task < 1:
             errors.append("classes_per_task: must be >= 1")
         if self.train_per_class < 1:
             errors.append("train_per_class: must be >= 1")
-        if self.fm_denominator not in FM_DENOMINATORS:
-            errors.append(f"fm_denominator: must be one of {', '.join(FM_DENOMINATORS)}")
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
@@ -215,11 +205,9 @@ class ExperimentConfig:
 
     def replay_config(self, seed: int) -> ReplayConfig:
         return ReplayConfig(
-            e=self.e, k=self.k, epochs=self.epochs, lr=self.lr,
-            weight_decay=self.decay,
+            e=self.e, k=self.k, epochs=self.epochs, lr=self.lr, decay=self.decay,
             batch_size=self.batch_size if self.model == "mlp" else None,
-            eval_mode=self.eval_mode, probe=self.probe,
-            probe_fraction=self.probe_fraction, cm_d=self.cm_d, seed=seed)
+            eval_mode=self.eval_mode, seed=seed)
 
 
 def _load_graph(config: ExperimentConfig, seed: int):
@@ -264,7 +252,7 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     matrix = state.matrix()
     pm = performance_mean(matrix)
     if matrix.num_tasks >= 2:
-        fm, per_task = forgetting_mean(matrix, config.fm_denominator)
+        fm, per_task = forgetting_mean(matrix)
         per_task = per_task.tolist()
     else:
         fm, per_task = None, []

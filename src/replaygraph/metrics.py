@@ -76,24 +76,17 @@ def performance_mean(matrix: AccuracyMatrix) -> float:
     return float(np.mean(np.diag(matrix.values)))
 
 
-def forgetting_mean(matrix: AccuracyMatrix,
-                    denominator: str = "m-1") -> tuple[float, np.ndarray]:
+def forgetting_mean(matrix: AccuracyMatrix) -> tuple[float, np.ndarray]:
     """How much each task lost between its own training and the end of the run.
 
-    f_j = A[j][j] - A[M-1][j]. The final task's difference is identically zero;
-    ``denominator`` controls whether that zero is averaged in ("m") or the mean
-    runs over the M-1 informative terms only ("m-1", the default).
+    f_j = A[j][j] - A[M-1][j], averaged over the M-1 earlier tasks; the final
+    task's difference is identically zero and is left out.
     """
     m = matrix.num_tasks
     if m < 2:
         raise ValueError("forgetting needs at least 2 tasks")
-    if denominator not in ("m-1", "m"):
-        raise ValueError(f"denominator must be 'm-1' or 'm', got {denominator!r}")
     diffs = np.array([matrix.values[j, j] - matrix.values[m - 1, j] for j in range(m - 1)])
-    if denominator == "m-1":
-        return float(np.mean(diffs)), diffs
-    padded = np.append(diffs, 0.0)
-    return float(np.mean(padded)), padded
+    return float(np.mean(diffs)), diffs
 
 
 def accuracy(predictions, labels) -> float:

@@ -26,7 +26,8 @@ from .selection import (LINEAR_CG, MLP_CG, class_rows, select_cm, select_im,
 
 STRATEGIES = ("none", "random", "mf", "mf-embed", "cm", "cm-embed", "im")
 EVAL_MODES = ("task-aware", "class-incremental")
-PROBE_MODES = ("holdout", "test")
+# Share of each class's training rows that `im` holds out as influence probes.
+PROBE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,13 @@ class ReplayConfig:
     k: int = 2
     epochs: int = 100
     lr: float = 0.2
-    weight_decay: float = 5e-6
+    decay: float = 5e-6
     batch_size: Optional[int] = None
     eval_mode: str = "task-aware"
-    probe: str = "holdout"
-    probe_fraction: float = 0.25
-    cm_d: float | str = "auto"
     seed: int = 0
 
     def __post_init__(self):
         errors = config_errors(self)
-        if self.weight_decay < 0:
-            errors.append(("weight_decay", "must be >= 0"))
         if errors:
             raise ValueError("{} {}".format(*errors[0]))
 
@@ -61,20 +57,13 @@ def config_errors(config) -> list[tuple[str, str]]:
               if getattr(config, key) < low]
     if config.lr <= 0:
         errors.append(("lr", "must be > 0"))
+    if config.decay < 0:
+        errors.append(("decay", "must be >= 0"))
     if config.batch_size is not None and config.batch_size < 1:
         errors.append(("batch_size", "must be >= 1"))
-    for key, allowed in (("eval_mode", EVAL_MODES), ("probe", PROBE_MODES)):
-        value = getattr(config, key)
-        if value not in allowed:
-            errors.append((key, f"must be one of {', '.join(allowed)}; got {value!r}"))
-    if not 0.0 < config.probe_fraction < 1.0:
-        errors.append(("probe_fraction", "must be in (0, 1)"))
-    if config.cm_d != "auto":
-        try:
-            if float(config.cm_d) <= 0:
-                errors.append(("cm_d", "must be positive or 'auto'"))
-        except (TypeError, ValueError):
-            errors.append(("cm_d", "must be a number or 'auto'"))
+    if config.eval_mode not in EVAL_MODES:
+        errors.append(("eval_mode", f"must be one of {', '.join(EVAL_MODES)}; "
+                                    f"got {config.eval_mode!r}"))
     return errors
 
 
@@ -173,12 +162,13 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
     """Propagate features over the subgraph induced by the task's own nodes
     (nodes from other tasks are invisible while it is current) and package
     its splits."""
-    nodes = np.concatenate([task.train_nodes, task.test_nodes])
-    sub, mapping = induced_subgraph(graph, nodes)
+    nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
+    sub, _ = induced_subgraph(graph, nodes)
     values = propagate(normalize_adjacency(sub), sub.features, k).values
 
     def rows(node_list):
-        return values[[mapping[n] for n in node_list.tolist()]]
+        # induced_subgraph numbers the nodes in ascending order, as in ``nodes``
+        return values[np.searchsorted(nodes, node_list)]
 
     train = Batch(rows(task.train_nodes), graph.labels[task.train_nodes],
                   node=task.train_nodes, task=np.full(len(task.train_nodes), task.task_id),
@@ -235,17 +225,16 @@ def _train_config(config: ReplayConfig, task_id: int) -> TrainConfig:
                        seed=_derived_seed(config.seed, task_id, 3))
 
 
-def _carve_probes(candidates: Batch, fraction: float,
-                  rng) -> tuple[np.ndarray, np.ndarray]:
+def _carve_probes(candidates: Batch, rng) -> tuple[np.ndarray, np.ndarray]:
     """Rows to keep and rows held out as influence probes, roughly
-    ``fraction`` of each class.
+    ``PROBE_FRACTION`` of each class.
 
     Classes too small to split contribute no probes; if every class is like
     that, nothing is carved and the candidates double as their own probes.
     """
     keep, probes = [], []
     for _, rows in class_rows(candidates):
-        n_probe = min(len(rows) - 1, max(1, round(fraction * len(rows))))
+        n_probe = min(len(rows) - 1, max(1, round(PROBE_FRACTION * len(rows))))
         if n_probe < 1:
             keep.append(rows)
             continue
@@ -279,7 +268,7 @@ def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
     if strategy in ("mf", "mf-embed"):
         return select_mf(candidates, config.e, geometry)
     if strategy in ("cm", "cm-embed"):
-        return select_cm(candidates, config.e, geometry, config.cm_d)
+        return select_cm(candidates, config.e, geometry)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -298,12 +287,9 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
 
     train, probes = data.train, None
     if strategy == "im":
-        if config.probe == "holdout":
-            rng = np.random.default_rng(_derived_seed(config.seed, data.task_id, 2))
-            keep, held = _carve_probes(train, config.probe_fraction, rng)
-            train, probes = train.take(keep), Batch(train.x[held], train.y[held])
-        else:
-            probes = Batch(data.test_inputs, data.test_labels)
+        rng = np.random.default_rng(_derived_seed(config.seed, data.task_id, 2))
+        keep, held = _carve_probes(train, rng)
+        train, probes = train.take(keep), Batch(train.x[held], train.y[held])
 
     beta = weight_factor(len(train), buffer_before)
     groups = loss_groups(train, buffer, data.classes, buffer_classes)
@@ -353,7 +339,7 @@ def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunS
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     datas = prepare_sequence(seq, config)
     model = MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
-                           weight_decay=config.weight_decay)
+                           weight_decay=config.decay)
     state = RunState(model=model, buffer=ExperienceBuffer(config.e),
                      config=config, strategy=strategy)
     for data in datas:
@@ -374,7 +360,7 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
         raise ValueError("no image tasks given")
     input_dim = tasks[0].train_images.shape[1]
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
-                          class_count=class_count, weight_decay=config.weight_decay,
+                          class_count=class_count, weight_decay=config.decay,
                           seed=config.seed).activate(range(class_count))
     state = RunState(model=model, buffer=ExperienceBuffer(config.e),
                      config=config, strategy=strategy)

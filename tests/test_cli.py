@@ -1,11 +1,14 @@
 """Command-line surface: seed parsing, flag/config precedence, exit codes."""
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from replaygraph.cli import main, parse_seeds
+from replaygraph.cli import build_parser, main, parse_seeds
+from replaygraph.experiment import ExperimentConfig
 
 
 def sbm_args(tmp_path, **overrides):
@@ -114,6 +117,33 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--strategy", "newest"])
         assert exc.value.code == 2
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize("key, value", [("probe", "test"), ("probe_fraction", 0.5),
+                                            ("cm_d", 2.0), ("fm_denominator", "m")])
+    def test_config_key_rejected_and_nothing_runs(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--probe", "test"), ("--fm-denominator", "m")])
+    def test_flag_rejected_by_parser(self, tmp_path, flag, value):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_every_flag_sets_a_config_key(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for name in ("run", "sweep-e"):
+            dests = {action.dest for action in commands[name]._actions}
+            assert dests - {"config", "e_values", "help"} <= fields, name
 
 
 class TestSweepCommand:

@@ -166,7 +166,7 @@ class TestDerivedSettings:
                                              config.mnist_train_per_task,
                                              config.mnist_test_per_task, seed=0)
         state = run_image_tasks(tasks, "im", ReplayConfig(
-            e=config.e, epochs=config.epochs, lr=config.lr, weight_decay=config.decay,
+            e=config.e, epochs=config.epochs, lr=config.lr, decay=config.decay,
             batch_size=config.batch_size, seed=0), hidden_dim=config.hidden_dim)
         assert [event["selected_nodes"] for event in state.events] == expected
 
@@ -308,12 +308,12 @@ class TestValidateConfigFile:
         assert any(e.startswith("lr:") for e in errors)
 
     def test_replay_only_values_rejected_before_run(self, tmp_path):
-        # the same values make ReplayConfig refuse to build at run time
+        # config_errors holds these checks, so validation reports them before any run
         path = tmp_path / "replay_values.json"
-        path.write_text(json.dumps({"probe": "bogus", "probe_fraction": 1.5}))
+        path.write_text(json.dumps({"eval_mode": "bogus", "batch_size": 0}))
         errors = validate_config_file(path)
-        assert any(e.startswith("probe:") for e in errors)
-        assert any(e.startswith("probe_fraction:") for e in errors)
+        assert any(e.startswith("eval_mode:") for e in errors)
+        assert any(e.startswith("batch_size:") for e in errors)
 
     def test_wrong_types_reported_with_keys(self, tmp_path):
         # a type error is reported alone: the tasks range check never runs

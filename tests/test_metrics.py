@@ -100,21 +100,9 @@ class TestForgettingMean:
         assert per_task == pytest.approx([-0.1])
         assert fm == pytest.approx(-0.1)
 
-    def test_m_denominator_appends_zero_term(self):
-        m = matrix_from_rows([0.9], [0.8, 0.95], [0.7, 0.85, 0.92])
-        fm, per_task = forgetting_mean(m, denominator="m")
-        assert len(per_task) == 3
-        assert per_task[-1] == 0.0
-        assert fm == pytest.approx(0.3 / 3)
-
     def test_single_task_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             forgetting_mean(matrix_from_rows([0.9]))
-
-    def test_unknown_denominator_rejected(self):
-        m = matrix_from_rows([0.9], [0.8, 0.95])
-        with pytest.raises(ValueError, match="denominator"):
-            forgetting_mean(m, denominator="m-2")
 
     def test_column_shift_cancels(self):
         # adding the same constant to A[j][j] and A[M-1][j] leaves f_j fixed

@@ -145,14 +145,10 @@ class TestReplayConfig:
             ReplayConfig(e=0)
         with pytest.raises(ValueError, match="eval_mode"):
             ReplayConfig(eval_mode="both")
-        with pytest.raises(ValueError, match="probe_fraction"):
-            ReplayConfig(probe_fraction=1.0)
         for bad, message in ((dict(lr=-1.0), "lr must be > 0"),
                              (dict(epochs=-3), "epochs must be >= 0"),
-                             (dict(weight_decay=-1.0), "weight_decay must be >= 0"),
-                             (dict(batch_size=0), "batch_size must be >= 1"),
-                             (dict(cm_d=-2.0), "cm_d must be positive"),
-                             (dict(cm_d="far"), "cm_d must be a number")):
+                             (dict(decay=-1.0), "decay must be >= 0"),
+                             (dict(batch_size=0), "batch_size must be >= 1")):
             with pytest.raises(ValueError, match=message):
                 ReplayConfig(**bad)
 
@@ -231,7 +227,7 @@ class TestLearnTaskBookkeeping:
     def test_mask_discipline_without_decay(self):
         # rows of classes never seen must stay at exactly zero
         seq = sbm_sequence()
-        config = ReplayConfig(e=1, epochs=30, weight_decay=0.0, seed=0)
+        config = ReplayConfig(e=1, epochs=30, decay=0.0, seed=0)
         state = run_sequence(seq, "none", config)
         snap_after_first = state.snapshots[0]
         assert np.all(snap_after_first["w1"][2:] == 0.0)
@@ -327,21 +323,11 @@ class TestRunSequenceBehavior:
 
     def test_im_probe_holdout_excludes_probes_from_training(self):
         seq = sbm_sequence(train_per_class=8)
-        config = ReplayConfig(e=1, epochs=15, probe="holdout",
-                              probe_fraction=0.25, seed=0)
-        state = run_sequence(seq, "im", config)
+        state = run_sequence(seq, "im", ReplayConfig(e=1, epochs=15, seed=0))
         ev = state.events[0]
         assert ev["probe_count"] == 4  # 2 per class from 8
         assert ev["train_count"] == 12
         assert ev["probe_count"] + ev["train_count"] == 16
-
-    def test_im_test_probe_mode_uses_test_split(self):
-        seq = sbm_sequence(train_per_class=4, block_size=12)
-        config = ReplayConfig(e=1, epochs=15, probe="test", seed=0)
-        state = run_sequence(seq, "im", config)
-        ev = state.events[0]
-        assert ev["train_count"] == 8  # nothing carved
-        assert ev["probe_count"] == 2 * (12 - 4)
 
     def test_class_incremental_mode_scores_over_all_seen(self):
         seq = sbm_sequence()
@@ -358,8 +344,7 @@ class TestImageRuns:
                                                  noise=0.3, seed=0, dim=16)
         tasks = make_permuted_tasks(images, labels, num_tasks=2,
                                     per_task_train=30, per_task_test=20, seed=1)
-        config = ReplayConfig(e=2, epochs=3, lr=1e-2, batch_size=8,
-                              weight_decay=1e-5, seed=0)
+        config = ReplayConfig(e=2, epochs=3, lr=1e-2, batch_size=8, decay=1e-5, seed=0)
         state = run_image_tasks(tasks, "random", config, hidden_dim=8,
                                 class_count=2)
         # both tasks use labels {0, 1}; per-(task, class) keying keeps 2 each
@@ -372,8 +357,7 @@ class TestImageRuns:
                                                  noise=0.3, seed=2, dim=16)
         tasks = make_permuted_tasks(images, labels, num_tasks=2,
                                     per_task_train=20, per_task_test=10, seed=3)
-        config = ReplayConfig(e=1, epochs=3, lr=1e-2, batch_size=8,
-                              weight_decay=1e-5, seed=4)
+        config = ReplayConfig(e=1, epochs=3, lr=1e-2, batch_size=8, decay=1e-5, seed=4)
         a = run_image_tasks(tasks, "mf", config, hidden_dim=8, class_count=2)
         b = run_image_tasks(tasks, "mf", config, hidden_dim=8, class_count=2)
         assert np.array_equal(a.matrix().values, b.matrix().values, equal_nan=True)
