@@ -323,16 +323,13 @@ def synthetic_sbm_graph(block_sizes, intra_p: float, inter_p: float,
     n = sum(sizes)
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = intra_p if blocks[u] == blocks[v] else inter_p
-            if rng.random() < p:
-                edges.append((u, v))
+    # One uniform per pair u < v, drawn in row-major order.
+    u, v = np.triu_indices(n, 1)
+    hit = rng.random(len(u)) < np.where(blocks[u] == blocks[v], intra_p, inter_p)
     features = np.eye(len(sizes))[blocks]
     features = features + feature_noise * rng.standard_normal(features.shape)
-    return graph_from_edges(n, edges, features, blocks.astype(np.int64),
-                            class_count=len(sizes))
+    return graph_from_edges(n, np.column_stack([u[hit], v[hit]]), features,
+                            blocks.astype(np.int64), class_count=len(sizes))
 
 
 def synthetic_image_dataset(num_classes: int, per_class: int, noise: float,

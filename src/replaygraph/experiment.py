@@ -155,24 +155,22 @@ class ExperimentConfig:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "
                           f"got {self.strategy!r}")
         errors += [f"{key}: {message}" for key, message in config_errors(self)]
-        if self.tasks < 1:
-            errors.append("tasks: must be >= 1")
-        if self.classes_per_task < 1:
-            errors.append("classes_per_task: must be >= 1")
-        if self.train_per_class < 1:
-            errors.append("train_per_class: must be >= 1")
+        for key in ("tasks", "classes_per_task", "train_per_class", "jobs", "hidden_dim",
+                    "mnist_train_per_task", "mnist_test_per_task", "sbm_test_per_class",
+                    "syn_images_per_class"):
+            if getattr(self, key) < 1:
+                errors.append(f"{key}: must be >= 1")
+        for key in ("sbm_intra_p", "sbm_inter_p"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                errors.append(f"{key}: must lie in [0, 1]")
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
             errors.append("seeds: duplicate values")
-        if self.jobs < 1:
-            errors.append("jobs: must be >= 1")
-        if self.hidden_dim < 1:
-            errors.append("hidden_dim: must be >= 1")
-        if self.mnist_train_per_task < 1:
-            errors.append("mnist_train_per_task: must be >= 1")
-        if self.mnist_test_per_task < 1:
-            errors.append("mnist_test_per_task: must be >= 1")
+        if self.dataset == "synthetic-images" \
+                and self.mnist_test_per_task >= 10 * self.syn_images_per_class:
+            errors.append("mnist_test_per_task: must be < 10 * syn_images_per_class = "
+                          f"{10 * self.syn_images_per_class}, the synthetic images to split")
 
         if self.dataset in ("permuted-mnist", "synthetic-images") and self.model != "mlp":
             errors.append(f"model: dataset {self.dataset!r} requires model 'mlp'")

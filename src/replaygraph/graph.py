@@ -18,56 +18,51 @@ if TYPE_CHECKING:  # scipy.sparse is slow to import; only graph runs need it
 
 
 class GraphFormatError(ValueError):
-    """Raised when graph arrays violate the CSR/label contracts."""
+    """Raised when graph arrays violate the adjacency/label contracts."""
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected attributed graph in CSR form with integer class labels.
+    """Undirected attributed graph with integer class labels.
 
-    ``csr_offsets``/``csr_neighbors`` encode an unweighted symmetric
-    adjacency: the neighbors of node ``u`` are
-    ``csr_neighbors[csr_offsets[u]:csr_offsets[u + 1]]``. ``features`` is
-    given dense or sparse and always stored as an (n, d) float64 scipy CSR
-    matrix (see :func:`_feature_matrix`). ``labels`` holds global class
-    ids in ``[0, class_count)``. ``label_names``, when present, records the
+    ``adjacency`` is the unweighted symmetric (n, n) adjacency, stored as a
+    float64 scipy CSR matrix in canonical form (sorted indices, no
+    duplicates) whose stored entries are all 1. ``features`` is given dense
+    or sparse and always stored as an (n, d) float64 scipy CSR matrix (see
+    :func:`_feature_matrix`). ``labels`` holds global class ids in
+    ``[0, class_count)``. ``label_names``, when present, records the
     original string labels in first-appearance order.
     """
 
-    csr_offsets: np.ndarray
-    csr_neighbors: np.ndarray
+    adjacency: sp.csr_matrix
     features: sp.csr_matrix
     labels: np.ndarray
     class_count: int
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        offsets = np.asarray(self.csr_offsets, dtype=np.int64)
-        neighbors = np.asarray(self.csr_neighbors, dtype=np.int64)
+        import scipy.sparse as sp
+        adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
+        adjacency.sum_duplicates()
         features = _feature_matrix(self.features)
         labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "csr_offsets", offsets)
-        object.__setattr__(self, "csr_neighbors", neighbors)
+        object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
         n = features.shape[0]
-        if offsets.shape != (n + 1,):
-            raise GraphFormatError(f"csr_offsets must have length num_nodes + 1 = {n + 1}")
-        if offsets[0] != 0 or offsets[-1] != len(neighbors):
-            raise GraphFormatError("csr_offsets must start at 0 and end at len(csr_neighbors)")
-        if np.any(np.diff(offsets) < 0):
-            raise GraphFormatError("csr_offsets must be non-decreasing")
-        if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
-            raise GraphFormatError("neighbor index out of range")
+        if adjacency.shape != (n, n):
+            raise GraphFormatError(f"adjacency must be square with side num_nodes = {n}, "
+                                   f"got shape {adjacency.shape}")
+        if np.any(adjacency.data != 1.0):
+            raise GraphFormatError("adjacency entries must all be 1 (unweighted)")
         if labels.shape != (n,):
             raise GraphFormatError(f"labels must have length num_nodes = {n}")
         if self.class_count <= 0:
             raise GraphFormatError("class_count must be positive")
         if n and (labels.min() < 0 or labels.max() >= self.class_count):
             raise GraphFormatError("label outside [0, class_count)")
-        adj = self.adjacency()
-        if (adj != adj.T).nnz != 0:
+        if (adjacency != adjacency.T).nnz != 0:
             raise GraphFormatError("adjacency must be symmetric")
 
     @property
@@ -76,19 +71,12 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        """Undirected edge count (each edge stored twice in CSR)."""
-        return len(self.csr_neighbors) // 2
+        """Undirected edge count (each edge stored twice in the adjacency)."""
+        return self.adjacency.nnz // 2
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def adjacency(self) -> sp.csr_matrix:
-        """Unweighted adjacency as a scipy CSR matrix."""
-        import scipy.sparse as sp
-        n = self.features.shape[0]
-        data = np.ones(len(self.csr_neighbors), dtype=np.float64)
-        return sp.csr_matrix((data, self.csr_neighbors, self.csr_offsets), shape=(n, n))
 
 
 def _feature_matrix(x) -> sp.csr_matrix:
@@ -110,22 +98,26 @@ def _feature_matrix(x) -> sp.csr_matrix:
 
 def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int,
                      label_names=None) -> Graph:
-    """Build a Graph from an iterable of undirected (u, v) pairs.
+    """Build a Graph from undirected (u, v) pairs: an iterable of pairs or
+    an (m, 2) integer array.
 
     Edges are symmetrized and deduplicated; self loops are dropped (the
     normalization step adds its own).
     """
     import scipy.sparse as sp
-    pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphFormatError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= num_nodes):
+        raise GraphFormatError(f"neighbor index outside [0, num_nodes = {num_nodes})")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
-    adj.sort_indices()
-    return Graph(adj.indptr, adj.indices, features, labels, class_count, label_names)
+    adj.data[:] = 1.0  # converting to CSR summed each repeated edge into one entry
+    return Graph(adj, features, labels, class_count, label_names)
 
 
 @dataclass(frozen=True)
@@ -154,7 +146,7 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     isolated nodes is needed.
     """
     import scipy.sparse as sp
-    a_tilde = (g.adjacency() + sp.eye(g.num_nodes, format="csr")).tocsr()
+    a_tilde = (g.adjacency + sp.eye(g.num_nodes, format="csr")).tocsr()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     d = sp.diags(inv_sqrt)
@@ -182,20 +174,18 @@ def propagate(s: NormalizedAdjacency, x, k: int) -> PropagatedFeatures:
     return PropagatedFeatures(out.toarray(), k)
 
 
-def induced_subgraph(g: Graph, nodes) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on the given node set plus the old-to-new index mapping.
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """Subgraph on the given node set.
 
-    Nodes are relabeled 0..len(nodes)-1 in ascending original order. Labels
-    keep their global class ids and class_count is unchanged.
+    Nodes are renumbered 0..len(nodes)-1 in ascending order of their ids in
+    ``g``, so node ``u`` of ``g`` is ``np.searchsorted(np.unique(nodes), u)``
+    in the subgraph. Labels keep their global class ids and class_count is
+    unchanged.
     """
     keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
     if keep.size == 0:
         raise ValueError("cannot induce a subgraph on an empty node set")
     if keep.min() < 0 or keep.max() >= g.num_nodes:
         raise ValueError("subgraph node index out of range")
-    sub = g.adjacency()[keep][:, keep].tocsr()
-    sub.sort_indices()
-    mapping = {int(old): new for new, old in enumerate(keep)}
-    graph = Graph(sub.indptr, sub.indices, g.features[keep], g.labels[keep],
-                  g.class_count, g.label_names)
-    return graph, mapping
+    return Graph(g.adjacency[keep][:, keep], g.features[keep], g.labels[keep],
+                 g.class_count, g.label_names)

@@ -163,7 +163,7 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
     (nodes from other tasks are invisible while it is current) and package
     its splits."""
     nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
-    sub, _ = induced_subgraph(graph, nodes)
+    sub = induced_subgraph(graph, nodes)
     values = propagate(normalize_adjacency(sub), sub.features, k).values
 
     def rows(node_list):
@@ -196,8 +196,6 @@ class RunState:
 
     model: object
     buffer: ExperienceBuffer
-    config: ReplayConfig
-    strategy: str
     rows: list[list[float]] = field(default_factory=list)
     history: list[TaskData] = field(default_factory=list)
     snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
@@ -340,8 +338,7 @@ def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunS
     datas = prepare_sequence(seq, config)
     model = MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
                            weight_decay=config.decay)
-    state = RunState(model=model, buffer=ExperienceBuffer(config.e),
-                     config=config, strategy=strategy)
+    state = RunState(model=model, buffer=ExperienceBuffer(config.e))
     for data in datas:
         learn_task(state, data, strategy, config)
     return state
@@ -362,8 +359,7 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
                           class_count=class_count, weight_decay=config.decay,
                           seed=config.seed).activate(range(class_count))
-    state = RunState(model=model, buffer=ExperienceBuffer(config.e),
-                     config=config, strategy=strategy)
+    state = RunState(model=model, buffer=ExperienceBuffer(config.e))
     for task in tasks:
         learn_task(state, prepare_image_task(task), strategy, config)
     return state

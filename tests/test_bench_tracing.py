@@ -52,3 +52,23 @@ def test_install_counts_one_update_span_per_adam_step(tracing):
     assert names.count("mlp.fit") == 1
     assert AdamState.__dict__["update"] is update
     assert MlpModel.__dict__["fit"] is fit
+
+
+def test_graph_spans_and_spmm_flops_recorded(tracing):
+    # --trace 1 reads the adjacency's nnz and the propagated width in the
+    # graph.propagate counter; a graph-layer change that breaks it fails here.
+    from replaygraph import build_task_sequence, replay, synthetic_sbm_graph
+    graph = synthetic_sbm_graph([12] * 4, 0.3, 0.05, 0.2, seed=0)
+    task = build_task_sequence(graph, 2, 2, 4, seed=0).tasks[0]
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        replay.prepare_task_data(graph, task, k=2)
+    finally:
+        tracer.run = None
+        tracing.uninstall(patches)
+    names = [span[0] for span in tracer.spans]
+    for name in ("replay.prepare", "graph.subgraph", "graph.normalize", "graph.propagate"):
+        assert names.count(name) == 1, name
+    assert tracer.counts[0]["graph.spmm_flops"] > 0

@@ -146,6 +146,25 @@ class TestRemovedSettings:
             assert dests - {"config", "e_values", "help"} <= fields, name
 
 
+class TestFixtureSettings:
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(sbm_intra_p=1.5), "sbm_intra_p"),
+        (dict(sbm_inter_p=-0.1), "sbm_inter_p"),
+        (dict(sbm_test_per_class=0), "sbm_test_per_class"),
+        (dict(dataset="synthetic-images", model="mlp", syn_images_per_class=0),
+         "syn_images_per_class"),
+        (dict(dataset="synthetic-images", model="mlp", syn_images_per_class=20,
+              mnist_test_per_task=500), "mnist_test_per_task"),
+    ])
+    def test_rejected_before_anything_runs(self, tmp_path, capsys, overrides, key):
+        # each of these used to pass validate-config and then fail inside run
+        config = write_config(tmp_path, **overrides)
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            assert f"{key}: must " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -21,35 +21,51 @@ class TestGraphValidation:
         assert g.num_edges == 3
         assert g.feature_dim == 2
 
-    def test_offsets_must_be_nondecreasing(self):
-        with pytest.raises(GraphFormatError, match="non-decreasing"):
-            Graph(np.array([0, 2, 1, 2]), np.array([1, 0]),
-                  np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+    def test_adjacency_must_be_square(self):
+        with pytest.raises(GraphFormatError, match="square"):
+            Graph(sp.csr_matrix(np.ones((2, 3))), np.zeros((2, 1)),
+                  np.zeros(2, dtype=np.int64), 1)
 
-    def test_offsets_must_cover_neighbors(self):
-        with pytest.raises(GraphFormatError):
-            Graph(np.array([0, 1, 2, 5]), np.array([1, 0]),
-                  np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+    def test_adjacency_size_must_match_features(self):
+        with pytest.raises(GraphFormatError, match="num_nodes = 2"):
+            Graph(sp.csr_matrix(np.zeros((3, 3))), np.zeros((2, 1)),
+                  np.zeros(2, dtype=np.int64), 1)
+
+    def test_weighted_entry_rejected(self):
+        with pytest.raises(GraphFormatError, match="unweighted"):
+            Graph(sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])), np.zeros((2, 1)),
+                  np.zeros(2, dtype=np.int64), 1)
+
+    def test_duplicate_entries_count_as_weight(self):
+        duplicated = sp.csr_matrix((np.ones(4), np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
+                                   shape=(2, 2))
+        with pytest.raises(GraphFormatError, match="unweighted"):
+            Graph(duplicated, np.zeros((2, 1)), np.zeros(2, dtype=np.int64), 1)
 
     def test_neighbor_out_of_range(self):
         with pytest.raises(GraphFormatError, match="neighbor"):
-            Graph(np.array([0, 1, 2]), np.array([1, 7]),
-                  np.zeros((2, 1)), np.zeros(2, dtype=np.int64), 1)
+            graph_from_edges(2, [(0, 1), (1, 7)], np.zeros((2, 1)),
+                             np.zeros(2, dtype=np.int64), 1)
 
     def test_label_out_of_range(self):
         with pytest.raises(GraphFormatError, match="label"):
-            Graph(np.array([0, 1, 2]), np.array([1, 0]),
+            Graph(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
                   np.zeros((2, 1)), np.array([0, 3]), 2)
 
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(GraphFormatError, match="symmetric"):
-            Graph(np.array([0, 1, 1]), np.array([1]),
+            Graph(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
                   np.zeros((2, 1)), np.zeros(2, dtype=np.int64), 1)
+
+    def test_adjacency_is_stored_as_float64_csr(self):
+        g = Graph(sp.coo_matrix(np.array([[0, 1], [1, 0]])), np.zeros((2, 1)),
+                  np.zeros(2, dtype=np.int64), 1)
+        assert g.adjacency.format == "csr" and g.adjacency.dtype == np.float64
+        assert g.num_edges == 1
 
     def test_dense_features_are_stored_as_float64_csr(self):
         features = np.array([[1, 0, -0.0], [0, 0, 2]])
-        g = Graph(np.array([0, 1, 2]), np.array([1, 0]), features,
-                  np.zeros(2, dtype=np.int64), 1)
+        g = Graph(sp.csr_matrix((2, 2)), features, np.zeros(2, dtype=np.int64), 1)
         assert sp.issparse(g.features) and g.features.format == "csr"
         assert g.features.dtype == np.float64
         assert np.array_equal(g.features.toarray(), features)
@@ -57,15 +73,38 @@ class TestGraphValidation:
 
     def test_features_must_be_2d(self):
         with pytest.raises(GraphFormatError, match="2-D"):
-            Graph(np.array([0, 0, 0]), np.array([], dtype=np.int64),
-                  np.zeros(2), np.zeros(2, dtype=np.int64), 1)
+            Graph(sp.csr_matrix((2, 2)), np.zeros(2), np.zeros(2, dtype=np.int64), 1)
 
     def test_from_edges_symmetrizes_dedupes_and_drops_self_loops(self):
         g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 2)],
                              np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
         assert g.num_edges == 1
-        assert len(g.csr_neighbors) == 2
-        assert g.adjacency()[2, 2] == 0
+        assert g.adjacency.nnz == 2
+        assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+class TestGraphFromEdges:
+    def build(self, edges, n=3):
+        return graph_from_edges(n, edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2), dtype=np.int64)])
+    def test_empty_edge_list(self, edges):
+        g = self.build(edges)
+        assert g.num_edges == 0
+        assert g.adjacency.shape == (3, 3)
+
+    def test_array_and_generator_match_list(self):
+        pairs = [(0, 1), (2, 1), (1, 2), (1, 1)]
+        expected = self.build(pairs).adjacency.toarray()
+        assert np.array_equal(expected, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        for edges in (np.array(pairs), (pair for pair in pairs)):
+            adjacency = self.build(edges).adjacency
+            assert adjacency.has_canonical_format
+            assert np.array_equal(adjacency.toarray(), expected)
+
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(GraphFormatError, match="pairs"):
+            self.build(np.array([[0, 1, 2]]))
 
 
 class TestNormalizeAdjacency:
@@ -174,35 +213,47 @@ class TestPropagate:
 class TestInducedSubgraph:
     def test_all_nodes_preserves_structure(self, rng):
         g = random_graph(rng, 10)
-        sub, mapping = induced_subgraph(g, list(range(10)))
+        sub = induced_subgraph(g, list(range(10)))
         assert sub.num_edges == g.num_edges
         assert np.array_equal(sub.labels, g.labels)
-        assert mapping == {i: i for i in range(10)}
+        assert (sub.adjacency != g.adjacency).nnz == 0
 
     def test_single_node(self):
         g = path_graph(4)
-        sub, mapping = induced_subgraph(g, [2])
+        sub = induced_subgraph(g, [2])
         assert sub.num_nodes == 1
         assert sub.num_edges == 0
         assert np.array_equal(sub.features.toarray(), g.features.toarray()[[2]])
 
     def test_path_keeping_endpoints_drops_edges(self):
         g = path_graph(3)
-        sub, _ = induced_subgraph(g, [0, 2])
+        sub = induced_subgraph(g, [0, 2])
         assert sub.num_nodes == 2
         assert sub.num_edges == 0
 
     def test_labels_follow_nodes(self):
         g = graph_from_edges(3, [(0, 1)], np.zeros((3, 1)), np.array([0, 1, 2]), 3)
-        sub, mapping = induced_subgraph(g, [1, 2])
-        assert sub.labels[mapping[1]] == 1
-        assert sub.labels[mapping[2]] == 2
+        sub = induced_subgraph(g, [2, 1])
+        # nodes are renumbered in ascending order of their ids in g
+        assert np.array_equal(sub.labels, [1, 2])
+
+    def test_positions_follow_ascending_node_ids(self, rng):
+        g = random_graph(rng, 15)
+        nodes = np.array([8, 2, 13, 5, 2])
+        sub = induced_subgraph(g, nodes)
+        keep = np.unique(nodes)
+        pos = np.searchsorted(keep, nodes)
+        dense = g.adjacency.toarray()
+        assert np.array_equal(sub.adjacency.toarray(), dense[np.ix_(keep, keep)])
+        assert np.array_equal(sub.adjacency.toarray()[np.ix_(pos, pos)],
+                              dense[np.ix_(nodes, nodes)])
+        assert np.array_equal(sub.features.toarray()[pos], g.features.toarray()[nodes])
+        assert np.array_equal(sub.labels[pos], g.labels[nodes])
 
     def test_symmetry_preserved(self, rng):
         g = random_graph(rng, 15)
-        sub, _ = induced_subgraph(g, [0, 2, 4, 6, 8])
-        adj = sub.adjacency()
-        assert (adj != adj.T).nnz == 0
+        sub = induced_subgraph(g, [0, 2, 4, 6, 8])
+        assert (sub.adjacency != sub.adjacency.T).nnz == 0
 
     def test_empty_set_rejected(self):
         g = path_graph(3)

@@ -158,10 +158,10 @@ class TestPrepareTaskData:
         seq = sbm_sequence()
         task = seq.tasks[0]
         data = prepare_task_data(seq.graph, task, k=2)
-        sub, mapping = induced_subgraph(
-            seq.graph, np.concatenate([task.train_nodes, task.test_nodes]))
+        nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
+        sub = induced_subgraph(seq.graph, nodes)
         expected = propagate(normalize_adjacency(sub), sub.features, 2).values
-        rows = [mapping[node] for node in data.train.node.tolist()]
+        rows = np.searchsorted(nodes, data.train.node)
         assert np.allclose(data.train.x, expected[rows])
 
     def test_candidates_keep_raw_attributes(self):
