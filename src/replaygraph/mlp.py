@@ -6,10 +6,12 @@ names; ``MlpModel.init`` builds the two-hidden-layer net for permuted images.
 One output row per global class, restricted to a mask of currently relevant
 classes, lets a single parameter set serve every task in a sequence. Loss is
 SUM-reduced over rows (this makes the replay weight factor balance exact);
-``hvp`` applies the Gauss-Newton curvature (Schraudolph 2002) of the per-row
-MEAN loss, the operator the influence approximation inverts. It is positive
-semidefinite, so conjugate gradients converge on the damped solve, and at
-depth 0 it is the exact Hessian.
+``curvature`` builds the Gauss-Newton operator (Schraudolph 2002) of the
+per-row MEAN loss, the operator the influence approximation inverts: one
+forward pass per operator, then one R-forward and one backward pass per
+product (``hvp`` is a single product). It is positive semidefinite, so
+conjugate gradients converge on the damped solve, and at depth 0 it is the
+exact Hessian.
 """
 
 from __future__ import annotations
@@ -199,34 +201,57 @@ class MlpModel:
         return (self._ce_gradient(batch.x, label_positions(mask_arr, batch.y), batch.w, mask_arr)
                 + self.weight_decay * self.get_flat())
 
-    def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
-            damping: float = 0.0) -> np.ndarray:
-        """(G + damping I) v for G the Gauss-Newton matrix of
-        ``loss(batch) / len(batch)``.
+    def curvature(self, batch: Batch, mask=None, damping: float = 0.0):
+        """The operator ``v -> (G + damping I) v`` for G the Gauss-Newton
+        matrix of ``loss(batch) / len(batch)``.
 
         ``G = (sum_i w_i J_i^T (diag p_i - p_i p_i^T) J_i + weight_decay I) / n``
         with ``J_i`` the Jacobian of row i's masked logits: the Hessian minus
         the terms that need second derivatives of the network, so at depth 0
-        the Hessian itself. Exact, in one R-forward pass (Pearlmutter 1994)
-        for ``J v`` and one backward pass for ``J^T``.
+        the Hessian itself. The forward pass, the softmax and the ReLU
+        patterns do not depend on ``v``, so they are computed once, here;
+        each product is then exact in one R-forward pass (Pearlmutter 1994)
+        for ``J v`` and one backward pass for ``J^T``. The operator holds a
+        copy of the parameters, so later changes to the model do not reach
+        it. Each product is a new array that later products leave alone.
         """
-        v = self._vector(v)
         if damping < 0:
             raise ValueError("damping must be >= 0")
-        mask_arr = self.resolve_mask(mask)
+        net = self.copy()
+        mask_arr = net.resolve_mask(mask)
         label_positions(mask_arr, batch.y)
-        acts, z = self._forward(batch.x, mask_arr)
+        acts, z = net._forward(batch.x, mask_arr)
         p = np.exp(z - logsumexp(z, keepdims=True))
-        layers = _head_rows(self.layers, mask_arr)
-        r = None  # directional derivative of the current layer's output along v
-        for i, ((w, _), (vw, vb)) in enumerate(zip(layers, _head_rows(self._split(v), mask_arr))):
-            r = (acts[i] @ vw.T if r is None else r @ w.T + acts[i] @ vw.T) + vb
-            if i + 1 < len(layers):
-                r = r * (acts[i + 1] > 0)
-        q = p * r - p * np.sum(p * r, axis=1, keepdims=True)
-        q *= batch.w[:, None]
-        flat = self._backprop(acts, q, mask_arr) + self.weight_decay * v
-        return flat / len(batch) + damping * v
+        layers = _head_rows(net.layers, mask_arr)
+        active = [a > 0 for a in acts[1:]]
+        row_w, n, decay = batch.w[:, None], len(batch), net.weight_decay
+        scaled = np.empty(net.num_params)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v = net._vector(v)
+            r = None  # directional derivative of the current layer's output along v
+            for i, ((w, _), (vw, vb)) in enumerate(zip(layers,
+                                                       _head_rows(net._split(v), mask_arr))):
+                r = (acts[i] @ vw.T if r is None else r @ w.T + acts[i] @ vw.T) + vb
+                if i < len(active):
+                    r *= active[i]
+            q = p * r - p * np.sum(p * r, axis=1, keepdims=True)
+            q *= row_w
+            flat = net._backprop(acts, q, mask_arr)
+            flat += np.multiply(decay, v, out=scaled)
+            flat /= n
+            flat += np.multiply(damping, v, out=scaled)
+            return flat
+
+        return apply
+
+    def hvp(self, batch: Batch, mask=None, v: np.ndarray = None,
+            damping: float = 0.0) -> np.ndarray:
+        """``curvature(batch, mask, damping)(v)``: one Gauss-Newton-vector
+        product. A solve that takes many products builds the operator once
+        with :meth:`curvature` instead, so the forward pass runs once."""
+        v = self._vector(v)
+        return self.curvature(batch, mask, damping)(v)
 
     def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:
         """Per-row inner products <grad CE_i, vec> via layerwise bilinear

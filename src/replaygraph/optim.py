@@ -8,6 +8,7 @@ loop, full-batch or mini-batch, that every model's ``fit`` runs; it steps one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,22 +56,23 @@ class AdamState:
         """One bias-corrected Adam step, in place: overwrites ``m``, ``v`` and
         ``theta`` and returns ``theta``; ``grad`` is only read.
 
-        The arithmetic is the textbook step's, operation for operation:
-        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-        ``theta - lr m_hat / (sqrt(v_hat) + eps)``.
+        ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g g``, then the
+        bias corrections ``bc1 = 1 - b1^t`` and ``bc2 = 1 - b2^t`` folded
+        into two scalars (Kingma & Ba 2015, end of section 2):
+        ``theta - (lr sqrt(bc2) / bc1) m / (sqrt(v) + eps sqrt(bc2))``, the
+        textbook ``theta - lr m_hat / (sqrt(v_hat) + eps)`` up to rounding.
         """
         self.step += 1
+        root_bc2 = math.sqrt(1.0 - config.beta2 ** self.step)
         num, den = self.work
         self.m *= config.beta1
         self.m += np.multiply(1.0 - config.beta1, grad, out=num)
         self.v *= config.beta2
         np.multiply(1.0 - config.beta2, grad, out=num)
         self.v += np.multiply(num, grad, out=num)
-        np.divide(self.v, 1.0 - config.beta2 ** self.step, out=den)
-        np.sqrt(den, out=den)
-        den += config.eps
-        np.divide(self.m, 1.0 - config.beta1 ** self.step, out=num)
-        num *= config.lr
+        np.sqrt(self.v, out=den)
+        den += config.eps * root_bc2
+        np.multiply(config.lr * root_bc2 / (1.0 - config.beta1 ** self.step), self.m, out=num)
         theta -= np.divide(num, den, out=num)
         return theta
 

@@ -150,6 +150,7 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
+    step = np.empty_like(rhs)  # alpha * p, then alpha * Ap: x, r and p update in place
     rr = float(r @ r)
     for iteration in range(1, limit + 1):
         ap = hvp_fn(p)
@@ -160,14 +161,15 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
         if curvature == 0.0:
             return CgResult(x, float(np.sqrt(rr)), iteration - 1, False)
         alpha = rr / curvature
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         rr_new = float(r @ r)
         if not np.isfinite(rr_new):
             raise RuntimeError(f"CG residual became non-finite at iteration {iteration}")
         if np.sqrt(rr_new) <= settings.residual_tol * rhs_norm:
             return CgResult(x, float(np.sqrt(rr_new)), iteration, True)
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     return CgResult(x, float(np.sqrt(rr)), limit, False)
 
@@ -196,8 +198,7 @@ def influence_scores(model, train: Batch, probes: Batch,
     probe_norm = float(np.linalg.norm(g_probe))
     if probe_norm == 0.0:
         return np.zeros(len(train))
-    result = cg_solve(lambda v: model.hvp(pop, mask, v, damping=settings.damping),
-                      g_probe, settings)
+    result = cg_solve(model.curvature(pop, mask, settings.damping), g_probe, settings)
     if not result.converged:
         logger.warning("influence CG solve stopped unconverged after %d iteration(s), "
                        "relative residual %.3g", result.iterations,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,9 +76,21 @@ def dense_gauss_newton(model, batch, mask=None, h=1e-6):
     return gn / n + (model.weight_decay / n) * np.eye(theta.size)
 
 
+def folded_adam_step(theta, m, v, step, grad, config):
+    """One Adam step on new vectors with the bias corrections folded into the
+    step size and eps (Kingma & Ba 2015, end of section 2), the arithmetic
+    ``AdamState.update`` does in place: returns ``(theta, m, v)`` after step
+    number ``step``."""
+    m = config.beta1 * m + (1.0 - config.beta1) * grad
+    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+    root_bc2 = math.sqrt(1.0 - config.beta2 ** step)
+    step_size = config.lr * root_bc2 / (1.0 - config.beta1 ** step)
+    return theta - step_size * m / (np.sqrt(v) + config.eps * root_bc2), m, v
+
+
 def textbook_adam_step(theta, m, v, step, grad, config):
-    """One bias-corrected Adam step (Kingma & Ba 2015) on new vectors:
-    returns ``(theta, m, v)`` after step number ``step``."""
+    """One bias-corrected Adam step (Kingma & Ba 2015, Algorithm 1) on new
+    vectors: returns ``(theta, m, v)`` after step number ``step``."""
     m = config.beta1 * m + (1.0 - config.beta1) * grad
     v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
     m_hat = m / (1.0 - config.beta1 ** step)

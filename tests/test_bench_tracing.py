@@ -2,6 +2,7 @@
 lists must still exist where it looks for it, and its spans must still count
 what they name."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -52,6 +53,32 @@ def test_install_counts_one_update_span_per_adam_step(tracing):
     assert names.count("mlp.fit") == 1
     assert AdamState.__dict__["update"] is update
     assert MlpModel.__dict__["fit"] is fit
+
+
+def test_install_counts_the_iterations_of_one_influence_solve(tracing):
+    # --trace 1 reads selection.cg_iters off the cg_solve span: an im
+    # selection must still reach cg_solve through the traced name, once.
+    from replaygraph import Batch, MlpModel, selection
+    rng = np.random.default_rng(0)
+    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3, weight_decay=0.01,
+                          active_classes=range(3))
+    train, probes = (Batch(rng.standard_normal((n, 5)), rng.integers(0, 3, n)) for n in (9, 6))
+    settings = selection.MLP_CG
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        selection.select_im(model, train, 2, probes, settings, population=train)
+    finally:
+        tracer.run = None
+        tracing.uninstall(patches)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("selection.cg") == 1
+    g_probe = dataclasses.replace(model, weight_decay=0.0).gradient(probes)
+    solve = selection.cg_solve(model.curvature(train, None, settings.damping), g_probe,
+                               settings)
+    assert solve.iterations > 0
+    assert tracer.counts[0]["selection.cg_iters"] == solve.iterations
 
 
 def test_graph_spans_and_spmm_flops_recorded(tracing):

@@ -8,7 +8,7 @@ from replaygraph import (AdamState, Batch, LinearModel, LossGroup, MaskError, Ml
 from replaygraph.linear import label_positions, logsumexp, stack_samples
 
 from conftest import (batch_of, dense_gauss_newton, finite_difference_gradient,
-                      model_of_depth, textbook_adam_step)
+                      folded_adam_step, model_of_depth)
 
 
 def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0,
@@ -72,7 +72,7 @@ def reference_fit(model, groups, config):
             grads[-1] = (dw, db)
             grad += np.concatenate([a.ravel() for layer in grads for a in layer])
             step += 1
-            theta, m, v = textbook_adam_step(theta, m, v, step, grad, config)
+            theta, m, v = folded_adam_step(theta, m, v, step, grad, config)
     return theta
 
 
@@ -117,7 +117,7 @@ def per_group_reference_fit(model, groups, config):
                 grads[-1] = (dw, db)
                 grad += coeff * np.concatenate([a.ravel() for layer in grads for a in layer])
             step += 1
-            theta, m, v = textbook_adam_step(theta, m, v, step, grad, config)
+            theta, m, v = folded_adam_step(theta, m, v, step, grad, config)
     return theta
 
 
@@ -236,6 +236,73 @@ class TestHvp:
         model = tiny_net()
         with pytest.raises(ValueError):
             model.hvp(random_samples(rng, model, 2), v=np.zeros(5))
+
+
+def reference_hvp(model, batch, mask, v, damping):
+    """The Gauss-Newton-vector product written out of place, forward pass
+    included: the arithmetic every curvature product must reproduce."""
+    mask_arr = model.resolve_mask(mask)
+    acts, z = model._forward(batch.x, mask_arr)
+    p = np.exp(z - logsumexp(z, keepdims=True))
+    layers = model.layers[:-1] + [tuple(a[mask_arr] for a in model.layers[-1])]
+    split = model._split(v)
+    split[-1] = tuple(a[mask_arr] for a in split[-1])
+    r = None
+    for i, ((w, _), (vw, vb)) in enumerate(zip(layers, split)):
+        r = (acts[i] @ vw.T if r is None else r @ w.T + acts[i] @ vw.T) + vb
+        if i + 1 < len(layers):
+            r = r * (acts[i + 1] > 0)
+    q = (p * r - p * np.sum(p * r, axis=1, keepdims=True)) * batch.w[:, None]
+    flat = model._backprop(acts, q, mask_arr) + model.weight_decay * v
+    return flat / len(batch) + damping * v
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("mask", [None, (0, 2, 3)])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_products_match_hvp_and_reference_bit_for_bit(self, rng, depth, mask, damping):
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.05)
+        model.set_flat(0.5 * rng.standard_normal(model.num_params))
+        samples = random_samples(rng, model, 7, classes=mask)  # weights in [0.5, 2]
+        apply = model.curvature(samples, mask, damping)
+        for _ in range(3):
+            v = rng.standard_normal(model.num_params)
+            got = apply(v)
+            assert np.array_equal(got, model.hvp(samples, mask, v, damping))
+            assert np.array_equal(got, reference_hvp(model, samples, mask, v, damping))
+
+    def test_held_products_stay_distinct_and_correct(self, rng):
+        model = tiny_net(seed=2, weight_decay=0.01, generic=True)
+        samples = random_samples(rng, model, 5)
+        apply = model.curvature(samples, damping=0.1)
+        u, v = rng.standard_normal((2, model.num_params))
+        gu = apply(u)
+        gv = apply(v)
+        assert not np.shares_memory(gu, gv)
+        assert np.array_equal(gu, reference_hvp(model, samples, None, u, 0.1))
+        assert np.array_equal(gv, reference_hvp(model, samples, None, v, 0.1))
+
+    def test_operator_keeps_the_parameters_it_was_built_at(self, rng):
+        model = tiny_net(seed=5, generic=True)
+        samples = random_samples(rng, model, 5)
+        v = rng.standard_normal(model.num_params)
+        before = model.hvp(samples, v=v)
+        apply = model.curvature(samples)
+        theta = model.get_flat()
+        model.layers = model._split(theta)  # views, as fit's scratch model holds
+        theta += 1.0
+        assert np.array_equal(apply(v), before)
+
+    def test_bad_damping_and_labels_rejected_when_built(self, rng):
+        model = tiny_net()
+        samples = random_samples(rng, model, 3, classes=(0, 1))
+        with pytest.raises(ValueError, match="damping"):
+            model.curvature(samples, damping=-1.0)
+        with pytest.raises(MaskError):
+            model.curvature(samples, mask=(2,))
+        with pytest.raises(ValueError):
+            model.curvature(samples)(np.zeros(5))
 
 
 class TestGradientDots:

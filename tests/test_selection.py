@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 
 from replaygraph import selection
 from replaygraph.linear import Batch, LinearModel, stack_samples
+from replaygraph.mlp import MlpModel
 from replaygraph.selection import (CgSettings, cg_solve, class_rows, coverage_counts,
                                    fit_to_stationarity, influence_scores,
                                    loo_parameter_change, loo_retrain_oracle,
@@ -325,6 +326,51 @@ class TestInfluenceScores:
                         / (np.linalg.norm(predicted) * np.linalg.norm(actual)))
             cosines.append(cos)
         assert min(cosines) >= 0.9
+
+
+class TestInfluenceOperator:
+    """``influence_scores`` builds the curvature operator once per solve."""
+
+    @staticmethod
+    def mlp_problem():
+        rng = np.random.default_rng(3)
+        model = MlpModel.init(input_dim=6, hidden_dim=5, class_count=4, weight_decay=0.01,
+                              seed=1, active_classes=range(4))
+        model.set_flat(0.5 * rng.standard_normal(model.num_params))
+
+        def rows(n):
+            return Batch(rng.standard_normal((n, 6)), rng.choice([0, 2, 3], n),
+                         rng.uniform(0.5, 2.0, n))
+
+        return model, rows(12), rows(5), rows(20), (0, 2, 3)
+
+    @pytest.mark.parametrize("max_iters", [1, 20])
+    def test_three_forward_passes_whatever_the_iteration_count(self, monkeypatch, max_iters):
+        model, train, probes, population, mask = self.mlp_problem()
+        settings = CgSettings(max_iters=max_iters, residual_tol=1e-12)
+        g_probe = dataclasses.replace(model, weight_decay=0.0).gradient(probes, mask)
+        solve = cg_solve(model.curvature(population, mask, settings.damping), g_probe, settings)
+        assert solve.iterations == max_iters  # the cap, not convergence, ends both solves
+        forward = MlpModel._forward
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(MlpModel, "_forward", counted)
+        influence_scores(model, train, probes, settings, mask, population)
+        assert len(calls) == 3  # probe gradient, curvature operator, gradient dots
+
+    def test_scores_match_per_product_hvp_bit_for_bit(self):
+        model, train, probes, population, mask = self.mlp_problem()
+        settings = CgSettings(residual_tol=1e-8)
+        g_probe = dataclasses.replace(model, weight_decay=0.0).gradient(probes, mask)
+        solve = cg_solve(lambda v: model.hvp(population, mask, v, settings.damping),
+                         g_probe, settings)
+        assert solve.converged and solve.iterations > 1
+        assert np.array_equal(influence_scores(model, train, probes, settings, mask, population),
+                              -model.gradient_dots(train, mask, solve.solution))
 
 
 class TestSelectIm:
