@@ -136,7 +136,7 @@ class ExperimentConfig:
 
     # -- validation --
 
-    def validate(self, check_paths: bool = True) -> list[str]:
+    def validate(self) -> list[str]:
         """All violations, each prefixed with the offending key. Values of the
         wrong type are reported alone, before any range is checked."""
         errors = []
@@ -178,27 +178,25 @@ class ExperimentConfig:
                 and self.model != "sgc":
             errors.append(f"model: dataset {self.dataset!r} requires model 'sgc'")
 
-        if check_paths:
-            if self.dataset in ("cora", "citeseer", "citation"):
-                content, cites = self.citation_paths()
-                if content is None or (self.content is None
-                                       and self.dataset == "citation"):
-                    errors.append("content: required for citation datasets "
-                                  f"(set the flag or {DATA_DIR_ENV})")
-                elif not content.exists():
-                    errors.append(f"content: {content} does not exist")
-                if cites is None or (self.cites is None and self.dataset == "citation"):
-                    errors.append("cites: required for citation datasets "
-                                  f"(set the flag or {DATA_DIR_ENV})")
-                elif not cites.exists():
-                    errors.append(f"cites: {cites} does not exist")
-            if self.dataset == "permuted-mnist":
-                root = self.mnist_path()
-                if root is None:
-                    errors.append(f"mnist_dir: required for permuted-mnist "
-                                  f"(set the flag or {DATA_DIR_ENV})")
-                elif not root.exists():
-                    errors.append(f"mnist_dir: {root} does not exist")
+        if self.dataset in ("cora", "citeseer", "citation"):
+            content, cites = self.citation_paths()
+            if content is None:
+                errors.append("content: required for citation datasets "
+                              f"(set the flag or {DATA_DIR_ENV})")
+            elif not content.exists():
+                errors.append(f"content: {content} does not exist")
+            if cites is None:
+                errors.append("cites: required for citation datasets "
+                              f"(set the flag or {DATA_DIR_ENV})")
+            elif not cites.exists():
+                errors.append(f"cites: {cites} does not exist")
+        if self.dataset == "permuted-mnist":
+            root = self.mnist_path()
+            if root is None:
+                errors.append(f"mnist_dir: required for permuted-mnist "
+                              f"(set the flag or {DATA_DIR_ENV})")
+            elif not root.exists():
+                errors.append(f"mnist_dir: {root} does not exist")
         return errors
 
     def replay_config(self, seed: int) -> ReplayConfig:
@@ -278,7 +276,7 @@ def _write_artifacts(out: Path, result: dict) -> None:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, write_report: bool = True) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run every seed, write per-seed artifacts plus ``report.json``, and
     return the aggregate report."""
     errors = config.validate()
@@ -309,8 +307,7 @@ def run_experiment(config: ExperimentConfig, write_report: bool = True) -> dict:
                       "per_task_forgetting": r["per_task_forgetting"]}
                      for r in results],
     }
-    if write_report:
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 

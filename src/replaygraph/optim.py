@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Adam's decay rates and denominator guard, Kingma & Ba 2015's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     """Parameters became non-finite during optimization."""
 
@@ -28,9 +32,6 @@ class TrainConfig:
 
     epochs: int = 100
     lr: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int | None = None
     seed: int = 0
 
@@ -56,23 +57,24 @@ class AdamState:
         """One bias-corrected Adam step, in place: overwrites ``m``, ``v`` and
         ``theta`` and returns ``theta``; ``grad`` is only read.
 
-        ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g g``, then the
-        bias corrections ``bc1 = 1 - b1^t`` and ``bc2 = 1 - b2^t`` folded
-        into two scalars (Kingma & Ba 2015, end of section 2):
+        ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g g`` (``b1``,
+        ``b2`` and ``eps`` are ``BETA1``, ``BETA2`` and ``EPS``), then the bias
+        corrections ``bc1 = 1 - b1^t`` and ``bc2 = 1 - b2^t`` folded into two
+        scalars (Kingma & Ba 2015, end of section 2):
         ``theta - (lr sqrt(bc2) / bc1) m / (sqrt(v) + eps sqrt(bc2))``, the
         textbook ``theta - lr m_hat / (sqrt(v_hat) + eps)`` up to rounding.
         """
         self.step += 1
-        root_bc2 = math.sqrt(1.0 - config.beta2 ** self.step)
+        root_bc2 = math.sqrt(1.0 - BETA2 ** self.step)
         num, den = self.work
-        self.m *= config.beta1
-        self.m += np.multiply(1.0 - config.beta1, grad, out=num)
-        self.v *= config.beta2
-        np.multiply(1.0 - config.beta2, grad, out=num)
+        self.m *= BETA1
+        self.m += np.multiply(1.0 - BETA1, grad, out=num)
+        self.v *= BETA2
+        np.multiply(1.0 - BETA2, grad, out=num)
         self.v += np.multiply(num, grad, out=num)
         np.sqrt(self.v, out=den)
-        den += config.eps * root_bc2
-        np.multiply(config.lr * root_bc2 / (1.0 - config.beta1 ** self.step), self.m, out=num)
+        den += EPS * root_bc2
+        np.multiply(config.lr * root_bc2 / (1.0 - BETA1 ** self.step), self.m, out=num)
         theta -= np.divide(num, den, out=num)
         return theta
 

@@ -2,14 +2,12 @@
 and buffered samples, select a few training examples into the buffer, and
 score the model on every task seen so far.
 
-The loop is model-agnostic: anything exposing activate/fit/loss/predict and
-``embed`` works. Graph tasks train the depth-0 MlpModel (softmax regression
-on propagated features), image tasks the two-hidden-layer one.
+The loop runs ``MlpModel``: graph tasks train the depth-0 model (softmax
+regression on propagated features), image tasks the two-hidden-layer one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,40 +108,40 @@ class ExperienceBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rows: Batch | None = None
-        self._counts: Counter[tuple[int, int]] = Counter()
 
     def add(self, rows: Batch) -> None:
-        """Store rows carrying ``task`` and ``node`` columns; all or nothing."""
+        """Store rows carrying ``task`` and ``node`` columns; all or nothing.
+        Adding no rows changes nothing."""
         if rows.task is None or rows.node is None:
             raise ValueError("buffer rows need task and node columns")
+        if len(rows) == 0:
+            return
         finite = np.all(np.isfinite(rows.x), axis=1)
         if not finite.all():
             raise ValueError(f"node {rows.node[~finite][0]}: non-finite input representation")
-        staged = Counter(zip(rows.task.tolist(), rows.y.tolist()))
-        for key, new in staged.items():
-            have = self._counts[key]
-            if have + new > self.capacity:
-                raise ValueError(f"buffer capacity {self.capacity} exceeded for "
-                                 f"(task, class) {key}: {have} stored + {new} new")
-        self._counts.update(staged)
-        kept = Batch(rows.x, rows.y, node=rows.node, task=rows.task)
-        self._rows = kept if self._rows is None else stack_samples([self._rows, kept])
+        new = Batch(rows.x, rows.y, node=rows.node, task=rows.task)
+        merged = new if self._rows is None else stack_samples([self._rows, new])
+        pairs, sizes = np.unique(np.column_stack([merged.task, merged.y]), axis=0,
+                                 return_counts=True)
+        over = np.flatnonzero(sizes > self.capacity)
+        if over.size:
+            (task, label), size = pairs[over[0]].tolist(), int(sizes[over[0]])
+            fresh = int(np.sum((new.task == task) & (new.y == label)))
+            raise ValueError(f"buffer capacity {self.capacity} exceeded for (task, class) "
+                             f"{(task, label)}: {size - fresh} stored + {fresh} new")
+        # a stable sort, so the oldest row stays first within a pair
+        self._rows = merged.take(np.lexsort((merged.y, merged.task)))
 
     def batch(self) -> Batch | None:
         """Stored rows ordered by (task, class), oldest first within a pair;
         None while empty."""
-        if self._rows is None:
-            return None
-        return self._rows.take(np.lexsort((self._rows.y, self._rows.task)))
+        return self._rows
 
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted({label for _, label in self._counts}))
-
-    def counts(self) -> dict[tuple[int, int], int]:
-        return dict(sorted(self._counts.items()))
+        return () if self._rows is None else tuple(np.unique(self._rows.y).tolist())
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return 0 if self._rows is None else len(self._rows)
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,7 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
 
     selected = train.take(_select(state.model, strategy, train, probes, buffer, config,
                                   data.task_id))
-    if len(selected):
-        state.buffer.add(selected)
+    state.buffer.add(selected)
 
     state.history.append(data)
     seen = state.seen_classes()
@@ -345,17 +342,20 @@ def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunS
 
 
 def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
-                    hidden_dim: int = 256, class_count: int = 10) -> RunState:
+                    hidden_dim: int = 256) -> RunState:
     """Run the loop over permuted-image tasks with the MLP.
 
-    All tasks share the label space, so every class is active from the start
-    and the buffer's per-(task, class) keying is what keeps capacities right.
+    All tasks share the label space, classes 0 up to the largest train or
+    test label, so every class is active from the start and the buffer's
+    per-(task, class) keying is what keeps capacities right.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not tasks:
         raise ValueError("no image tasks given")
     input_dim = tasks[0].train_images.shape[1]
+    class_count = 1 + max(int(labels.max()) for task in tasks
+                          for labels in (task.train_labels, task.test_labels))
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
                           class_count=class_count, weight_decay=config.decay,
                           seed=config.seed).activate(range(class_count))

@@ -65,34 +65,26 @@ def select_mf(batch: Batch, e: int, geometry: np.ndarray) -> np.ndarray:
     return np.concatenate(chosen)
 
 
-def coverage_counts(batch: Batch, geometry: np.ndarray,
-                    d: float | str = "auto") -> tuple[np.ndarray, float]:
-    """|N(v)| per candidate row: other-class candidates strictly within
-    distance d in ``geometry``.
-
-    ``d="auto"`` uses the median cross-class pairwise distance; with a single
-    class every count is zero and d is irrelevant.
+def coverage_counts(batch: Batch, geometry: np.ndarray) -> tuple[np.ndarray, float]:
+    """|N(v)| per candidate row, other-class candidates strictly within
+    distance d in ``geometry``, and d: the median cross-class pairwise
+    distance. With a single class every count is zero and d is 0.
     """
     from scipy.spatial.distance import pdist, squareform  # slow to import; only cm needs it
     dist = squareform(pdist(geometry))
     other = batch.y[:, None] != batch.y[None, :]
-    if d == "auto":
-        # Each cross-class pair appears twice; the median of the doubled set
-        # is the median of the pairs.
-        d_val = float(np.median(dist[other])) if other.any() else 0.0
-    else:
-        d_val = float(d)
-        if d_val <= 0:
-            raise ValueError(f"d must be positive, got {d_val}")
-    return np.sum((dist < d_val) & other, axis=1), d_val
+    # Each cross-class pair appears twice; the median of the doubled set is
+    # the median of the pairs.
+    d = float(np.median(dist[other])) if other.any() else 0.0
+    return np.sum((dist < d) & other, axis=1), d
 
 
-def select_cm(batch: Batch, e: int, geometry: np.ndarray,
-              d: float | str = "auto") -> np.ndarray:
+def select_cm(batch: Batch, e: int, geometry: np.ndarray) -> np.ndarray:
     """Per class, the e candidates with the fewest other-class neighbors
-    within distance d (they sit in sparsely contested regions)."""
+    within the median cross-class distance (they sit in sparsely contested
+    regions)."""
     groups = _candidate_classes(batch, e)
-    counts, _ = coverage_counts(batch, geometry, d)
+    counts, _ = coverage_counts(batch, geometry)
     return np.concatenate([_take_lowest(rows, counts[rows], e) for _, rows in groups])
 
 

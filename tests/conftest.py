@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from replaygraph import Batch, LinearModel, MlpModel
+from replaygraph import Batch, LinearModel, MlpModel, optim
 
 
 @pytest.fixture
@@ -81,18 +81,18 @@ def folded_adam_step(theta, m, v, step, grad, config):
     step size and eps (Kingma & Ba 2015, end of section 2), the arithmetic
     ``AdamState.update`` does in place: returns ``(theta, m, v)`` after step
     number ``step``."""
-    m = config.beta1 * m + (1.0 - config.beta1) * grad
-    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-    root_bc2 = math.sqrt(1.0 - config.beta2 ** step)
-    step_size = config.lr * root_bc2 / (1.0 - config.beta1 ** step)
-    return theta - step_size * m / (np.sqrt(v) + config.eps * root_bc2), m, v
+    m = optim.BETA1 * m + (1.0 - optim.BETA1) * grad
+    v = optim.BETA2 * v + (1.0 - optim.BETA2) * grad * grad
+    root_bc2 = math.sqrt(1.0 - optim.BETA2 ** step)
+    step_size = config.lr * root_bc2 / (1.0 - optim.BETA1 ** step)
+    return theta - step_size * m / (np.sqrt(v) + optim.EPS * root_bc2), m, v
 
 
 def textbook_adam_step(theta, m, v, step, grad, config):
     """One bias-corrected Adam step (Kingma & Ba 2015, Algorithm 1) on new
     vectors: returns ``(theta, m, v)`` after step number ``step``."""
-    m = config.beta1 * m + (1.0 - config.beta1) * grad
-    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-    m_hat = m / (1.0 - config.beta1 ** step)
-    v_hat = v / (1.0 - config.beta2 ** step)
-    return theta - config.lr * m_hat / (np.sqrt(v_hat) + config.eps), m, v
+    m = optim.BETA1 * m + (1.0 - optim.BETA1) * grad
+    v = optim.BETA2 * v + (1.0 - optim.BETA2) * grad * grad
+    m_hat = m / (1.0 - optim.BETA1 ** step)
+    v_hat = v / (1.0 - optim.BETA2 ** step)
+    return theta - config.lr * m_hat / (np.sqrt(v_hat) + optim.EPS), m, v

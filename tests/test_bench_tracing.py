@@ -99,3 +99,24 @@ def test_graph_spans_and_spmm_flops_recorded(tracing):
     for name in ("replay.prepare", "graph.subgraph", "graph.normalize", "graph.propagate"):
         assert names.count(name) == 1, name
     assert tracer.counts[0]["graph.spmm_flops"] > 0
+
+
+@pytest.mark.parametrize("strategy, pairs", [("none", 0), ("random", 4)])
+def test_buffer_rows_count_the_final_buffer(tracing, strategy, pairs):
+    # --trace 1 reads replay.buffer_rows as len(state.buffer) after each
+    # learn_task: e rows per (task, class) pair once the run ends.
+    from replaygraph import ReplayConfig, build_task_sequence, replay, synthetic_sbm_graph
+    graph = synthetic_sbm_graph([12] * 4, 0.3, 0.05, 0.2, seed=0)
+    seq = build_task_sequence(graph, 2, 2, 4, seed=0)  # 2 tasks x 2 classes
+    e = 2
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        replay.run_sequence(seq, strategy, ReplayConfig(e=e, epochs=2, seed=0))
+    finally:
+        tracer.run = None
+        tracing.uninstall(patches)
+    assert [span[0] for span in tracer.spans].count("replay.learn_task") == 2
+    assert "replay.buffer_rows" in tracer.counts[0]
+    assert tracer.counts[0]["replay.buffer_rows"] == e * pairs

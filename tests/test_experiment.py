@@ -50,25 +50,23 @@ class TestConfigParsing:
 
 class TestValidation:
     def test_e_zero_message(self):
-        errors = ExperimentConfig(e=0).validate(check_paths=False)
+        errors = ExperimentConfig(e=0).validate()
         assert "e: must be >= 1" in errors
 
     def test_violations_accumulate(self):
         config = ExperimentConfig(e=0, lr=0.0, tasks=0, jobs=0)
-        errors = config.validate(check_paths=False)
+        errors = config.validate()
         keys = {e.split(":")[0] for e in errors}
         assert {"e", "lr", "tasks", "jobs"} <= keys
 
     def test_dataset_model_pairing_enforced(self):
-        errors = ExperimentConfig(dataset="permuted-mnist", model="sgc") \
-            .validate(check_paths=False)
+        errors = ExperimentConfig(dataset="permuted-mnist", model="sgc").validate()
         assert any("requires model 'mlp'" in e for e in errors)
-        errors = ExperimentConfig(dataset="cora", model="mlp") \
-            .validate(check_paths=False)
+        errors = ExperimentConfig(dataset="cora", model="mlp").validate()
         assert any("requires model 'sgc'" in e for e in errors)
 
     def test_duplicate_seeds_rejected(self):
-        errors = ExperimentConfig(seeds=[0, 1, 0]).validate(check_paths=False)
+        errors = ExperimentConfig(seeds=[0, 1, 0]).validate()
         assert "seeds: duplicate values" in errors
 
     def test_missing_citation_paths_named(self, monkeypatch, tmp_path):
@@ -81,11 +79,19 @@ class TestValidation:
         assert sbm_config(tmp_path).validate() == []
 
     def test_integer_accepted_for_float_key(self):
-        assert ExperimentConfig(lr=1, decay=0).validate(check_paths=False) == []
+        assert ExperimentConfig(lr=1, decay=0).validate() == []
 
-    def test_benchmark_configs_stay_valid(self):
+    def test_benchmark_configs_stay_valid(self, tmp_path):
+        # as bench/run.py's write_configs does, citation configs get the
+        # paths of the fixture files it writes
+        fixture = {"content": tmp_path / "fixture.content", "cites": tmp_path / "fixture.cites"}
+        for path in fixture.values():
+            path.write_text("")
         for name, spec in bench_workloads().items():
-            errors = ExperimentConfig.from_dict(spec["config"]).validate(check_paths=False)
+            config = dict(spec["config"])
+            if config["dataset"] == "citation":
+                config.update({key: str(path) for key, path in fixture.items()})
+            errors = ExperimentConfig.from_dict(config).validate()
             assert errors == [], name
 
 

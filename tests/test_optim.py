@@ -10,7 +10,7 @@ from conftest import folded_adam_step, textbook_adam_step
 
 def test_in_place_step_matches_textbook_bit_for_bit(rng):
     dim = 50
-    config = TrainConfig(lr=0.03, beta1=0.8, beta2=0.99, eps=1e-7)
+    config = TrainConfig(lr=0.03)
     theta = rng.standard_normal(dim)
     adam = AdamState.zeros(dim)
     ref_theta, ref_m, ref_v = theta.copy(), np.zeros(dim), np.zeros(dim)
@@ -41,7 +41,7 @@ def test_folded_step_matches_textbook_displacement(rng):
     # Folding the bias corrections into the step size and eps changes only
     # rounding: from the same (theta, m, v), the two steps move theta alike.
     dim = 50
-    config = TrainConfig(lr=0.03, beta1=0.8, beta2=0.99, eps=1e-7)
+    config = TrainConfig(lr=0.03)
     theta, m, v = rng.standard_normal(dim), np.zeros(dim), np.zeros(dim)
     for step in range(1, 26):
         grad = rng.standard_normal(dim) * 10.0 ** rng.uniform(-6, 2, dim)

@@ -9,7 +9,8 @@ from replaygraph.datasets import (build_task_sequence, make_permuted_tasks,
 from replaygraph.graph import induced_subgraph, normalize_adjacency, propagate
 from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
-from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig,
+from replaygraph.mlp import MlpModel
+from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig, RunState,
                                 learn_task, loss_groups, prepare_sequence,
                                 prepare_task_data, run_image_tasks, run_sequence,
                                 weight_factor)
@@ -103,7 +104,8 @@ class TestExperienceBuffer:
         buf.add(item(0, 5, node=1))
         buf.add(item(1, 5, node=2))
         assert len(buf) == 2
-        assert buf.counts() == {(0, 5): 1, (1, 5): 1}
+        rows = buf.batch()
+        assert list(zip(rows.task.tolist(), rows.y.tolist())) == [(0, 5), (1, 5)]
         assert buf.classes() == (5,)
 
     def test_oversized_single_add_rejected_atomically(self):
@@ -127,6 +129,25 @@ class TestExperienceBuffer:
         rows = buf.batch()
         assert rows.y[0] == 2
         assert rows.x[0, 0] == 3.5
+
+    def test_empty_add_changes_nothing(self):
+        buf = ExperienceBuffer(capacity=1)
+        nothing = item(0, 0).take(np.zeros(0, dtype=np.int64))
+        buf.add(nothing)
+        assert len(buf) == 0
+        assert buf.batch() is None
+        assert buf.classes() == ()
+        buf.add(item(1, 3, node=9))
+        stored = buf.batch()
+        buf.add(nothing)
+        assert buf.batch() is stored
+
+    def test_capacity_message_names_pair_and_counts(self):
+        buf = ExperienceBuffer(capacity=2)
+        buf.add(items(item(0, 0, node=1), item(1, 4, node=2)))
+        with pytest.raises(ValueError, match=r"\(task, class\) \(1, 4\): 1 stored \+ 2 new"):
+            buf.add(items(item(1, 4, node=3), item(0, 0, node=5), item(1, 4, node=4)))
+        assert buf.batch().node.tolist() == [1, 2]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -203,6 +224,17 @@ class TestLearnTaskBookkeeping:
         assert len(first["accuracies"]) == 1
         assert state.events[2]["beta"] == pytest.approx(
             weight_factor(10, 4))  # 2 classes * 5 train vs 2 tasks * 2 buffered
+
+    def test_empty_buffer_add_leaves_next_task_learnable(self):
+        seq = sbm_sequence(num_tasks=2)
+        config = ReplayConfig(e=1, epochs=5, seed=0)
+        first, second = prepare_sequence(seq, config)
+        state = RunState(model=MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim),
+                         buffer=ExperienceBuffer(config.e))
+        state.buffer.add(first.train.take(np.zeros(0, dtype=np.int64)))
+        learn_task(state, second, "random", config)
+        assert state.events[0]["buffer_before"] == 0
+        assert len(state.buffer) == 2
 
     def test_single_task_run_is_plain_training(self):
         graph = synthetic_sbm_graph([20, 20], intra_p=0.3, inter_p=0.02,
@@ -345,8 +377,7 @@ class TestImageRuns:
         tasks = make_permuted_tasks(images, labels, num_tasks=2,
                                     per_task_train=30, per_task_test=20, seed=1)
         config = ReplayConfig(e=2, epochs=3, lr=1e-2, batch_size=8, decay=1e-5, seed=0)
-        state = run_image_tasks(tasks, "random", config, hidden_dim=8,
-                                class_count=2)
+        state = run_image_tasks(tasks, "random", config, hidden_dim=8)
         # both tasks use labels {0, 1}; per-(task, class) keying keeps 2 each
         assert len(state.buffer) == 2 * 2 * 2
         assert state.buffer.classes() == (0, 1)
@@ -358,9 +389,18 @@ class TestImageRuns:
         tasks = make_permuted_tasks(images, labels, num_tasks=2,
                                     per_task_train=20, per_task_test=10, seed=3)
         config = ReplayConfig(e=1, epochs=3, lr=1e-2, batch_size=8, decay=1e-5, seed=4)
-        a = run_image_tasks(tasks, "mf", config, hidden_dim=8, class_count=2)
-        b = run_image_tasks(tasks, "mf", config, hidden_dim=8, class_count=2)
+        a = run_image_tasks(tasks, "mf", config, hidden_dim=8)
+        b = run_image_tasks(tasks, "mf", config, hidden_dim=8)
         assert np.array_equal(a.matrix().values, b.matrix().values, equal_nan=True)
+
+    def test_class_count_follows_the_labels(self):
+        images, labels = synthetic_image_dataset(num_classes=3, per_class=10,
+                                                 noise=0.3, seed=0, dim=16)
+        tasks = make_permuted_tasks(images, labels, num_tasks=2,
+                                    per_task_train=20, per_task_test=10, seed=1)
+        config = ReplayConfig(e=1, epochs=1, lr=1e-2, batch_size=8, seed=0)
+        state = run_image_tasks(tasks, "none", config, hidden_dim=4)
+        assert state.model.class_count == 3
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError, match="no image tasks"):

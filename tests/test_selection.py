@@ -141,42 +141,43 @@ class TestSelectMf:
 
 class TestCoverage:
     def test_counts_exclude_same_class_and_respect_radius(self):
-        # classes on a line, A at {0, 5}, B at {1}; d=2
+        # classes on a line, A at {0, 5}, B at {1}; d = median of {1, 4}
         batch = cands([10, 11, 20], [0.0, 5.0, 1.0], [0, 0, 1])
-        counts, d = coverage_counts(batch, batch.x, d=2.0)
-        assert d == 2.0
+        counts, d = coverage_counts(batch, batch.x)
+        assert d == 2.5
         assert counts.tolist() == [1, 0, 1]
-        rows = select_cm(batch, e=1, geometry=batch.x, d=2.0)
+        rows = select_cm(batch, e=1, geometry=batch.x)
         by_label = dict(zip(batch.y[rows].tolist(), picked(batch, rows)))
         assert by_label[0] == 11
 
     def test_distance_exactly_d_does_not_count(self):
         batch = cands([0, 1], [0.0, 2.0], [0, 1])
-        counts, _ = coverage_counts(batch, batch.x, d=2.0)
-        assert counts[0] == 0
+        counts, d = coverage_counts(batch, batch.x)
+        assert d == 2.0
+        assert counts.tolist() == [0, 0]
 
-    def test_tiny_d_makes_all_counts_zero_and_ties_by_node(self):
-        batch = cands([3, 1, 5], [0.0, 0.1, 0.05], [0, 0, 1])
-        rows = select_cm(batch, e=1, geometry=batch.x, d=1e-9)
+    def test_every_cross_distance_at_d_makes_counts_zero_and_ties_by_node(self):
+        # B at 1 is exactly d = 1 from both A points
+        batch = cands([3, 1, 5], [0.0, 2.0, 1.0], [0, 0, 1])
+        counts, d = coverage_counts(batch, batch.x)
+        assert d == 1.0
+        assert counts.tolist() == [0, 0, 0]
+        rows = select_cm(batch, e=1, geometry=batch.x)
         by_label = dict(zip(batch.y[rows].tolist(), picked(batch, rows)))
         assert by_label[0] == 1
 
     def test_single_class_counts_are_zero(self):
         batch = cands([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0] * 4)
-        counts, _ = coverage_counts(batch, batch.x, d="auto")
+        counts, d = coverage_counts(batch, batch.x)
         assert counts.tolist() == [0, 0, 0, 0]
-        rows = select_cm(batch, e=2, geometry=batch.x, d="auto")
+        assert d == 0.0
+        rows = select_cm(batch, e=2, geometry=batch.x)
         assert picked(batch, rows) == [0, 1]
 
     def test_auto_d_is_median_cross_class_distance(self):
         batch = cands([0, 1, 2], [0.0, 4.0, 10.0], [0, 0, 1])
-        _, d = coverage_counts(batch, batch.x, d="auto")
+        _, d = coverage_counts(batch, batch.x)
         assert d == pytest.approx(8.0)  # median of {10, 6}
-
-    def test_nonpositive_d_rejected(self):
-        batch = cands([0, 1], [0.0, 1.0], [0, 1])
-        with pytest.raises(ValueError, match="d must be positive"):
-            coverage_counts(batch, batch.x, d=0.0)
 
     def test_package_import_leaves_scipy_spatial_unloaded(self):
         # only cm's distance matrix needs it, and it is slow to import
