@@ -13,9 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import (DATA_DIR_ENV, DATASETS, MODELS, ExperimentConfig,
-                         ExperimentError, read_config_file, run_experiment,
-                         sweep_e, validate_config_file)
+from .experiment import (DATASETS, MODELS, ExperimentConfig, ExperimentError, read_config_file,
+                         run_experiment, sweep_e, validate_config_file)
 from .replay import EVAL_MODES, STRATEGIES
 
 

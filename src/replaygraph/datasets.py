@@ -267,20 +267,16 @@ def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]
     """
     directory = Path(directory)
     prefix = {"train": "train", "test": "t10k"}[split]
-    images_file = None
-    labels_file = None
-    for name in (f"{prefix}-images-idx3-ubyte", f"{prefix}-images.idx3-ubyte"):
-        for candidate in (directory / name, directory / f"{name}.gz"):
-            if candidate.exists():
-                images_file = candidate
-    for name in (f"{prefix}-labels-idx1-ubyte", f"{prefix}-labels.idx1-ubyte"):
-        for candidate in (directory / name, directory / f"{name}.gz"):
-            if candidate.exists():
-                labels_file = candidate
-    if images_file is None or labels_file is None:
+    found = {}  # the last existing name wins
+    for kind, idx in (("images", "idx3"), ("labels", "idx1")):
+        for name in (f"{prefix}-{kind}-{idx}-ubyte", f"{prefix}-{kind}.{idx}-ubyte"):
+            for candidate in (directory / name, directory / f"{name}.gz"):
+                if candidate.exists():
+                    found[kind] = candidate
+    if len(found) < 2:
         raise FileNotFoundError(f"no {split} IDX files under {directory}")
-    images = _read_idx(images_file)
-    labels = _read_idx(labels_file)
+    images = _read_idx(found["images"])
+    labels = _read_idx(found["labels"])
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"{directory}: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")

@@ -24,8 +24,9 @@ from .replay import (STRATEGIES, ReplayConfig, config_errors, run_image_tasks,
 
 SCHEMA_VERSION = 1
 DATA_DIR_ENV = "REPLAYGRAPH_DATA_DIR"
-DATASETS = ("cora", "citeseer", "citation", "permuted-mnist", "synthetic-sbm",
-            "synthetic-images")
+# The model each dataset runs: SGC on the graphs, the MLP on permuted images.
+DATASETS = {"cora": "sgc", "citeseer": "sgc", "citation": "sgc", "permuted-mnist": "mlp",
+            "synthetic-sbm": "sgc", "synthetic-images": "mlp"}
 MODELS = ("sgc", "mlp")
 
 
@@ -54,7 +55,6 @@ class ExperimentConfig:
     content: str | None = None
     cites: str | None = None
     mnist_dir: str | None = None
-    data_dir: str | None = None
     model: str = "sgc"
     strategy: str = "im"
     e: int = 1
@@ -96,43 +96,20 @@ class ExperimentConfig:
 
     # -- path resolution --
 
-    def resolved_data_dir(self) -> Path:
-        if self.data_dir is not None:
-            return Path(self.data_dir)
-        return Path(os.environ.get(DATA_DIR_ENV, "."))
-
-    def _resolve(self, value: str | None) -> Path | None:
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else self.resolved_data_dir() / p
-
     def citation_paths(self) -> tuple[Path | None, Path | None]:
         """Explicit paths win; for the named datasets the conventional
         layouts <root>/<name>/<name>.content and <root>/<name>.content are
-        both tried."""
-        content, cites = self._resolve(self.content), self._resolve(self.cites)
-        if self.dataset in ("cora", "citeseer"):
-            root = self.resolved_data_dir()
-            if content is None:
-                for candidate in (root / self.dataset / f"{self.dataset}.content",
-                                  root / f"{self.dataset}.content"):
-                    if candidate.exists():
-                        content = candidate
-                        break
-            if cites is None:
-                for candidate in (root / self.dataset / f"{self.dataset}.cites",
-                                  root / f"{self.dataset}.cites"):
-                    if candidate.exists():
-                        cites = candidate
-                        break
-        return content, cites
+        both tried (likewise .cites)."""
+        name = self.dataset
+
+        def find(explicit: str | None, suffix: str) -> Path | None:
+            layouts = (f"{name}/{name}{suffix}", f"{name}{suffix}")
+            return _locate(explicit, *(layouts if name in ("cora", "citeseer") else ()))
+
+        return find(self.content, ".content"), find(self.cites, ".cites")
 
     def mnist_path(self) -> Path | None:
-        if self.mnist_dir is not None:
-            return self._resolve(self.mnist_dir)
-        candidate = self.resolved_data_dir() / "mnist"
-        return candidate if candidate.exists() else None
+        return _locate(self.mnist_dir, "mnist")
 
     # -- validation --
 
@@ -167,36 +144,29 @@ class ExperimentConfig:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
             errors.append("seeds: duplicate values")
+        if min(self.seeds, default=0) < 0:
+            errors.append("seeds: must be >= 0")
         if self.dataset == "synthetic-images" \
                 and self.mnist_test_per_task >= 10 * self.syn_images_per_class:
             errors.append("mnist_test_per_task: must be < 10 * syn_images_per_class = "
                           f"{10 * self.syn_images_per_class}, the synthetic images to split")
 
-        if self.dataset in ("permuted-mnist", "synthetic-images") and self.model != "mlp":
-            errors.append(f"model: dataset {self.dataset!r} requires model 'mlp'")
-        if self.dataset in ("cora", "citeseer", "citation", "synthetic-sbm") \
-                and self.model != "sgc":
-            errors.append(f"model: dataset {self.dataset!r} requires model 'sgc'")
+        paired = DATASETS.get(self.dataset, self.model)
+        if self.model != paired:
+            errors.append(f"model: dataset {self.dataset!r} requires model {paired!r}")
 
+        needed_by, paths = self.dataset, {}
         if self.dataset in ("cora", "citeseer", "citation"):
-            content, cites = self.citation_paths()
-            if content is None:
-                errors.append("content: required for citation datasets "
+            needed_by = "citation datasets"
+            paths = dict(zip(("content", "cites"), self.citation_paths()))
+        elif self.dataset == "permuted-mnist":
+            paths = {"mnist_dir": self.mnist_path()}
+        for key, path in paths.items():
+            if path is None:
+                errors.append(f"{key}: required for {needed_by} "
                               f"(set the flag or {DATA_DIR_ENV})")
-            elif not content.exists():
-                errors.append(f"content: {content} does not exist")
-            if cites is None:
-                errors.append("cites: required for citation datasets "
-                              f"(set the flag or {DATA_DIR_ENV})")
-            elif not cites.exists():
-                errors.append(f"cites: {cites} does not exist")
-        if self.dataset == "permuted-mnist":
-            root = self.mnist_path()
-            if root is None:
-                errors.append(f"mnist_dir: required for permuted-mnist "
-                              f"(set the flag or {DATA_DIR_ENV})")
-            elif not root.exists():
-                errors.append(f"mnist_dir: {root} does not exist")
+            elif not path.exists():
+                errors.append(f"{key}: {path} does not exist")
         return errors
 
     def replay_config(self, seed: int) -> ReplayConfig:
@@ -204,6 +174,16 @@ class ExperimentConfig:
             e=self.e, k=self.k, epochs=self.epochs, lr=self.lr, decay=self.decay,
             batch_size=self.batch_size if self.model == "mlp" else None,
             eval_mode=self.eval_mode, seed=seed)
+
+
+def _locate(explicit: str | None, *layouts: str) -> Path | None:
+    """``explicit``, else the first of ``layouts`` that exists. Relative paths
+    are taken under $REPLAYGRAPH_DATA_DIR, or the working directory when it
+    is unset; an absolute ``explicit`` stays as it is."""
+    root = Path(os.environ.get(DATA_DIR_ENV, "."))
+    if explicit is not None:
+        return root / explicit
+    return next((root / p for p in layouts if (root / p).exists()), None)
 
 
 def _load_graph(config: ExperimentConfig, seed: int):
@@ -222,20 +202,16 @@ def _load_graph(config: ExperimentConfig, seed: int):
 def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     """One deterministic run; returns matrix rows, metrics, and log events."""
     rc = config.replay_config(seed)
-    if config.dataset == "permuted-mnist":
-        images, labels = datasets.load_mnist(config.mnist_path(), split="train")
-        image_tasks = datasets.make_permuted_tasks(
-            images, labels, config.tasks, config.mnist_train_per_task,
-            config.mnist_test_per_task, seed=seed)
-        state = run_image_tasks(image_tasks, config.strategy, rc,
-                                hidden_dim=config.hidden_dim)
-    elif config.dataset == "synthetic-images":
-        images, labels = datasets.synthetic_image_dataset(
-            10, config.syn_images_per_class, config.syn_noise, seed=seed)
-        image_tasks = datasets.make_permuted_tasks(
-            images, labels, config.tasks,
-            min(config.mnist_train_per_task, len(images) - config.mnist_test_per_task),
-            config.mnist_test_per_task, seed=seed)
+    if DATASETS.get(config.dataset) == "mlp":
+        train = config.mnist_train_per_task
+        if config.dataset == "permuted-mnist":
+            images, labels = datasets.load_mnist(config.mnist_path(), split="train")
+        else:
+            images, labels = datasets.synthetic_image_dataset(
+                10, config.syn_images_per_class, config.syn_noise, seed=seed)
+            train = min(train, len(images) - config.mnist_test_per_task)
+        image_tasks = datasets.make_permuted_tasks(images, labels, config.tasks, train,
+                                                   config.mnist_test_per_task, seed=seed)
         state = run_image_tasks(image_tasks, config.strategy, rc,
                                 hidden_dim=config.hidden_dim)
     else:

@@ -19,8 +19,7 @@ from .linear import Batch, LossGroup, stack_samples
 from .metrics import AccuracyMatrix, accuracy
 from .mlp import MlpModel
 from .optim import TrainConfig
-from .selection import (LINEAR_CG, MLP_CG, class_rows, select_cm, select_im,
-                        select_mf, select_random)
+from .selection import class_rows, select_cm, select_im, select_mf, select_random
 
 STRATEGIES = ("none", "random", "mf", "mf-embed", "cm", "cm-embed", "im")
 EVAL_MODES = ("task-aware", "class-incremental")
@@ -253,9 +252,7 @@ def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
         return select_random(candidates, config.e, _derived_seed(config.seed, task_id, 1))
     if strategy == "im":
         population = candidates if buffer is None else stack_samples([candidates, buffer])
-        settings = MLP_CG if len(model.layers) > 1 else LINEAR_CG
-        return select_im(model, candidates, config.e, probes, settings=settings,
-                         population=population)
+        return select_im(model, candidates, config.e, probes, population=population)
     if strategy.endswith("-embed"):
         geometry = model.embed(candidates.x)
     else:

@@ -167,7 +167,7 @@ def cg_solve(hvp_fn, rhs: np.ndarray, settings: CgSettings = CgSettings()) -> Cg
 
 
 def influence_scores(model, train: Batch, probes: Batch,
-                     settings: CgSettings = CgSettings(), mask=None,
+                     settings: CgSettings | None = None, mask=None,
                      population: Batch | None = None) -> np.ndarray:
     """Signed influence of upweighting each training row on the probe loss.
 
@@ -182,9 +182,14 @@ def influence_scores(model, train: Batch, probes: Batch,
     The probe functional is the bare cross-entropy: the decay term belongs to
     the training objective (it stays in the curvature), not to the quantity
     being measured on the probes.
+
+    ``settings=None`` means ``MLP_CG`` for a model with hidden layers, else
+    ``LINEAR_CG``.
     """
     if len(probes) == 0:
         raise ValueError("probe set is empty")
+    if settings is None:
+        settings = MLP_CG if len(model.layers) > 1 else LINEAR_CG
     pop = population if population is not None else train
     g_probe = replace(model, weight_decay=0.0).gradient(probes, mask)
     probe_norm = float(np.linalg.norm(g_probe))
@@ -206,7 +211,7 @@ def predicted_loss_change(scores: np.ndarray, population_size: int) -> np.ndarra
 
 
 def select_im(model, batch: Batch, e: int, probes: Batch,
-              settings: CgSettings = CgSettings(), mask=None,
+              settings: CgSettings | None = None, mask=None,
               population: Batch | None = None) -> np.ndarray:
     """Per class, the e candidates with the largest |influence| on the probes.
 

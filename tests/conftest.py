@@ -3,12 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from replaygraph import Batch, LinearModel, MlpModel, optim
+from replaygraph import Batch, LinearModel, MlpModel, optim, selection
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def cg_solves(monkeypatch):
+    """The ``CgSettings`` of every ``selection.cg_solve`` call, in order."""
+    seen = []
+    real = selection.cg_solve
+
+    def spy(hvp_fn, rhs, settings):
+        seen.append(settings)
+        return real(hvp_fn, rhs, settings)
+
+    monkeypatch.setattr(selection, "cg_solve", spy)
+    return seen
 
 
 def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,

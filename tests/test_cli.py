@@ -121,7 +121,8 @@ class TestRunCommand:
 
 class TestRemovedSettings:
     @pytest.mark.parametrize("key, value", [("probe", "test"), ("probe_fraction", 0.5),
-                                            ("cm_d", 2.0), ("fm_denominator", "m")])
+                                            ("cm_d", 2.0), ("fm_denominator", "m"),
+                                            ("data_dir", "data")])
     def test_config_key_rejected_and_nothing_runs(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, **{key: value})
         for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
@@ -155,6 +156,7 @@ class TestFixtureSettings:
          "syn_images_per_class"),
         (dict(dataset="synthetic-images", model="mlp", syn_images_per_class=20,
               mnist_test_per_task=500), "mnist_test_per_task"),
+        (dict(seeds=[-1]), "seeds"),
     ])
     def test_rejected_before_anything_runs(self, tmp_path, capsys, overrides, key):
         # each of these used to pass validate-config and then fail inside run

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaygraph import datasets, replay
+from replaygraph import datasets
 from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
                                     ExperimentError, run_experiment,
                                     run_single_seed, sweep_e,
@@ -59,11 +59,15 @@ class TestValidation:
         keys = {e.split(":")[0] for e in errors}
         assert {"e", "lr", "tasks", "jobs"} <= keys
 
-    def test_dataset_model_pairing_enforced(self):
-        errors = ExperimentConfig(dataset="permuted-mnist", model="sgc").validate()
-        assert any("requires model 'mlp'" in e for e in errors)
-        errors = ExperimentConfig(dataset="cora", model="mlp").validate()
-        assert any("requires model 'sgc'" in e for e in errors)
+    @pytest.mark.parametrize("dataset, model", [
+        ("cora", "sgc"), ("citeseer", "sgc"), ("citation", "sgc"), ("synthetic-sbm", "sgc"),
+        ("permuted-mnist", "mlp"), ("synthetic-images", "mlp")])
+    def test_dataset_model_pairing_enforced(self, dataset, model):
+        other = "mlp" if model == "sgc" else "sgc"
+        errors = ExperimentConfig(dataset=dataset, model=other).validate()
+        assert f"model: dataset {dataset!r} requires model {model!r}" in errors
+        errors = ExperimentConfig(dataset=dataset, model=model).validate()
+        assert not any("requires model" in e for e in errors)
 
     def test_duplicate_seeds_rejected(self):
         errors = ExperimentConfig(seeds=[0, 1, 0]).validate()
@@ -120,9 +124,9 @@ class TestPathResolution:
         content, cites = config.citation_paths()
         assert content == Path("/abs/c.content")
 
-    def test_relative_paths_resolve_against_data_dir(self, tmp_path):
-        config = ExperimentConfig(dataset="citation", data_dir=str(tmp_path),
-                                  content="g.content", cites="g.cites")
+    def test_relative_paths_resolve_against_data_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        config = ExperimentConfig(dataset="citation", content="g.content", cites="g.cites")
         content, _ = config.citation_paths()
         assert content == tmp_path / "g.content"
 
@@ -139,25 +143,17 @@ class TestPathResolution:
 
 
 class TestDerivedSettings:
-    def test_cg_defaults_depend_on_model(self, tmp_path, monkeypatch):
-        # replay._select chooses the settings from the model's depth
-        seen = []
-        real = replay.select_im
-
-        def spy(*args, settings, **kwargs):
-            seen.append(settings)
-            return real(*args, settings=settings, **kwargs)
-
-        monkeypatch.setattr(replay, "select_im", spy)
+    def test_cg_defaults_depend_on_model(self, tmp_path, cg_solves):
+        # influence_scores chooses the settings from the model's depth
         run_single_seed(sbm_config(tmp_path, strategy="im"), seed=0)
-        assert seen and all(s is LINEAR_CG for s in seen)
-        seen.clear()
+        assert cg_solves and all(s is LINEAR_CG for s in cg_solves)
+        cg_solves.clear()
         run_single_seed(ExperimentConfig.from_dict(dict(
             dataset="synthetic-images", model="mlp", strategy="im", e=1,
             epochs=2, lr=1e-2, batch_size=16, tasks=2, hidden_dim=8,
             syn_images_per_class=20, mnist_train_per_task=60,
             mnist_test_per_task=30)), seed=0)
-        assert seen and all(s is MLP_CG for s in seen)
+        assert cg_solves and all(s is MLP_CG for s in cg_solves)
         assert MLP_CG.residual_tol == 1e-3 and LINEAR_CG.residual_tol == 1e-6
 
     def test_library_and_cli_select_the_same_im_rows(self):

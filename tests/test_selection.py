@@ -10,8 +10,8 @@ from scipy.stats import spearmanr
 from replaygraph import selection
 from replaygraph.linear import Batch, LinearModel, stack_samples
 from replaygraph.mlp import MlpModel
-from replaygraph.selection import (CgSettings, cg_solve, class_rows, coverage_counts,
-                                   fit_to_stationarity, influence_scores,
+from replaygraph.selection import (LINEAR_CG, MLP_CG, CgSettings, cg_solve, class_rows,
+                                   coverage_counts, fit_to_stationarity, influence_scores,
                                    loo_parameter_change, loo_retrain_oracle,
                                    predicted_loss_change, select_cm, select_im,
                                    select_mf, select_random)
@@ -372,6 +372,33 @@ class TestInfluenceOperator:
         assert solve.converged and solve.iterations > 1
         assert np.array_equal(influence_scores(model, train, probes, settings, mask, population),
                               -model.gradient_dots(train, mask, solve.solution))
+
+
+class TestCgDefault:
+    """With no ``settings``, the influence solve runs at the model's tolerance;
+    explicit settings still win."""
+
+    def test_hidden_layers_solve_at_mlp_tolerance(self, cg_solves):
+        model, train, probes, population, mask = TestInfluenceOperator.mlp_problem()
+        influence_scores(model, train, probes, mask=mask, population=population)
+        select_im(model, train, 2, probes, mask=mask, population=population)
+        assert len(cg_solves) == 2 and all(s is MLP_CG for s in cg_solves)
+        assert MLP_CG.residual_tol == 1e-3
+
+    def test_depth_zero_solves_at_linear_tolerance(self, cg_solves):
+        template, train, probes = two_blob_problem(seed=0)
+        model = fit_to_stationarity(template, train)
+        influence_scores(model, train, probes)
+        select_im(model, train, 2, probes)
+        assert len(cg_solves) == 2 and all(s is LINEAR_CG for s in cg_solves)
+        assert LINEAR_CG.residual_tol == 1e-6
+
+    def test_explicit_settings_win(self, cg_solves):
+        model, train, probes, population, mask = TestInfluenceOperator.mlp_problem()
+        capped = CgSettings(max_iters=1)
+        influence_scores(model, train, probes, capped, mask, population)
+        select_im(model, train, 2, probes, capped, mask, population)
+        assert len(cg_solves) == 2 and all(s is capped for s in cg_solves)
 
 
 class TestSelectIm:
