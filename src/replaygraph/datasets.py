@@ -69,7 +69,7 @@ class TaskSequence:
 
 @dataclass(frozen=True)
 class ImageTask:
-    """One permuted-image task; the same pixel permutation is applied to train and test."""
+    """One permuted-image task: C-contiguous float64 splits under one pixel permutation."""
 
     task_id: int
     pixel_permutation: np.ndarray
@@ -237,35 +237,40 @@ def build_task_sequence(g: Graph, classes_per_task: int, num_tasks: int,
     return TaskSequence(g, tuple(tasks))
 
 
-def _read_idx(path: Path) -> np.ndarray:
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rb") as fh:
-        raw = fh.read()
+def _idx_dims(path: Path, fh) -> tuple[int, ...]:
+    """The dimensions in the IDX header ``fh`` is at; reads only the header."""
+    raw = fh.read(4)
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated header")
-    magic = struct.unpack(">I", raw[:4])[0]
+    magic = struct.unpack(">I", raw)[0]
     if magic == 2051:
         ndim = 3
     elif magic == 2049:
         ndim = 1
     else:
         raise IdxFormatError(f"{path}: bad magic number {magic}")
-    header = 4 + 4 * ndim
-    if len(raw) < header:
+    raw = fh.read(4 * ndim)
+    if len(raw) < 4 * ndim:
         raise IdxFormatError(f"{path}: truncated header")
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
+    return struct.unpack(f">{ndim}I", raw)
+
+
+def _open_idx(path: Path):
+    return (gzip.open if path.suffix == ".gz" else open)(path, "rb")
+
+
+def _read_idx(path: Path) -> np.ndarray:
+    with _open_idx(path) as fh:
+        dims = _idx_dims(path, fh)
+        raw = fh.read()
     count = int(np.prod(dims))
-    if len(raw) - header < count:
-        raise IdxFormatError(f"{path}: expected {count} data bytes, got {len(raw) - header}")
-    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=header).reshape(dims)
+    if len(raw) < count:
+        raise IdxFormatError(f"{path}: expected {count} data bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=count).reshape(dims)
 
 
-def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-    """Load IDX image/label files; pixels scaled to [0, 1], images flattened to 784.
-
-    Looks for the conventional `train-*`/`t10k-*` file names, gzipped or not.
-    """
-    directory = Path(directory)
+def _mnist_files(directory: Path, split: str) -> dict[str, Path]:
+    """A split's IDX files under the conventional names, gzipped or not."""
     prefix = {"train": "train", "test": "t10k"}[split]
     found = {}  # the last existing name wins
     for kind, idx in (("images", "idx3"), ("labels", "idx1")):
@@ -275,12 +280,30 @@ def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]
                     found[kind] = candidate
     if len(found) < 2:
         raise FileNotFoundError(f"no {split} IDX files under {directory}")
+    return found
+
+
+def _mnist_train_count(directory: Path) -> int:
+    """The image count in the train images' IDX header."""
+    path = _mnist_files(directory, "train")["images"]
+    with _open_idx(path) as fh:
+        return _idx_dims(path, fh)[0]
+
+
+def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
+    """Load IDX image/label files; pixels scaled to [0, 1], images flattened to 784.
+
+    Looks for the conventional `train-*`/`t10k-*` file names, gzipped or not.
+    """
+    directory = Path(directory)
+    found = _mnist_files(directory, split)
     images = _read_idx(found["images"])
     labels = _read_idx(found["labels"])
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"{directory}: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat /= 255.0  # in place: one float64 copy of the pixels
     return flat, labels.astype(np.int64)
 
 
@@ -288,6 +311,7 @@ def make_permuted_tasks(images: np.ndarray, labels: np.ndarray, num_tasks: int,
                         per_task_train: int, per_task_test: int, seed: int) -> list[ImageTask]:
     """Build pixel-permutation tasks: task 0 keeps the identity permutation,
     later tasks draw independent seeded permutations applied to both splits.
+    Each split is one gather into new C-contiguous float64 rows.
     """
     n, dim = images.shape
     if per_task_train + per_task_test > n:
@@ -301,10 +325,10 @@ def make_permuted_tasks(images: np.ndarray, labels: np.ndarray, num_tasks: int,
         tasks.append(ImageTask(
             task_id=t,
             pixel_permutation=perm,
-            train_images=images[tr][:, perm],
-            train_labels=labels[tr].copy(),
-            test_images=images[te][:, perm],
-            test_labels=labels[te].copy(),
+            train_images=images[np.ix_(tr, perm)],
+            train_labels=labels[tr],
+            test_images=images[np.ix_(te, perm)],
+            test_labels=labels[te],
         ))
     return tasks
 
@@ -333,16 +357,28 @@ def synthetic_image_dataset(num_classes: int, per_class: int, noise: float,
     """Template-plus-noise image fixture shaped like flattened MNIST.
 
     Each class has a fixed random template in [0, 1]; samples are the template
-    under a random intensity plus Gaussian noise, clipped back to [0, 1].
+    under a random intensity plus Gaussian noise, clipped back to [0, 1]. The
+    images are generated and shuffled in place, so only one copy is ever held.
     """
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.0, 1.0, size=(num_classes, dim))
     images = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
     for c in range(num_classes):
         intensity = rng.uniform(0.6, 1.0, size=(per_class, 1))
-        block = templates[c] * intensity + noise * rng.standard_normal((per_class, dim))
-        images[c * per_class:(c + 1) * per_class] = np.clip(block, 0.0, 1.0)
-        labels[c * per_class:(c + 1) * per_class] = c
+        block = images[c * per_class:(c + 1) * per_class]
+        rng.standard_normal(out=block)
+        block *= noise
+        block += templates[c] * intensity
+        np.clip(block, 0.0, 1.0, out=block)
     order = rng.permutation(len(images))
-    return images[order], labels[order]
+    # images[order] in place, cycle by cycle (numpy copies an overlapping gather)
+    src = order.tolist()
+    for start in range(len(src)):
+        if src[start] is None:
+            continue
+        held, dst = images[start].copy(), start
+        while src[dst] is not None:
+            nxt, src[dst] = src[dst], None
+            images[dst] = held if nxt == start else images[nxt]
+            dst = nxt
+    return images, order // per_class  # row r was drawn for class r // per_class

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +168,14 @@ class ExperimentConfig:
                               f"(set the flag or {DATA_DIR_ENV})")
             elif not path.exists():
                 errors.append(f"{key}: {path} does not exist")
+            elif key == "mnist_dir":
+                try:
+                    count, test = datasets._mnist_train_count(path), self.mnist_test_per_task
+                    if self.mnist_train_per_task + test > count:
+                        errors.append(f"mnist_train_per_task: must be <= {count - test}, "
+                                      f"the {count} images in {path} less mnist_test_per_task")
+                except (OSError, EOFError, zlib.error, datasets.IdxFormatError) as exc:
+                    errors.append(f"mnist_dir: {exc}")
         return errors
 
     def replay_config(self, seed: int) -> ReplayConfig:
@@ -199,20 +208,24 @@ def _load_graph(config: ExperimentConfig, seed: int):
     raise ExperimentError(f"dataset {config.dataset!r} is not graph-valued")
 
 
+def _image_tasks(config: ExperimentConfig, seed: int) -> list[datasets.ImageTask]:
+    """The permuted tasks; the source images are freed when this returns."""
+    train = config.mnist_train_per_task
+    if config.dataset == "permuted-mnist":
+        images, labels = datasets.load_mnist(config.mnist_path(), split="train")
+    else:
+        images, labels = datasets.synthetic_image_dataset(
+            10, config.syn_images_per_class, config.syn_noise, seed=seed)
+        train = min(train, len(images) - config.mnist_test_per_task)
+    return datasets.make_permuted_tasks(images, labels, config.tasks, train,
+                                        config.mnist_test_per_task, seed=seed)
+
+
 def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     """One deterministic run; returns matrix rows, metrics, and log events."""
     rc = config.replay_config(seed)
     if DATASETS.get(config.dataset) == "mlp":
-        train = config.mnist_train_per_task
-        if config.dataset == "permuted-mnist":
-            images, labels = datasets.load_mnist(config.mnist_path(), split="train")
-        else:
-            images, labels = datasets.synthetic_image_dataset(
-                10, config.syn_images_per_class, config.syn_noise, seed=seed)
-            train = min(train, len(images) - config.mnist_test_per_task)
-        image_tasks = datasets.make_permuted_tasks(images, labels, config.tasks, train,
-                                                   config.mnist_test_per_task, seed=seed)
-        state = run_image_tasks(image_tasks, config.strategy, rc,
+        state = run_image_tasks(_image_tasks(config, seed), config.strategy, rc,
                                 hidden_dim=config.hidden_dim)
     else:
         graph = _load_graph(config, seed)

@@ -1,4 +1,7 @@
+import gzip
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +26,29 @@ def cg_solves(monkeypatch):
 
     monkeypatch.setattr(selection, "cg_solve", spy)
     return seen
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the most bytes allocated at once during the
+    call, its result included. numpy reports its buffers to ``tracemalloc``,
+    so the peak is exact and repeats from run to run."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def write_idx_images(path, images, gz=False):
+    n, rows, cols = images.shape
+    blob = struct.pack(">IIII", 2051, n, rows, cols) + images.astype(np.uint8).tobytes()
+    path.write_bytes(gzip.compress(blob) if gz else blob)
+
+
+def write_idx_labels(path, labels, gz=False):
+    blob = struct.pack(">II", 2049, len(labels)) + labels.astype(np.uint8).tobytes()
+    path.write_bytes(gzip.compress(blob) if gz else blob)
 
 
 def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,

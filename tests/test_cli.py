@@ -5,10 +5,13 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from replaygraph.cli import build_parser, main, parse_seeds
 from replaygraph.experiment import ExperimentConfig
+
+from conftest import write_idx_images, write_idx_labels
 
 
 def sbm_args(tmp_path, **overrides):
@@ -165,6 +168,41 @@ class TestFixtureSettings:
             assert main(argv) == 1
             assert f"{key}: must " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_mnist_split_checked_against_the_idx_header(self, tmp_path, capsys, suffix):
+        # six images: a 4 + 3 split used to fail inside run, after every
+        # image had been converted
+        gz = suffix == ".gz"
+        write_idx_images(tmp_path / f"train-images-idx3-ubyte{suffix}",
+                         np.zeros((6, 2, 2)), gz)
+        write_idx_labels(tmp_path / f"train-labels-idx1-ubyte{suffix}", np.zeros(6), gz)
+        mnist = dict(dataset="permuted-mnist", model="mlp", mnist_dir=str(tmp_path),
+                     mnist_test_per_task=3)
+        config = write_config(tmp_path, mnist_train_per_task=4, **mnist)
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            assert "mnist_train_per_task: must be <= 3, the 6 images in " \
+                in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        config = write_config(tmp_path, mnist_train_per_task=3, **mnist)
+        assert main(["validate-config", str(config)]) == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:12], "Compressed file ended"),  # EOFError
+        (lambda blob: blob[:10] + b"\xff" * (len(blob) - 10), "invalid block type"),  # zlib
+    ], ids=["truncated", "corrupt"])
+    def test_damaged_gz_header_reported(self, tmp_path, capsys, damage, message):
+        # reading the header of such a file used to end in a traceback
+        images = tmp_path / "train-images-idx3-ubyte.gz"
+        write_idx_images(images, np.zeros((6, 2, 2)), gz=True)
+        images.write_bytes(damage(images.read_bytes()))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte.gz", np.zeros(6), gz=True)
+        config = write_config(tmp_path, dataset="permuted-mnist", model="mlp",
+                              mnist_dir=str(tmp_path), mnist_test_per_task=3)
+        assert main(["validate-config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "mnist_dir: " in err and message in err
 
 
 class TestSweepCommand:

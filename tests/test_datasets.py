@@ -1,4 +1,3 @@
-import gzip
 import hashlib
 import struct
 
@@ -10,6 +9,8 @@ from replaygraph import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,
                          load_citation_dataset, load_mnist, make_permuted_tasks,
                          synthetic_image_dataset, synthetic_sbm_graph)
 from replaygraph.datasets import CitationFormatError, IdxFormatError
+
+from conftest import traced_peak, write_idx_images, write_idx_labels
 
 
 def write_citation(tmp_path, content_lines, cites_lines):
@@ -306,23 +307,6 @@ class TestTaskSequenceConstruction:
             TaskSequence(g, (t0,))
 
 
-def write_idx_images(path, images, gz=False):
-    n, rows, cols = images.shape
-    blob = struct.pack(">IIII", 2051, n, rows, cols) + images.astype(np.uint8).tobytes()
-    if gz:
-        path.write_bytes(gzip.compress(blob))
-    else:
-        path.write_bytes(blob)
-
-
-def write_idx_labels(path, labels, gz=False):
-    blob = struct.pack(">II", 2049, len(labels)) + labels.astype(np.uint8).tobytes()
-    if gz:
-        path.write_bytes(gzip.compress(blob))
-    else:
-        path.write_bytes(blob)
-
-
 class TestIdxLoader:
     def test_roundtrip_and_scaling(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(5, 4, 4)).astype(np.uint8)
@@ -404,11 +388,43 @@ class TestPermutedTasks:
             assert np.array_equal(ta.train_images, tb.train_images)
             assert np.array_equal(ta.pixel_permutation, tb.pixel_permutation)
 
+    def test_splits_are_c_ordered_copies_of_the_permuted_rows(self, rng):
+        images = rng.uniform(size=(60, 12))
+        labels = rng.integers(0, 3, 60)
+        tasks = make_permuted_tasks(images, labels, 3, 20, 15, seed=4)
+        draws = np.random.default_rng(4)  # the draws make_permuted_tasks makes
+        for t, task in enumerate(tasks):
+            perm = np.arange(12) if t == 0 else draws.permutation(12)
+            idx = draws.choice(60, size=35, replace=False)
+            assert np.array_equal(task.pixel_permutation, perm)
+            for x, y, rows in ((task.train_images, task.train_labels, idx[:20]),
+                               (task.test_images, task.test_labels, idx[20:])):
+                assert x.flags.c_contiguous and x.dtype == np.float64
+                assert not np.shares_memory(x, images)
+                assert np.array_equal(x, images[rows][:, perm])
+                assert np.array_equal(y, labels[rows])
+
     def test_oversized_request_rejected(self, rng):
         images = rng.uniform(size=(10, 4))
         labels = rng.integers(0, 2, 10)
         with pytest.raises(ValueError):
             make_permuted_tasks(images, labels, 2, 8, 3, seed=0)
+
+
+def two_copy_image_fixture(num_classes, per_class, noise, seed, dim=784):
+    """synthetic_image_dataset as first written: each class block built
+    apart, then the whole set gathered into a shuffled second copy."""
+    rng = np.random.default_rng(seed)
+    templates = rng.uniform(0.0, 1.0, size=(num_classes, dim))
+    images = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        intensity = rng.uniform(0.6, 1.0, size=(per_class, 1))
+        block = templates[c] * intensity + noise * rng.standard_normal((per_class, dim))
+        images[c * per_class:(c + 1) * per_class] = np.clip(block, 0.0, 1.0)
+        labels[c * per_class:(c + 1) * per_class] = c
+    order = rng.permutation(len(images))
+    return images[order], labels[order]
 
 
 class TestSyntheticFixtures:
@@ -444,3 +460,19 @@ class TestSyntheticFixtures:
         assert images.shape == (40, 25)
         assert images.min() >= 0.0 and images.max() <= 1.0
         assert np.array_equal(np.bincount(labels), [10, 10, 10, 10])
+
+    @pytest.mark.parametrize("num_classes, per_class, noise, seed, dim", [
+        (10, 200, 0.6, 0, 784), (10, 200, 0.25, 3, 784), (4, 10, 0.2, 0, 25),
+        (3, 1, 0.5, 7, 784), (1, 1, 0.1, 2, 25), (2, 50, 1.0, 9, 25)])
+    def test_image_fixture_bytes_match_the_two_copy_build(self, num_classes, per_class,
+                                                          noise, seed, dim):
+        got = synthetic_image_dataset(num_classes, per_class, noise, seed=seed, dim=dim)
+        want = two_copy_image_fixture(num_classes, per_class, noise, seed, dim)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_image_fixture_holds_one_copy(self):
+        # the two-copy build peaks above 2x the images it returns
+        (images, _), peak = traced_peak(synthetic_image_dataset, 10, 200, 0.6, seed=0)
+        assert peak < 1.5 * images.nbytes

@@ -3,12 +3,13 @@ and end-to-end determinism."""
 
 import ast
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from replaygraph import datasets
+from replaygraph import datasets, experiment
 from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
                                     ExperimentError, run_experiment,
                                     run_single_seed, sweep_e,
@@ -68,6 +69,12 @@ class TestValidation:
         assert f"model: dataset {dataset!r} requires model {model!r}" in errors
         errors = ExperimentConfig(dataset=dataset, model=model).validate()
         assert not any("requires model" in e for e in errors)
+
+    def test_mnist_dir_without_idx_files_rejected(self, tmp_path):
+        # reported by validate; it used to surface as FileNotFoundError in run
+        errors = ExperimentConfig(dataset="permuted-mnist", model="mlp",
+                                  mnist_dir=str(tmp_path)).validate()
+        assert f"mnist_dir: no train IDX files under {tmp_path}" in errors
 
     def test_duplicate_seeds_rejected(self):
         errors = ExperimentConfig(seeds=[0, 1, 0]).validate()
@@ -201,6 +208,28 @@ class TestRunSingleSeed:
             mnist_test_per_task=30, seeds=[0], out=str(tmp_path / "img")))
         result = run_single_seed(config, seed=0)
         assert len(result["rows"]) == 2
+
+    def test_source_images_freed_before_training(self, monkeypatch, tmp_path):
+        sources, alive = [], []
+        build, run = datasets.synthetic_image_dataset, experiment.run_image_tasks
+
+        def traced_build(*args, **kwargs):
+            images, labels = build(*args, **kwargs)
+            sources.append(weakref.ref(images))
+            return images, labels
+
+        def traced_run(*args, **kwargs):
+            alive.append(sources[0]() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "synthetic_image_dataset", traced_build)
+        monkeypatch.setattr(experiment, "run_image_tasks", traced_run)
+        run_single_seed(ExperimentConfig.from_dict(dict(
+            dataset="synthetic-images", model="mlp", strategy="none", e=1,
+            epochs=1, lr=1e-2, batch_size=16, tasks=2, hidden_dim=8,
+            syn_images_per_class=20, mnist_train_per_task=60,
+            mnist_test_per_task=30, out=str(tmp_path / "img"))), seed=0)
+        assert alive == [False]
 
 
 class TestRunExperiment:

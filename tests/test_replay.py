@@ -11,9 +11,9 @@ from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
 from replaygraph.mlp import MlpModel
 from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig, RunState,
-                                learn_task, loss_groups, prepare_sequence,
-                                prepare_task_data, run_image_tasks, run_sequence,
-                                weight_factor)
+                                learn_task, loss_groups, prepare_image_task,
+                                prepare_sequence, prepare_task_data, run_image_tasks,
+                                run_sequence, weight_factor)
 from replaygraph.selection import select_cm, select_mf
 
 
@@ -401,6 +401,17 @@ class TestImageRuns:
         config = ReplayConfig(e=1, epochs=1, lr=1e-2, batch_size=8, seed=0)
         state = run_image_tasks(tasks, "none", config, hidden_dim=4)
         assert state.model.class_count == 3
+
+    def test_prepared_task_keeps_the_task_arrays(self):
+        images, labels = synthetic_image_dataset(num_classes=2, per_class=20,
+                                                 noise=0.3, seed=0, dim=16)
+        task = make_permuted_tasks(images, labels, num_tasks=2,
+                                   per_task_train=25, per_task_test=10, seed=1)[1]
+        data = prepare_image_task(task)
+        assert np.shares_memory(data.train.x, task.train_images)
+        assert np.shares_memory(data.train.y, task.train_labels)
+        assert data.test_inputs is task.test_images
+        assert data.test_labels is task.test_labels
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError, match="no image tasks"):
