@@ -27,11 +27,12 @@ class Graph:
 
     ``adjacency`` is the unweighted symmetric (n, n) adjacency, stored as a
     float64 scipy CSR matrix in canonical form (sorted indices, no
-    duplicates) whose stored entries are all 1. ``features`` is given dense
-    or sparse and always stored as an (n, d) float64 scipy CSR matrix (see
-    :func:`_feature_matrix`). ``labels`` holds global class ids in
-    ``[0, class_count)``. ``label_names``, when present, records the
-    original string labels in first-appearance order.
+    duplicates) whose stored entries are all 1; an edge between two nodes is
+    stored twice. ``features`` is given dense or sparse and always stored as
+    an (n, d) float64 scipy CSR matrix (see :func:`_feature_matrix`).
+    ``labels`` holds global class ids in ``[0, class_count)``.
+    ``label_names``, when present, records the original string labels in
+    first-appearance order.
     """
 
     adjacency: sp.csr_matrix
@@ -68,11 +69,6 @@ class Graph:
     @property
     def num_nodes(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count (each edge stored twice in the adjacency)."""
-        return self.adjacency.nnz // 2
 
     @property
     def feature_dim(self) -> int:

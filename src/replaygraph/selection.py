@@ -7,7 +7,9 @@ returns row indices into it: ``min(e, class size)`` rows per class, classes in
 ascending id order, each class's rows in selection order. Score ties break by
 lowest node index, so a fixed input yields a fixed selection. ``mf`` and
 ``cm`` measure distances in a caller-supplied geometry matrix with one row per
-candidate: raw attributes, or the model's embedding of the inputs.
+candidate: raw attributes, or the model's embedding of the inputs. ``cm``
+reproduces ``scipy.spatial.distance.pdist``'s distances bit for bit in numpy,
+so only the leave-one-out oracle imports scipy.
 """
 
 from __future__ import annotations
@@ -65,18 +67,89 @@ def select_mf(batch: Batch, e: int, geometry: np.ndarray) -> np.ndarray:
     return np.concatenate(chosen)
 
 
+# Squared differences held at once while exact distances are summed.
+_REFINE_CHUNK = 1 << 16
+
+
+def _exact_distances(g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows ``rows[k]`` and ``cols[k]`` of ``g``,
+    summed strictly in column order as ``scipy.spatial.distance.pdist`` sums
+    them, so the two agree bit for bit."""
+    out = np.empty(len(rows))
+    step = max(1, _REFINE_CHUNK // g.shape[1])
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        diff = g[rows[part]] - g[cols[part]]
+        diff *= diff
+        out[part] = np.sqrt(np.cumsum(diff, axis=1)[:, -1])
+    return out
+
+
+def _settle(g, est, pairs, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs whose estimate is not certainly below ``lo`` or above ``hi``
+    (NaN included), as row indices, column indices and exact distances."""
+    rows, cols = np.nonzero(pairs & ~(est < lo) & ~(est > hi))
+    return rows, cols, _exact_distances(g, rows, cols)
+
+
 def coverage_counts(batch: Batch, geometry: np.ndarray) -> tuple[np.ndarray, float]:
     """|N(v)| per candidate row, other-class candidates strictly within
     distance d in ``geometry``, and d: the median cross-class pairwise
     distance. With a single class every count is zero and d is 0.
+
+    Counts and d equal those computed from ``scipy.spatial.distance.pdist``
+    bit for bit, without forming every exact distance: a Gram-matrix estimate
+    of each squared distance with a rounding bound (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1) settles most pairs, and only the
+    pairs whose rank or side of d it leaves in doubt are summed exactly.
+    Raises ValueError if a row of ``geometry`` holds a non-finite value.
     """
-    from scipy.spatial.distance import pdist, squareform  # slow to import; only cm needs it
-    dist = squareform(pdist(geometry))
-    other = batch.y[:, None] != batch.y[None, :]
-    # Each cross-class pair appears twice; the median of the doubled set is
-    # the median of the pairs.
-    d = float(np.median(dist[other])) if other.any() else 0.0
-    return np.sum((dist < d) & other, axis=1), d
+    g = np.ascontiguousarray(geometry, dtype=np.float64)
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"geometry row {int(np.argmin(finite))} has a non-finite value")
+    n, dim = g.shape
+    pairs = np.triu(batch.y[:, None] != batch.y[None, :], 1)  # cross-class, i < j
+    if not pairs.any():
+        return np.zeros(n, dtype=np.int64), 0.0
+
+    sq = np.einsum("ij,ij->i", g, g)
+    est = g @ g.T  # becomes ||g_i||^2 + ||g_j||^2 - 2 g_i.g_j in place
+    est *= -2.0
+    est += sq[:, None]
+    est += sq
+    # The estimate and pdist's sequential sum each lie within
+    # (D + 2) eps (||g_i||^2 + ||g_j||^2) of the true squared distance, so
+    # within twice that of each other. `bound` is twice that again at the
+    # largest norm; the spare exceeds 7 eps d^2 (d^2 <= 4 max ||g||^2) and
+    # covers the rounding of the thresholds and of the square root. The tiny
+    # term covers underflow.
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    bound = 4 * (dim + 4) * (2 * eps * sq.max() + tiny)
+
+    # np.median over the doubled cross-class set averages the pair values at
+    # ranks (P - 1) // 2 and P // 2. An exact value of rank k lies within
+    # `bound` of the rank-k estimate, so a pair whose estimate lies more than
+    # 2 * bound outside the two middle estimates is outside both ranks; only
+    # the pairs in the window are summed exactly.
+    cross = est[pairs]
+    ranks = [(cross.size - 1) // 2, cross.size // 2]
+    cross.partition(ranks)
+    lo, hi = cross[ranks[0]] - 2 * bound, cross[ranks[1]] + 2 * bound
+    del cross
+    below = np.count_nonzero(pairs & (est < lo))
+    exact = np.sort(_settle(g, est, pairs, lo, hi)[2])
+    d = float((exact[ranks[0] - below] + exact[ranks[1] - below]) / 2)
+
+    d2 = d * d
+    inside = pairs & (est < d2 - bound)
+    counts = inside.sum(axis=0) + inside.sum(axis=1)
+    del inside
+    rows, cols, dist = _settle(g, est, pairs, d2 - bound, d2 + bound)
+    near = dist < d
+    counts += np.bincount(rows[near], minlength=n)
+    counts += np.bincount(cols[near], minlength=n)
+    return counts, d
 
 
 def select_cm(batch: Batch, e: int, geometry: np.ndarray) -> np.ndarray:

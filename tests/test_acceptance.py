@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from replaygraph.datasets import synthetic_sbm_graph, build_task_sequence
+from replaygraph.datasets import (_mnist_files, build_task_sequence, load_mnist,
+                                  synthetic_sbm_graph)
 from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
                                     run_experiment, sweep_e)
 from replaygraph.linear import Batch, LinearModel
@@ -30,7 +31,8 @@ from replaygraph.selection import (CgSettings, cg_solve, class_rows,
                                    loo_parameter_change, loo_retrain_oracle,
                                    predicted_loss_change, select_cm, select_im,
                                    select_mf, select_random)
-from conftest import batch_of, dense_gauss_newton, finite_difference_gradient
+from conftest import (batch_of, dense_gauss_newton, finite_difference_gradient,
+                      write_idx_images, write_idx_labels)
 
 pytestmark = pytest.mark.acceptance
 
@@ -61,14 +63,28 @@ def find_citation(name):
 
 
 def find_mnist():
+    # the file names load_mnist accepts, from the loader itself
     tried = []
     for root in data_roots():
         for directory in (root / "mnist", root):
             tried.append(str(directory))
-            for suffix in ("", ".gz"):
-                if (directory / f"train-images-idx3-ubyte{suffix}").exists():
-                    return directory, tried
+            try:
+                _mnist_files(directory, "train")
+            except FileNotFoundError:
+                continue
+            return directory, tried
     return None, tried
+
+
+def test_find_mnist_accepts_every_name_the_loader_reads(tmp_path, monkeypatch):
+    images = np.arange(3 * 2 * 2).reshape(3, 2, 2)
+    write_idx_images(tmp_path / "train-images.idx3-ubyte", images)
+    write_idx_labels(tmp_path / "train-labels.idx1-ubyte", np.array([0, 1, 2]))
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    directory, _ = find_mnist()
+    assert directory == tmp_path
+    flat, labels = load_mnist(directory)
+    assert flat.shape == (3, 4) and labels.tolist() == [0, 1, 2]
 
 
 def budget(start, limit, capsys, label):

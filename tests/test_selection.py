@@ -2,6 +2,7 @@
 against hand oracles, dense solves, and actual leave-one-out retraining."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -179,8 +180,80 @@ class TestCoverage:
         _, d = coverage_counts(batch, batch.x)
         assert d == pytest.approx(8.0)  # median of {10, 6}
 
+    @staticmethod
+    def pdist_reference(batch, geometry):
+        from scipy.spatial.distance import pdist, squareform
+        dist = squareform(pdist(geometry))
+        other = batch.y[:, None] != batch.y[None, :]
+        d = float(np.median(dist[other])) if other.any() else 0.0
+        return np.sum((dist < d) & other, axis=1), d
+
+    @staticmethod
+    def fuzzed_geometry(rng, kind, n, dim):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if kind == 0:  # binary rows: many exact ties
+            return (rng.random((n, dim)) < rng.uniform(0.05, 0.5)).astype(np.float64)
+        if kind == 1:  # duplicated rows
+            base = rng.standard_normal((max(1, n // 3), dim)) * scale
+            return base[rng.integers(0, len(base), n)]
+        if kind == 2:  # small-integer grid
+            return rng.integers(-3, 4, (n, dim)) * scale
+        if kind == 3:  # far from the origin: large norms, small distances
+            return (rng.standard_normal((n, dim)) + 100 * rng.standard_normal(dim)) * scale
+        if kind == 4:  # squares that underflow
+            return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-170, -150)
+        return rng.standard_normal((n, dim)) * scale * 10.0 ** rng.uniform(-3, 3, (n, 1))
+
+    def test_counts_and_d_equal_pdist_on_fuzzed_geometries(self):
+        rng = np.random.default_rng(0)
+        for trial in range(400):
+            n = 2 if trial % 41 == 0 else int(rng.integers(2, 60))
+            dim = int(rng.choice([1, 2, 3, 7, 16, 64, 300, 784, 1433]))
+            geometry = self.fuzzed_geometry(rng, trial % 6, n, dim)
+            classes = 1 if trial % 37 == 0 else int(rng.integers(2, 6))
+            batch = Batch(geometry, rng.integers(0, classes, n))
+            counts, d = coverage_counts(batch, geometry)
+            ref_counts, ref_d = self.pdist_reference(batch, geometry)
+            assert d == ref_d, trial
+            assert counts.tolist() == ref_counts.tolist(), trial
+
+    def test_counts_and_d_equal_pdist_on_image_sized_geometry(self):
+        rng = np.random.default_rng(1)
+        for n, dim in [(300, 784), (40, 1433), (64, 64)]:
+            batch = Batch(rng.random((n, dim)), rng.integers(0, 10, n))
+            counts, d = coverage_counts(batch, batch.x)
+            ref_counts, ref_d = self.pdist_reference(batch, batch.x)
+            assert d == ref_d
+            assert counts.tolist() == ref_counts.tolist()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_named(self, value):
+        batch = cands([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
+        geometry = batch.x.copy()
+        geometry[2, 0] = value
+        geometry[3, 0] = value
+        with pytest.raises(ValueError, match="row 2 "):
+            coverage_counts(batch, geometry)
+
+    def test_cm_run_loads_no_scipy(self, tmp_path):
+        import subprocess
+        import sys
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            dataset="synthetic-images", model="mlp", e=1, epochs=1, lr=1e-2, batch_size=16,
+            tasks=2, hidden_dim=8, syn_images_per_class=20, mnist_train_per_task=60,
+            mnist_test_per_task=30)))
+        args = ["run", "--config", str(config), "--strategy", "cm", "--seeds", "0",
+                "--out", str(tmp_path / "out")]
+        code = ("import json, sys; from replaygraph import cli; "
+                f"cli.main({args!r}); "
+                "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_package_import_leaves_scipy_spatial_unloaded(self):
-        # only cm's distance matrix needs it, and it is slow to import
+        # nothing in the package needs it, and it is slow to import
         import subprocess
         import sys
         code = ("import sys, replaygraph; "
