@@ -288,6 +288,13 @@ class MlpModel:
         the decay gradient ``(rows in step / rows in pool) * sum_g coeff_g *
         weight_decay * theta``, so one epoch applies the objective's decay term
         exactly once. Returns a trained copy; the receiver is left untouched.
+
+        Adam steps only the output rows that can move: the union's rows and
+        any row holding a value other than ±0 (NaN included), which still
+        decays. Any other row gets the gradient ``decay * 0``, which from zero
+        moments is a step of ``0 / (sqrt(0) + eps') = 0``, so leaving it out
+        keeps every bit, ``-0.0`` included. At depth 0 these are the rows of
+        classes not yet seen.
         """
         masks = [self.resolve_mask(g.mask) for g in groups]
         for g, mask_arr in zip(groups, masks):
@@ -305,6 +312,10 @@ class MlpModel:
             raise ValueError("batch_size must be positive")
         decay = sum(g.coeff for g in groups) * self.weight_decay
         rng = np.random.default_rng(config.seed)
+        head_w, head_b = self.layers[-1]
+        moving = np.union1d(union, np.flatnonzero(np.any(head_w != 0, axis=1) | (head_b != 0)))
+        trainee = replace(self, layers=self.layers[:-1] + [(head_w[moving], head_b[moving])])
+        head_mask = np.searchsorted(moving, union)  # the union's rows in the trainee
 
         def epoch_batches():
             if size >= total:
@@ -312,17 +323,21 @@ class MlpModel:
             order = rng.permutation(total)
             return [order[start:start + size] for start in range(0, total, size)]
 
-        theta = self.get_flat()
-        scratch = replace(self, layers=self._split(theta))  # views: each step moves them
+        theta = trainee.get_flat()
+        scratch = replace(trainee, layers=trainee._split(theta))  # views: each step moves them
         grad_out, term = np.empty_like(theta), np.empty_like(theta)
 
         def grad_fn(theta, rows):
             grad = np.multiply(((total if rows is None else len(rows)) / total) * decay, theta,
                                out=grad_out)
             step = slice(None) if rows is None else rows  # the whole pool: views, no copies
-            grad += scratch._ce_gradient(x[step], pos[step], w[step], union,
+            grad += scratch._ce_gradient(x[step], pos[step], w[step], head_mask,
                                          None if blocked is None else blocked[step], term)
             return grad
 
         adam_minimize(theta, grad_fn, config, epoch_batches)
-        return scratch.copy()  # arrays of its own, not views of theta
+        fitted = scratch.copy()  # arrays of its own, not views of theta
+        full_w, full_b = head_w.copy(), head_b.copy()
+        full_w[moving], full_b[moving] = fitted.layers[-1]
+        fitted.layers[-1] = (full_w, full_b)
+        return fitted

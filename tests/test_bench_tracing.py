@@ -55,6 +55,25 @@ def test_install_counts_one_update_span_per_adam_step(tracing):
     assert MlpModel.__dict__["fit"] is fit
 
 
+def test_update_spans_count_steps_when_idle_head_rows_are_skipped(tracing):
+    # fit leaves idle zero head rows out of Adam; --trace 1's optim.adam_steps
+    # must still count one update span per step
+    from replaygraph import Batch, LossGroup, MlpModel, TrainConfig
+    rng = np.random.default_rng(0)
+    model = MlpModel.zeros(5, 4, weight_decay=0.01, active_classes=range(5))
+    batch = Batch(rng.standard_normal((10, 4)), rng.choice([1, 3], 10))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tracer.run = 0
+        model.fit([LossGroup(batch, (1, 3), 1.0)], TrainConfig(epochs=3, lr=1e-2, batch_size=4))
+    finally:
+        tracer.run = None
+        tracing.uninstall(patches)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("optim.update") == 3 * 3  # epochs x batches of 4, 4 and 2 rows
+
+
 def test_install_counts_the_iterations_of_one_influence_solve(tracing):
     # --trace 1 reads selection.cg_iters off the cg_solve span: an im
     # selection must still reach cg_solve through the traced name, once.

@@ -441,6 +441,34 @@ class TestFit:
         expected = per_group_reference_fit(model, groups, config)
         assert np.max(np.abs(fitted - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_idle_zero_head_rows_are_not_stepped(self, rng, monkeypatch, depth):
+        # a row outside every mask holding only ±0 gets the gradient decay * 0
+        # and Adam's step 0 / (sqrt(0) + eps'), so fit leaves it out of Adam;
+        # a row holding values outside every mask still decays
+        model = model_of_depth(depth, feature_dim=6, class_count=5, weight_decay=0.1)
+        head_w, head_b = model.layers[-1]
+        if depth == 0:
+            head_w[0], head_b[0] = rng.standard_normal(6), 0.5  # an earlier task's row
+            head_w[2], head_b[2] = -0.0, -0.0
+            idle = [2, 4]
+        else:
+            head_w[4], head_b[4] = 0.0, 0.0
+            idle = [4]
+        groups = [LossGroup(random_samples(rng, model, 7, classes=(1, 3)), (1, 3), 0.7),
+                  LossGroup(random_samples(rng, model, 3, classes=(3,)), (3,), 0.45)]
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=4, seed=3)
+        dims, zeros = [], AdamState.zeros.__func__
+        monkeypatch.setattr(AdamState, "zeros",
+                            classmethod(lambda cls, dim: dims.append(dim) or zeros(cls, dim)))
+        fitted = model.fit(groups, config)
+        assert fitted.get_flat().tobytes() == reference_fit(model, groups, config).tobytes()
+        assert dims == [model.num_params - len(idle) * (head_w.shape[1] + 1)]
+        fitted_w, fitted_b = fitted.layers[-1]
+        assert fitted_w[idle].tobytes() == head_w[idle].tobytes()
+        assert fitted_b[idle].tobytes() == head_b[idle].tobytes()
+        assert not np.array_equal(fitted_w[0], head_w[0])
+
     def test_label_in_another_groups_mask_only_rejected(self, rng):
         # class 0 is in the pooled union, but not in the first group's mask
         model = tiny_net(class_count=4)
