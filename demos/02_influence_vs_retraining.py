@@ -22,8 +22,9 @@ dim, n_per_class, sep = 4, 15, 1.5
 
 # two gaussian blobs; decay 0.3 keeps the optimum well-conditioned so that
 # removing one point is a small perturbation, the regime the Taylor
-# expansion behind the score assumes
-template = LinearModel.zeros(2, dim, weight_decay=0.3, active_classes=(0, 1))
+# expansion behind the score assumes; no mask is passed below, so the fit
+# and the scores run over both classes
+template = LinearModel.zeros(2, dim, weight_decay=0.3)
 centers = {0: np.full(dim, -sep / 2), 1: np.full(dim, sep / 2)}
 
 

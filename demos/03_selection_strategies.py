@@ -25,9 +25,11 @@ candidates = data.train  # propagated inputs plus raw attributes, one row per no
 print(f"task over classes {task.classes}, {len(candidates)} candidates")
 
 # im needs a trained model and probe samples to measure influence against;
-# here we train on the full pool and probe with a few of its own members
+# here we train on the full pool and probe with a few of its own members. The
+# model has a row for each of the graph's classes; fitting and scoring name
+# the task's classes as the mask, since mask=None would mean every class
 template = LinearModel.zeros(graph.class_count, graph.features.shape[1],
-                             weight_decay=0.1, active_classes=task.classes)
+                             weight_decay=0.1)
 model = fit_to_stationarity(template, candidates, mask=task.classes)
 probes = candidates.take(np.arange(6))
 

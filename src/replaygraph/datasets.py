@@ -141,13 +141,11 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
     content_path = Path(content_path)
     cites_path = Path(cites_path)
 
-    ids: list[str] = []
     index: dict[str, int] = {}
     middles: list[str] = []
     linenos: list[int] = []
     label_ids: list[int] = []
     label_index: dict[str, int] = {}
-    label_names: list[str] = []
 
     with content_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -164,16 +162,12 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
             if node_id in index:
                 _check_attribute_rows(content_path, linenos, middles)
                 raise CitationFormatError(f"{content_path}:{lineno}: duplicate node id {node_id}")
-            if label not in label_index:
-                label_index[label] = len(label_names)
-                label_names.append(label)
-            index[node_id] = len(ids)
-            ids.append(node_id)
+            index[node_id] = len(index)
             middles.append(middle)
             linenos.append(lineno)
-            label_ids.append(label_index[label])
+            label_ids.append(label_index.setdefault(label, len(label_index)))
 
-    if not ids:
+    if not index:
         raise CitationFormatError(f"{content_path}: no content lines")
     try:
         features = _parse_attributes(middles)
@@ -201,10 +195,10 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
         logger.warning("%s: dropped %d citation(s) referencing unknown ids or self loops",
                        cites_path, dropped)
 
-    return graph_from_edges(len(ids), edges, features,
+    return graph_from_edges(len(index), edges, features,
                             np.array(label_ids, dtype=np.int64),
-                            class_count=len(label_names),
-                            label_names=tuple(label_names))
+                            class_count=len(label_index),
+                            label_names=tuple(label_index))
 
 
 def build_task_sequence(g: Graph, classes_per_task: int, num_tasks: int,

@@ -122,17 +122,12 @@ class NormalizedAdjacency:
 
     matrix: sp.csr_matrix
 
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class PropagatedFeatures:
-    """Dense node representations S^K X together with the depth K used."""
+    """Dense node representations S^K X."""
 
     values: np.ndarray
-    depth: int
 
 
 def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -162,12 +157,12 @@ def propagate(s: NormalizedAdjacency, x, k: int) -> PropagatedFeatures:
     if k < 0:
         raise ValueError("propagation depth must be >= 0")
     out = _feature_matrix(x)
-    if out.shape[0] != s.num_nodes:
-        raise ValueError(
-            f"feature matrix has shape {out.shape}, expected ({s.num_nodes}, feature_dim)")
+    if out.shape[0] != s.matrix.shape[0]:
+        raise ValueError(f"feature matrix has shape {out.shape}, "
+                         f"expected ({s.matrix.shape[0]}, feature_dim)")
     for _ in range(k):
         out = s.matrix @ out
-    return PropagatedFeatures(out.toarray(), k)
+    return PropagatedFeatures(out.toarray())
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

@@ -3,8 +3,9 @@
 At depth 0 (``MlpModel.zeros``) it is softmax regression on propagated
 graph features, the SGC model (Wu et al. 2019), which ``linear.LinearModel``
 names; ``MlpModel.init`` builds the two-hidden-layer net for permuted images.
-One output row per global class, restricted to a mask of currently relevant
-classes, lets a single parameter set serve every task in a sequence. Loss is
+One output row per global class, restricted to the caller's mask of relevant
+classes (``mask=None`` is every class), lets a single parameter set serve
+every task in a sequence; the model keeps no class state of its own. Loss is
 SUM-reduced over rows (this makes the replay weight factor balance exact);
 ``curvature`` builds the Gauss-Newton operator (Schraudolph 2002) of the
 per-row MEAN loss, the operator the influence approximation inverts: one
@@ -36,25 +37,23 @@ class MlpModel:
     """Layers ``(W, b)``, input first, W stored (out, in); ReLU after all but the last."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    active_classes: frozenset[int]
     weight_decay: float = 0.0
 
     @classmethod
-    def zeros(cls, class_count: int, feature_dim: int, weight_decay: float = 0.0,
-              active_classes=()) -> "MlpModel":
+    def zeros(cls, class_count: int, feature_dim: int, weight_decay: float = 0.0) -> "MlpModel":
         """The depth-0 (linear) model, every parameter zero."""
         return cls([(np.zeros((class_count, feature_dim)), np.zeros(class_count))],
-                   frozenset(active_classes), weight_decay)
+                   weight_decay)
 
     @classmethod
     def init(cls, input_dim: int = 784, hidden_dim: int = 256, class_count: int = 10,
-             weight_decay: float = 0.0, seed: int = 0, active_classes=()) -> "MlpModel":
+             weight_decay: float = 0.0, seed: int = 0) -> "MlpModel":
         """Two hidden layers (784-256-256-10 by default), He weights, zero biases."""
         rng = np.random.default_rng(seed)
         dims = (input_dim, hidden_dim, hidden_dim, class_count)
         layers = [(rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in)), np.zeros(d_out))
                   for d_in, d_out in zip(dims, dims[1:])]
-        return cls(layers, frozenset(active_classes), weight_decay)
+        return cls(layers, weight_decay)
 
     @property
     def class_count(self) -> int:
@@ -70,13 +69,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
-
-    def activate(self, classes) -> "MlpModel":
-        """New model with the given classes added to the active set."""
-        new = frozenset(classes) | self.active_classes
-        if new and (min(new) < 0 or max(new) >= self.class_count):
-            raise ValueError("active class id outside [0, class_count)")
-        return replace(self.copy(), active_classes=new)
 
     # -- flat parameter vector: W1 (row-major), b1, W2, b2, ... --
 
@@ -116,7 +108,8 @@ class MlpModel:
     # -- masked softmax head --
 
     def resolve_mask(self, mask) -> np.ndarray:
-        classes = self.active_classes if mask is None else mask
+        """The mask's class ids, sorted and unique; ``None`` is every class."""
+        classes = range(self.class_count) if mask is None else mask
         arr = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
         if arr.size == 0:
             raise MaskError("class mask is empty")

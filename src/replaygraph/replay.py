@@ -244,15 +244,17 @@ def _carve_probes(candidates: Batch, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
-            buffer: Batch | None, config: ReplayConfig, task_id: int) -> np.ndarray:
-    """Row indices into ``candidates`` that go into the buffer."""
+            buffer: Batch | None, seen, config: ReplayConfig, task_id: int) -> np.ndarray:
+    """Row indices into ``candidates`` that go into the buffer; ``im`` scores
+    over the ``seen`` classes."""
     if strategy == "none":
         return np.zeros(0, dtype=np.int64)
     if strategy == "random":
         return select_random(candidates, config.e, _derived_seed(config.seed, task_id, 1))
     if strategy == "im":
         population = candidates if buffer is None else stack_samples([candidates, buffer])
-        return select_im(model, candidates, config.e, probes, population=population)
+        return select_im(model, candidates, config.e, probes, mask=seen,
+                         population=population)
     if strategy.endswith("-embed"):
         geometry = model.embed(candidates.x)
     else:
@@ -269,14 +271,22 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
                config: ReplayConfig) -> RunState:
     """One pass of the per-task loop; mutates and returns ``state``.
 
-    Steps: activate the task's classes, train on the weighted current-plus-
-    buffer objective, select experiences from the trained rows, grow the
-    buffer, then score every task seen so far and snapshot the parameters.
+    Steps: record the task and the classes seen so far, train on the weighted
+    current-plus-buffer objective, select experiences from the trained rows,
+    grow the buffer, then score every task seen so far and snapshot the
+    parameters. Every class mask is chosen here. Task-aware, each loss group
+    runs over its own rows' classes and each task is scored over its own;
+    class-incremental, both loss groups and every score run over all classes
+    seen so far. ``im`` always scores influence over the seen classes.
     """
-    state.model = state.model.activate(data.classes)
     buffer = state.buffer.batch()
-    buffer_classes = state.buffer.classes()
     buffer_before = len(state.buffer)
+    state.history.append(data)
+    seen = state.seen_classes()
+    if config.eval_mode == "task-aware":
+        train_mask, buffer_mask = data.classes, state.buffer.classes()
+    else:
+        train_mask = buffer_mask = seen
 
     train, probes = data.train, None
     if strategy == "im":
@@ -285,15 +295,13 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
         train, probes = train.take(keep), Batch(train.x[held], train.y[held])
 
     beta = weight_factor(len(train), buffer_before)
-    groups = loss_groups(train, buffer, data.classes, buffer_classes)
+    groups = loss_groups(train, buffer, train_mask, buffer_mask)
     state.model = state.model.fit(groups, _train_config(config, data.task_id))
 
-    selected = train.take(_select(state.model, strategy, train, probes, buffer, config,
+    selected = train.take(_select(state.model, strategy, train, probes, buffer, seen, config,
                                   data.task_id))
     state.buffer.add(selected)
 
-    state.history.append(data)
-    seen = state.seen_classes()
     row = []
     for past in state.history:
         mask = past.classes if config.eval_mode == "task-aware" else seen
@@ -303,8 +311,8 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     state.snapshots.append({name: arr.copy()
                             for name, arr in state.model.to_arrays().items()})
 
-    loss_train = float(state.model.loss(train, data.classes))
-    loss_buffer = (float(state.model.loss(buffer, buffer_classes))
+    loss_train = float(state.model.loss(train, train_mask))
+    loss_buffer = (float(state.model.loss(buffer, buffer_mask))
                    if buffer is not None else None)
     state.events.append({
         "task": data.task_id,
@@ -343,8 +351,8 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
     """Run the loop over permuted-image tasks with the MLP.
 
     All tasks share the label space, classes 0 up to the largest train or
-    test label, so every class is active from the start and the buffer's
-    per-(task, class) keying is what keeps capacities right.
+    test label, so the buffer's per-(task, class) keying is what keeps
+    capacities right.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -355,7 +363,7 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
                           for labels in (task.train_labels, task.test_labels))
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
                           class_count=class_count, weight_decay=config.decay,
-                          seed=config.seed).activate(range(class_count))
+                          seed=config.seed)
     state = RunState(model=model, buffer=ExperienceBuffer(config.e))
     for task in tasks:
         learn_task(state, prepare_image_task(task), strategy, config)

@@ -257,7 +257,8 @@ def influence_scores(model, train: Batch, probes: Batch,
     being measured on the probes.
 
     ``settings=None`` means ``MLP_CG`` for a model with hidden layers, else
-    ``LINEAR_CG``.
+    ``LINEAR_CG``. Every gradient and the curvature run over ``mask``'s
+    classes; ``mask=None`` is every class of the model.
     """
     if len(probes) == 0:
         raise ValueError("probe set is empty")
@@ -290,7 +291,8 @@ def select_im(model, batch: Batch, e: int, probes: Batch,
 
     Influence is signed, and a strongly negative row shapes the decision
     boundary as much as a strongly positive one. Candidates are scored as
-    unit-weight rows in class order.
+    unit-weight rows in class order, over ``mask``'s classes (``None``: every
+    class of the model).
     """
     groups = _candidate_classes(batch, e)
     order = np.concatenate([rows for _, rows in groups])

@@ -58,7 +58,7 @@ def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,
     classes = list(range(class_count)) if mask is None else sorted(mask)
     model = LinearModel([(spread * rng.standard_normal((class_count, feature_dim)),
                           spread * rng.standard_normal(class_count))],
-                        frozenset(classes), weight_decay)
+                        weight_decay)
     rows = [(rng.standard_normal(feature_dim), int(rng.choice(classes)),
              float(rng.uniform(0.5, 2.0))) for _ in range(n)]
     return model, batch_of(rows)
@@ -66,13 +66,12 @@ def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,
 
 def model_of_depth(depth, feature_dim, class_count, weight_decay=0.0):
     """Depth 0: the zero linear model; depth 2: a seeded He-initialized MLP
-    with four units per hidden layer. Every class is active."""
+    with four units per hidden layer."""
     if depth == 0:
-        return LinearModel.zeros(class_count, feature_dim, weight_decay,
-                                 active_classes=range(class_count))
+        return LinearModel.zeros(class_count, feature_dim, weight_decay)
     assert depth == 2
     return MlpModel.init(input_dim=feature_dim, hidden_dim=4, class_count=class_count,
-                         weight_decay=weight_decay, active_classes=range(class_count))
+                         weight_decay=weight_decay)
 
 
 def batch_of(rows):

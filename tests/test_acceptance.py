@@ -100,8 +100,7 @@ def test_criterion1_numerics_suite(capsys):
     worst_linear = 0.0
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        model = LinearModel.zeros(4, 5, weight_decay=float(rng.uniform(0, 0.1)),
-                                  active_classes=range(4))
+        model = LinearModel.zeros(4, 5, weight_decay=float(rng.uniform(0, 0.1)))
         model.set_flat(rng.standard_normal(model.num_params))
         samples = batch_of([(rng.standard_normal(5), int(rng.integers(4)),
                              float(rng.uniform(0.5, 2.0))) for _ in range(6)])
@@ -121,7 +120,7 @@ def test_criterion1_numerics_suite(capsys):
         rng = np.random.default_rng(1000 + trial)
         model = MlpModel.init(input_dim=10, hidden_dim=4, class_count=3,
                               weight_decay=float(rng.uniform(0, 0.1)),
-                              seed=trial, active_classes=range(3))
+                              seed=trial)
         # fully random parameters keep pre-activations off the ReLU kinks,
         # where two-sided differences and the subgradient legitimately differ
         model.set_flat(0.5 * rng.standard_normal(model.num_params))
@@ -141,8 +140,7 @@ def test_criterion1_numerics_suite(capsys):
     worst_hvp = 0.0
     for trial in range(20):
         rng = np.random.default_rng(2000 + trial)
-        model = LinearModel.zeros(3, 4, weight_decay=float(rng.uniform(0, 0.1)),
-                                  active_classes=range(3))
+        model = LinearModel.zeros(3, 4, weight_decay=float(rng.uniform(0, 0.1)))
         model.set_flat(rng.standard_normal(model.num_params))
         samples = batch_of([(rng.standard_normal(4), int(rng.integers(3)))
                             for _ in range(6)])
@@ -161,7 +159,7 @@ def test_criterion1_numerics_suite(capsys):
         rng = np.random.default_rng(2500 + trial)
         model = MlpModel.init(input_dim=6, hidden_dim=4, class_count=4,
                               weight_decay=float(rng.uniform(0, 0.1)),
-                              seed=trial, active_classes=range(4))
+                              seed=trial)
         model.set_flat(0.5 * rng.standard_normal(model.num_params))
         mask = (0, 2, 3)
         samples = batch_of([(rng.standard_normal(6), int(rng.choice(mask)),
@@ -202,7 +200,7 @@ def test_criterion1_numerics_suite(capsys):
 def blob_instance(seed, n_per_class=15, dim=4, weight_decay=0.3, sep=1.5,
                   probes_per_class=5):
     rng = np.random.default_rng(seed)
-    template = LinearModel.zeros(2, dim, weight_decay, active_classes=(0, 1))
+    template = LinearModel.zeros(2, dim, weight_decay)
     centers = {0: np.full(dim, -sep / 2), 1: np.full(dim, sep / 2)}
 
     def draw(count):
@@ -454,7 +452,7 @@ def test_criterion6_property_suite(capsys):
     from replaygraph.replay import prepare_task_data
     data = prepare_task_data(graph, seq.tasks[0], k=2)
     candidates = data.train
-    template = LinearModel.zeros(4, 4, 0.1, active_classes=(0, 1))
+    template = LinearModel.zeros(4, 4, 0.1)
     model = fit_to_stationarity(template, candidates, mask=(0, 1))
     probes = candidates.take(np.arange(4))
     for e in (1, 3, 8, 50):

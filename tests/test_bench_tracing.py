@@ -38,7 +38,7 @@ def test_install_counts_one_update_span_per_adam_step(tracing):
     from replaygraph import AdamState, Batch, LossGroup, MlpModel, TrainConfig
     update, fit = AdamState.__dict__["update"], MlpModel.__dict__["fit"]
     rng = np.random.default_rng(0)
-    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3, active_classes=range(3))
+    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3)
     batch = Batch(rng.standard_normal((10, 5)), rng.integers(0, 3, 10))
     tracer = tracing.Tracer()
     patches = tracing.install(tracer)
@@ -60,7 +60,7 @@ def test_update_spans_count_steps_when_idle_head_rows_are_skipped(tracing):
     # must still count one update span per step
     from replaygraph import Batch, LossGroup, MlpModel, TrainConfig
     rng = np.random.default_rng(0)
-    model = MlpModel.zeros(5, 4, weight_decay=0.01, active_classes=range(5))
+    model = MlpModel.zeros(5, 4, weight_decay=0.01)
     batch = Batch(rng.standard_normal((10, 4)), rng.choice([1, 3], 10))
     tracer = tracing.Tracer()
     patches = tracing.install(tracer)
@@ -79,8 +79,7 @@ def test_install_counts_the_iterations_of_one_influence_solve(tracing):
     # selection must still reach cg_solve through the traced name, once.
     from replaygraph import Batch, MlpModel, selection
     rng = np.random.default_rng(0)
-    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3, weight_decay=0.01,
-                          active_classes=range(3))
+    model = MlpModel.init(input_dim=5, hidden_dim=3, class_count=3, weight_decay=0.01)
     train, probes = (Batch(rng.standard_normal((n, 5)), rng.integers(0, 3, n)) for n in (9, 6))
     settings = selection.MLP_CG
     tracer = tracing.Tracer()

@@ -148,7 +148,6 @@ class TestPropagate:
         s = normalize_adjacency(g)
         out = propagate(s, g.features, 0)
         assert np.array_equal(out.values, g.features.toarray())
-        assert out.depth == 0
 
     def test_two_node_average(self):
         g = path_graph(2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from replaygraph import Batch, LinearModel, LossGroup, MaskError, TrainConfig
+from replaygraph import Batch, LinearModel, LossGroup, MaskError, MlpModel, TrainConfig
 from replaygraph.linear import logsumexp, stack_samples
 
 from conftest import finite_difference_gradient, model_of_depth, random_instance
@@ -101,6 +101,16 @@ class TestLossAndGradient:
         with pytest.raises(MaskError, match="empty"):
             model.loss(samples, mask=())
 
+    @pytest.mark.parametrize("model", [LinearModel.zeros(5, 3),
+                                       MlpModel.init(input_dim=3, hidden_dim=2, class_count=4)],
+                             ids=["depth0", "depth2"])
+    def test_no_mask_spans_every_class(self, model):
+        # a model built without naming any class still scores over all of them
+        everything = np.arange(model.class_count)
+        assert np.array_equal(model.resolve_mask(None), everything)
+        batch = Batch(np.ones((1, model.feature_dim)), [model.class_count - 1])
+        assert model.loss(batch) == model.loss(batch, everything)
+
     def test_mask_outside_class_range_rejected(self, rng):
         model, samples = random_instance(rng, class_count=3)
         with pytest.raises(MaskError):
@@ -194,7 +204,7 @@ class TestPredict:
         assert set(preds.tolist()) <= {2, 4}
 
     def test_tie_breaks_to_lowest_class_id(self):
-        model = LinearModel.zeros(4, 3, active_classes=(0, 1, 2, 3))
+        model = LinearModel.zeros(4, 3)
         preds = model.predict(np.ones((5, 3)))
         assert np.array_equal(preds, np.zeros(5))
 
@@ -206,7 +216,7 @@ class TestPredict:
 
 class TestFit:
     def test_loss_decreases_monotonically_on_single_sample(self, rng):
-        model = LinearModel.zeros(3, 4, active_classes=(0, 1, 2))
+        model = LinearModel.zeros(3, 4)
         sample = Batch(rng.standard_normal((1, 4)), [1])
         losses = []
         current = model
@@ -260,30 +270,18 @@ class TestPlumbing:
         assert np.array_equal(other.layers[0][0], model.layers[0][0])
         assert np.array_equal(other.layers[0][1], model.layers[0][1])
 
-    def test_activate_accumulates(self):
-        model = LinearModel.zeros(6, 2)
-        grown = model.activate((0, 1)).activate((4,))
-        assert grown.active_classes == frozenset({0, 1, 4})
-        assert model.active_classes == frozenset()
-
-    def test_activate_rejects_out_of_range(self):
-        model = LinearModel.zeros(3, 2)
-        with pytest.raises(ValueError):
-            model.activate((5,))
-
     def test_stack_samples_rejects_empty(self):
         with pytest.raises(ValueError):
             stack_samples([])
 
     def test_arrays_roundtrip(self, rng):
         model, _ = random_instance(rng)
-        rebuilt = LinearModel.zeros(model.class_count, model.feature_dim,
-                                    active_classes=model.active_classes)
+        rebuilt = LinearModel.zeros(model.class_count, model.feature_dim)
         rebuilt = rebuilt.with_arrays(model.to_arrays())
         assert np.array_equal(rebuilt.layers[0][0], model.layers[0][0])
 
     def test_savez_round_trip(self, rng, tmp_path):
-        model = LinearModel.zeros(3, 5, active_classes=(0, 1, 2))
+        model = LinearModel.zeros(3, 5)
         model.set_flat(rng.standard_normal(model.num_params))
         path = tmp_path / "linear.npz"
         np.savez(path, **model.to_arrays())

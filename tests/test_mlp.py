@@ -18,7 +18,7 @@ def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0
     and the subgradient convention legitimately disagree."""
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
                           class_count=class_count, weight_decay=weight_decay,
-                          seed=seed, active_classes=range(class_count))
+                          seed=seed)
     if generic:
         rng = np.random.default_rng(seed + 1000)
         model.set_flat(0.5 * rng.standard_normal(model.num_params))
@@ -26,7 +26,7 @@ def tiny_net(seed=0, input_dim=10, hidden_dim=4, class_count=3, weight_decay=0.0
 
 
 def random_samples(rng, model, n, classes=None):
-    classes = classes if classes is not None else sorted(model.active_classes)
+    classes = classes if classes is not None else range(model.class_count)
     return batch_of([(rng.standard_normal(model.feature_dim), int(rng.choice(classes)),
                       float(rng.uniform(0.5, 2.0))) for _ in range(n)])
 
@@ -217,8 +217,7 @@ class TestHvp:
                        weight_decay=0.01)
         w3, b3 = mlp.layers[2]
         mlp.layers[:2] = [(np.eye(dim), np.zeros(dim)), (np.eye(dim), np.zeros(dim))]
-        linear = LinearModel([(w3.copy(), b3.copy())], frozenset(range(classes)),
-                             weight_decay=0.01)
+        linear = LinearModel([(w3.copy(), b3.copy())], weight_decay=0.01)
         inputs = rng.uniform(0.5, 2.0, size=(6, dim))  # positive: ReLU stays active
         samples = Batch(inputs, [int(rng.integers(0, classes)) for _ in range(6)])
 
@@ -347,7 +346,7 @@ class TestFit:
     def test_small_image_problem_reaches_high_train_accuracy(self):
         images, labels = synthetic_image_dataset(5, 20, 0.15, seed=0, dim=36)
         model = MlpModel.init(input_dim=36, hidden_dim=32, class_count=5,
-                              weight_decay=1e-5, seed=0, active_classes=range(5))
+                              weight_decay=1e-5, seed=0)
         fitted = model.fit([LossGroup(Batch(images, labels), None, 1.0)],
                            TrainConfig(epochs=20, lr=1e-2, batch_size=16, seed=0))
         preds = fitted.predict(images)

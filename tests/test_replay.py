@@ -370,6 +370,63 @@ class TestRunSequenceBehavior:
         assert wide.matrix().values[2, 0] <= aware.matrix().values[2, 0] + 1e-9
 
 
+class TestRunMasks:
+    """``learn_task`` names every class mask; the model holds none."""
+
+    @staticmethod
+    def seen_after_each_task(seq):
+        seen, out = set(), []
+        for task in seq.tasks:
+            seen.update(task.classes)
+            out.append(tuple(sorted(seen)))
+        return out
+
+    @staticmethod
+    def record_fit_masks(monkeypatch):
+        fit, masks = MlpModel.fit, []
+
+        def recording(model, groups, config):
+            masks.append([tuple(int(c) for c in g.mask) for g in groups])
+            return fit(model, groups, config)
+
+        monkeypatch.setattr(MlpModel, "fit", recording)
+        return masks
+
+    @pytest.mark.parametrize("eval_mode", ["task-aware", "class-incremental"])
+    def test_loss_groups_and_events_use_the_mode_masks(self, monkeypatch, eval_mode):
+        # class-incremental, both loss groups compete over every class seen
+        # so far, the current task's included, as its scoring does
+        masks = self.record_fit_masks(monkeypatch)
+        seq = sbm_sequence()
+        config = ReplayConfig(e=1, epochs=10, seed=0, eval_mode=eval_mode)
+        state = run_sequence(seq, "random", config)
+        tasks = [tuple(task.classes) for task in seq.tasks]
+        seen = self.seen_after_each_task(seq)
+        if eval_mode == "task-aware":
+            expected = [[tasks[0]], [tasks[1], seen[0]], [tasks[2], seen[1]]]
+        else:
+            expected = [[seen[0]], [seen[1]] * 2, [seen[2]] * 2]
+        assert masks == expected
+        for ev, snap, data, (train_mask, *_) in zip(state.events, state.snapshots,
+                                                    state.history, expected):
+            trained = state.model.with_arrays(snap)
+            assert ev["loss_train"] == trained.loss(data.train, train_mask)
+
+    @pytest.mark.parametrize("eval_mode", ["task-aware", "class-incremental"])
+    def test_im_scores_over_the_seen_classes(self, monkeypatch, eval_mode):
+        import replaygraph.replay as replay
+        masks, select_im = [], replay.select_im
+
+        def recording(*args, mask=None, **kwargs):
+            masks.append(None if mask is None else tuple(mask))
+            return select_im(*args, mask=mask, **kwargs)
+
+        monkeypatch.setattr(replay, "select_im", recording)
+        seq = sbm_sequence(train_per_class=8)
+        run_sequence(seq, "im", ReplayConfig(e=1, epochs=10, seed=0, eval_mode=eval_mode))
+        assert masks == self.seen_after_each_task(seq)
+
+
 class TestImageRuns:
     def test_shared_label_space_buffer_capacities(self):
         images, labels = synthetic_image_dataset(num_classes=2, per_class=40,

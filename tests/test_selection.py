@@ -49,7 +49,7 @@ def two_blob_problem(seed, n_per_class=15, dim=4, weight_decay=0.3,
     the influence approximation assumes.
     """
     rng = np.random.default_rng(seed)
-    template = LinearModel.zeros(2, dim, weight_decay, active_classes=(0, 1))
+    template = LinearModel.zeros(2, dim, weight_decay)
     centers = {0: np.full(dim, -separation / 2), 1: np.full(dim, separation / 2)}
 
     def draw(count):
@@ -409,7 +409,7 @@ class TestInfluenceOperator:
     def mlp_problem():
         rng = np.random.default_rng(3)
         model = MlpModel.init(input_dim=6, hidden_dim=5, class_count=4, weight_decay=0.01,
-                              seed=1, active_classes=range(4))
+                              seed=1)
         model.set_flat(0.5 * rng.standard_normal(model.num_params))
 
         def rows(n):
@@ -487,7 +487,7 @@ class TestSelectIm:
         # influence; the LOO oracle confirms it has the largest |loss change|
         rng = np.random.default_rng(5)
         dim = 3
-        template = LinearModel.zeros(2, dim, 0.1, active_classes=(0, 1))
+        template = LinearModel.zeros(2, dim, 0.1)
         tight = [(np.full(dim, -1.0) + 0.05 * rng.standard_normal(dim), 0)
                  for _ in range(8)]
         other = [(np.full(dim, 1.0) + 0.05 * rng.standard_normal(dim), 1)
