@@ -147,14 +147,22 @@ class ExperimentConfig:
             errors.append("seeds: duplicate values")
         if min(self.seeds, default=0) < 0:
             errors.append("seeds: must be >= 0")
-        if self.dataset == "synthetic-images" \
-                and self.mnist_test_per_task >= 10 * self.syn_images_per_class:
-            errors.append("mnist_test_per_task: must be < 10 * syn_images_per_class = "
-                          f"{10 * self.syn_images_per_class}, the synthetic images to split")
+        if self.dataset == "synthetic-images":
+            count, test = 10 * self.syn_images_per_class, self.mnist_test_per_task
+            if test >= count:
+                errors.append("mnist_test_per_task: must be < 10 * syn_images_per_class = "
+                              f"{count}, the synthetic images to split")
+            elif self.mnist_train_per_task + test > count:
+                errors.append(f"mnist_train_per_task: must be <= {count - test}, the {count} "
+                              "synthetic images less mnist_test_per_task")
 
         paired = DATASETS.get(self.dataset, self.model)
         if self.model != paired:
             errors.append(f"model: dataset {self.dataset!r} requires model {paired!r}")
+        if DATASETS.get(self.dataset) == "mlp" and self.eval_mode == "class-incremental":
+            errors.append(f"eval_mode: must be task-aware for {self.dataset!r}: every permuted "
+                          "task holds every label, so class-incremental would train and score "
+                          "exactly as task-aware")
 
         needed_by, paths = self.dataset, {}
         if self.dataset in ("cora", "citeseer", "citation"):
@@ -210,14 +218,13 @@ def _load_graph(config: ExperimentConfig, seed: int):
 
 def _image_tasks(config: ExperimentConfig, seed: int) -> list[datasets.ImageTask]:
     """The permuted tasks; the source images are freed when this returns."""
-    train = config.mnist_train_per_task
     if config.dataset == "permuted-mnist":
         images, labels = datasets.load_mnist(config.mnist_path(), split="train")
     else:
         images, labels = datasets.synthetic_image_dataset(
             10, config.syn_images_per_class, config.syn_noise, seed=seed)
-        train = min(train, len(images) - config.mnist_test_per_task)
-    return datasets.make_permuted_tasks(images, labels, config.tasks, train,
+    return datasets.make_permuted_tasks(images, labels, config.tasks,
+                                        config.mnist_train_per_task,
                                         config.mnist_test_per_task, seed=seed)
 
 

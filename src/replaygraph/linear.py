@@ -9,6 +9,7 @@ softmax regression on propagated features, is the linear model:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -87,16 +88,24 @@ def logsumexp(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
     As there, each row's maxima are split out of the sum, giving
     ``log1p(s / m) + log(m) + max`` for ``m`` maxima and ``s`` the sum of the
     other shifted exponentials; rows where that is not finite (a nan, an
-    infinity, or all ``-inf``) take ``log(sum(exp(z)))`` instead.
+    infinity, or all ``-inf``) take ``log(sum(exp(z)))`` instead. When every
+    row's maximum is finite, so is every result, and nothing can warn.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(z, axis=1, keepdims=True)
+    top = z.max(axis=1, keepdims=True)
+    finite = np.isfinite(top).all()
+    with contextlib.nullcontext() if finite else np.errstate(divide="ignore", invalid="ignore",
+                                                             over="ignore"):
         is_top = z == top
-        m = np.sum(is_top, axis=1, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(is_top, -np.inf, z) - top), axis=1, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + top
-        bad = ~np.isfinite(out[:, 0])
-        if bad.any():
+        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        out = np.where(is_top, -np.inf, z)
+        out -= top
+        out = np.exp(out, out=out).sum(axis=1, keepdims=True)
+        out /= m
+        np.log1p(out, out=out)
+        out += np.log(m)
+        out += top
+        if not finite:
+            bad = ~np.isfinite(out[:, 0])
             out[bad] = np.log(np.sum(np.exp(z[bad]), axis=1, keepdims=True))
     return out if keepdims else out[:, 0]
 

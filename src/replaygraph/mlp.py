@@ -26,10 +26,11 @@ from .linear import Batch, MaskError, label_positions, logsumexp
 from .optim import TrainConfig, adam_minimize
 
 
-def _head_rows(layers, mask_arr):
-    """The layers with the output layer cut to the mask's rows."""
+def _head_rows(layers, head):
+    """The layers with the output layer cut to the rows ``head`` indexes: a
+    mask's class ids, or a slice, whose rows are views rather than copies."""
     w, b = layers[-1]
-    return layers[:-1] + [(w[mask_arr], b[mask_arr])]
+    return layers[:-1] + [(w[head], b[head])]
 
 
 @dataclass
@@ -117,72 +118,92 @@ class MlpModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _hidden(self, x: np.ndarray) -> list[np.ndarray]:
-        """Every layer's input: ``x``, then each hidden activation."""
+    def _inputs(self, x) -> np.ndarray:
+        """``x`` as float64 rows of ``feature_dim`` columns; the public entry
+        points check their inputs here, so the passes below do not."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
+        return x
+
+    def _hidden(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every layer's input: ``x``, then each hidden activation."""
         acts = [x]
         for w, b in self.layers[:-1]:
-            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+            a = acts[-1] @ w.T
+            a += b
+            acts.append(np.maximum(a, 0.0, out=a))
         return acts
 
-    def _forward(self, x: np.ndarray, mask_arr: np.ndarray):
-        """Every layer's input and the mask-restricted logits."""
+    def _forward(self, x: np.ndarray, head):
+        """Every layer's input and the logits of the output rows ``head``
+        indexes (see ``_head_rows``)."""
         acts = self._hidden(x)
         w, b = self.layers[-1]
-        return acts, acts[-1] @ w[mask_arr].T + b[mask_arr]
+        z = acts[-1] @ w[head].T
+        z += b[head]
+        return acts, z
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Last hidden activation, the representation MF/CM variants select
         on; at depth 0, the inputs themselves."""
-        return self._hidden(np.atleast_2d(inputs))[-1]
+        return self._hidden(self._inputs(np.atleast_2d(inputs)))[-1]
 
-    def _head_error(self, z: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Per-row cross-entropy derivative in the logits: softmax minus one-hot
-        at each label's position in the mask (``label_positions``)."""
-        g = np.exp(z - logsumexp(z, keepdims=True))
-        g[np.arange(len(pos)), pos] -= 1.0
-        return g
+    def _head_error(self, z: np.ndarray, hot) -> np.ndarray:
+        """Per-row cross-entropy derivative in the logits, written over ``z``:
+        softmax minus one-hot, where ``hot`` indexes each row's label as
+        ``(row ids, label positions in the mask)``."""
+        z -= logsumexp(z, keepdims=True)
+        np.exp(z, out=z)
+        z[hot] -= 1.0
+        return z
 
-    def _deltas(self, acts, g_out, mask_arr) -> list[np.ndarray]:
+    def _deltas(self, acts, g_out, head) -> list[np.ndarray]:
         """Error at each layer's pre-activation, first layer first, from ``g_out``'s."""
-        layers = _head_rows(self.layers, mask_arr)
+        layers = _head_rows(self.layers, head)
         deltas = [g_out]
         for (w, _), a in zip(layers[:0:-1], acts[:0:-1]):
-            deltas.append((deltas[-1] @ w) * (a > 0))
+            d = deltas[-1] @ w
+            deltas.append(np.multiply(d, a > 0, out=d))
         return deltas[::-1]
 
-    def _backprop(self, acts, g_out, mask_arr, out=None) -> np.ndarray:
-        """Flat summed-CE gradient from the logits' error, written into ``out``
-        (a new vector when None); unmasked rows get zero."""
+    def _backprop(self, acts, g_out, head, out=None) -> np.ndarray:
+        """Summed-CE gradient from the logits' error; output rows outside
+        ``head`` get zero. Written into ``out``, a flat vector or the views
+        ``_split`` makes of one (a new flat vector when None), and returns it."""
         out = np.empty(self.num_params) if out is None else out
-        *hidden, (head_w, head_b) = self._split(out)
-        deltas = self._deltas(acts, g_out, mask_arr)
-        for (dw, db), a, g in zip(hidden, acts, deltas):
-            np.matmul(g.T, a, out=dw)
-            np.sum(g, axis=0, out=db)
+        *grads, (head_w, head_b) = self._split(out) if isinstance(out, np.ndarray) else out
+        deltas = self._deltas(acts, g_out, head)
         head_w.fill(0.0)
         head_b.fill(0.0)
-        head_w[mask_arr] = deltas[-1].T @ acts[-1]
-        head_b[mask_arr] = deltas[-1].sum(axis=0)
+        if isinstance(head, slice):  # views into out, which the loop writes in place
+            grads.append((head_w[head], head_b[head]))
+        else:
+            head_w[head] = deltas[-1].T @ acts[-1]
+            head_b[head] = deltas[-1].sum(axis=0)
+        for (dw, db), a, g in zip(grads, acts, deltas):
+            np.matmul(g.T, a, out=dw)
+            g.sum(axis=0, out=db)
         return out
 
-    def _ce_gradient(self, x, pos, w, mask_arr, blocked=None, out=None) -> np.ndarray:
-        """Flat gradient of the row-weighted summed cross-entropy, into ``out``.
-        Logits where ``blocked`` (rows x mask) is set become ``-inf``: softmax
-        weight 0, so each row's cross-entropy runs over its own classes only."""
-        acts, z = self._forward(x, mask_arr)
+    def _ce_gradient(self, x, hot, w, head, blocked=None, out=None) -> np.ndarray:
+        """Gradient of the row-weighted summed cross-entropy, into ``out`` as
+        ``_backprop`` writes it. Logits where ``blocked`` (rows x head) is set
+        become ``-inf``: softmax weight 0, so each row's cross-entropy runs
+        over its own classes only."""
+        acts, z = self._forward(x, head)
         if blocked is not None:
             z[blocked] = -np.inf
-        return self._backprop(acts, self._head_error(z, pos) * w[:, None], mask_arr, out)
+        g = self._head_error(z, hot)
+        g *= w[:, None]
+        return self._backprop(acts, g, head, out)
 
     # -- public contract --
 
     def loss(self, batch: Batch, mask=None) -> float:
         """Weighted sum of softmax cross-entropies plus weight_decay * ||theta||^2 / 2."""
         mask_arr = self.resolve_mask(mask)
-        _, z = self._forward(batch.x, mask_arr)
+        _, z = self._forward(self._inputs(batch.x), mask_arr)
         pos = label_positions(mask_arr, batch.y)
         ce = logsumexp(z) - z[np.arange(len(batch)), pos]
         decay = sum(float(a.ravel() @ a.ravel()) for layer in self.layers for a in layer)
@@ -191,7 +212,8 @@ class MlpModel:
     def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         """Exact flat gradient of :meth:`loss`."""
         mask_arr = self.resolve_mask(mask)
-        return (self._ce_gradient(batch.x, label_positions(mask_arr, batch.y), batch.w, mask_arr)
+        hot = np.arange(len(batch)), label_positions(mask_arr, batch.y)
+        return (self._ce_gradient(self._inputs(batch.x), hot, batch.w, mask_arr)
                 + self.weight_decay * self.get_flat())
 
     def curvature(self, batch: Batch, mask=None, damping: float = 0.0):
@@ -213,7 +235,7 @@ class MlpModel:
         net = self.copy()
         mask_arr = net.resolve_mask(mask)
         label_positions(mask_arr, batch.y)
-        acts, z = net._forward(batch.x, mask_arr)
+        acts, z = net._forward(net._inputs(batch.x), mask_arr)
         p = np.exp(z - logsumexp(z, keepdims=True))
         layers = _head_rows(net.layers, mask_arr)
         active = [a > 0 for a in acts[1:]]
@@ -256,9 +278,9 @@ class MlpModel:
         """
         vec = self._vector(vec)
         mask_arr = self.resolve_mask(mask)
-        acts, z = self._forward(batch.x, mask_arr)
-        deltas = self._deltas(acts, self._head_error(z, label_positions(mask_arr, batch.y)),
-                              mask_arr)
+        acts, z = self._forward(self._inputs(batch.x), mask_arr)
+        hot = np.arange(len(batch)), label_positions(mask_arr, batch.y)
+        deltas = self._deltas(acts, self._head_error(z, hot), mask_arr)
         dots = sum(np.sum(g * (a @ vw.T + vb), axis=1) for a, g, (vw, vb)
                    in zip(acts, deltas, _head_rows(self._split(vec), mask_arr)))
         return dots * batch.w
@@ -266,7 +288,7 @@ class MlpModel:
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
         """Argmax over mask-restricted logits; ties go to the lowest class id."""
         mask_arr = self.resolve_mask(mask)
-        _, z = self._forward(np.atleast_2d(inputs), mask_arr)
+        _, z = self._forward(self._inputs(np.atleast_2d(inputs)), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig) -> "MlpModel":
@@ -287,13 +309,15 @@ class MlpModel:
         decays. Any other row gets the gradient ``decay * 0``, which from zero
         moments is a step of ``0 / (sqrt(0) + eps') = 0``, so leaving it out
         keeps every bit, ``-0.0`` included. At depth 0 these are the rows of
-        classes not yet seen.
+        classes not yet seen. When the union's rows are one run of the stepped
+        rows, as in every benchmark fit, a slice indexes them, so each step
+        reads and writes them as views rather than copies.
         """
         masks = [self.resolve_mask(g.mask) for g in groups]
         for g, mask_arr in zip(groups, masks):
             label_positions(mask_arr, g.batch.y)  # own mask: the union below is looser
         union = functools.reduce(np.union1d, masks)
-        x = np.concatenate([g.batch.x for g in groups])
+        x = self._inputs(np.concatenate([g.batch.x for g in groups]))
         pos = label_positions(union, np.concatenate([g.batch.y for g in groups]))
         w = np.concatenate([g.coeff * g.batch.w for g in groups])
         outside = np.array([~np.isin(union, mask_arr) for mask_arr in masks])
@@ -308,7 +332,10 @@ class MlpModel:
         head_w, head_b = self.layers[-1]
         moving = np.union1d(union, np.flatnonzero(np.any(head_w != 0, axis=1) | (head_b != 0)))
         trainee = replace(self, layers=self.layers[:-1] + [(head_w[moving], head_b[moving])])
-        head_mask = np.searchsorted(moving, union)  # the union's rows in the trainee
+        head = np.searchsorted(moving, union)  # the union's rows in the trainee
+        if head[-1] - head[0] == len(head) - 1:  # one run of rows: index it with views
+            head = slice(int(head[0]), int(head[-1]) + 1)
+        row_ids = np.arange(min(size, total))  # rows of each step's one-hot index
 
         def epoch_batches():
             if size >= total:
@@ -319,13 +346,15 @@ class MlpModel:
         theta = trainee.get_flat()
         scratch = replace(trainee, layers=trainee._split(theta))  # views: each step moves them
         grad_out, term = np.empty_like(theta), np.empty_like(theta)
+        term_layers = trainee._split(term)
 
         def grad_fn(theta, rows):
-            grad = np.multiply(((total if rows is None else len(rows)) / total) * decay, theta,
-                               out=grad_out)
+            n = total if rows is None else len(rows)
+            grad = np.multiply((n / total) * decay, theta, out=grad_out)
             step = slice(None) if rows is None else rows  # the whole pool: views, no copies
-            grad += scratch._ce_gradient(x[step], pos[step], w[step], head_mask,
-                                         None if blocked is None else blocked[step], term)
+            scratch._ce_gradient(x[step], (row_ids[:n], pos[step]), w[step], head,
+                                 None if blocked is None else blocked[step], term_layers)
+            grad += term
             return grad
 
         adam_minimize(theta, grad_fn, config, epoch_batches)

@@ -92,7 +92,7 @@ def adam_minimize(theta: np.ndarray, grad_fn, config: TrainConfig,
     for epoch in range(config.epochs):
         for batch in epoch_batches():
             adam.update(theta, grad_fn(theta, batch), config)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise TrainingDiverged(f"parameters became non-finite at epoch {epoch + 1} "
                                    f"(lr={config.lr})")
     return theta

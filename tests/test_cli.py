@@ -160,9 +160,14 @@ class TestFixtureSettings:
         (dict(dataset="synthetic-images", model="mlp", syn_images_per_class=20,
               mnist_test_per_task=500), "mnist_test_per_task"),
         (dict(seeds=[-1]), "seeds"),
+        (dict(dataset="synthetic-images", model="mlp", syn_images_per_class=20,
+              mnist_test_per_task=30), "mnist_train_per_task"),
+        (dict(dataset="synthetic-images", model="mlp", eval_mode="class-incremental"),
+         "eval_mode"),
     ])
     def test_rejected_before_anything_runs(self, tmp_path, capsys, overrides, key):
-        # each of these used to pass validate-config and then fail inside run
+        # each of these used to pass validate-config and then fail inside run,
+        # or run other than its config says (fewer training rows, task-aware)
         config = write_config(tmp_path, **overrides)
         for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
             assert main(argv) == 1

@@ -440,27 +440,39 @@ class TestFit:
         expected = per_group_reference_fit(model, groups, config)
         assert np.max(np.abs(fitted - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("depth", [0, 2])
-    def test_idle_zero_head_rows_are_not_stepped(self, rng, monkeypatch, depth):
+    @pytest.mark.parametrize("batch_size", [4, None])
+    @pytest.mark.parametrize("depth, gap", [(0, False), (0, True), (2, False)],
+                             ids=["0", "0-gap", "2"])
+    def test_idle_zero_head_rows_are_not_stepped(self, rng, monkeypatch, depth, gap, batch_size):
         # a row outside every mask holding only ±0 gets the gradient decay * 0
         # and Adam's step 0 / (sqrt(0) + eps'), so fit leaves it out of Adam;
-        # a row holding values outside every mask still decays
+        # a row holding values outside every mask still decays. The union's
+        # rows (1 and 3) are one run of trained rows, indexed by a slice, only
+        # when no trained row sits between them
         model = model_of_depth(depth, feature_dim=6, class_count=5, weight_decay=0.1)
         head_w, head_b = model.layers[-1]
         if depth == 0:
             head_w[0], head_b[0] = rng.standard_normal(6), 0.5  # an earlier task's row
-            head_w[2], head_b[2] = -0.0, -0.0
-            idle = [2, 4]
+            if gap:
+                head_w[2], head_b[2] = rng.standard_normal(6), -0.5
+                idle = [4]
+            else:
+                head_w[2], head_b[2] = -0.0, -0.0
+                idle = [2, 4]
         else:
             head_w[4], head_b[4] = 0.0, 0.0
             idle = [4]
         groups = [LossGroup(random_samples(rng, model, 7, classes=(1, 3)), (1, 3), 0.7),
                   LossGroup(random_samples(rng, model, 3, classes=(3,)), (3,), 0.45)]
-        config = TrainConfig(epochs=6, lr=0.05, batch_size=4, seed=3)
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=3)
         dims, zeros = [], AdamState.zeros.__func__
         monkeypatch.setattr(AdamState, "zeros",
                             classmethod(lambda cls, dim: dims.append(dim) or zeros(cls, dim)))
+        heads, backprop = [], MlpModel._backprop
+        monkeypatch.setattr(MlpModel, "_backprop", lambda self, acts, g, head, out=None:
+                            heads.append(type(head)) or backprop(self, acts, g, head, out))
         fitted = model.fit(groups, config)
+        assert set(heads) == {slice if depth == 0 and not gap else np.ndarray}
         assert fitted.get_flat().tobytes() == reference_fit(model, groups, config).tobytes()
         assert dims == [model.num_params - len(idle) * (head_w.shape[1] + 1)]
         fitted_w, fitted_b = fitted.layers[-1]
