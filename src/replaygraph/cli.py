@@ -89,12 +89,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _print_report(report: dict) -> None:
+def _print_report(report: dict, prefix: str = "") -> None:
     fm = report["fm_mean"]
-    print(f"pm {report['pm_mean']:.4f} +/- {report['pm_std']:.4f}")
+    print(f"{prefix}pm {report['pm_mean']:.4f} +/- {report['pm_std']:.4f}")
     if fm == fm:  # not NaN; single-task runs have no forgetting value
-        print(f"fm {fm:.4f} +/- {report['fm_std']:.4f}")
-    print(f"report: {Path(report['config']['out']) / 'report.json'}")
+        print(f"{prefix}fm {fm:.4f} +/- {report['fm_std']:.4f}")
+    print(f"{prefix}report: {Path(report['config']['out']) / 'report.json'}")
 
 
 def main(argv=None) -> int:
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
                              "integers like 1,5,10") from None
         reports = sweep_e(config, e_values)
         for e, report in zip(e_values, reports):
-            print(f"e={e}: pm {report['pm_mean']:.4f} fm {report['fm_mean']:.4f}")
+            _print_report(report, prefix=f"e={e}: ")
         print(f"sweep: {Path(config.out) / 'sweep_e.csv'}")
         return 0
     except (ExperimentError, ValueError, OSError) as exc:

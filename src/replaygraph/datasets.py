@@ -79,29 +79,55 @@ class ImageTask:
     test_labels: np.ndarray
 
 
+PARSE_BLOCK_BYTES = 2**19  # text decoded at a time: small enough to stay in L2
+
+
+def _bag_of_words(blocks: list[str]):
+    """The (n, d) CSR matrix of bag-of-words blocks (every one ``d`` single
+    ``0``/``1`` digits joined by one space or tab), holding only the ones;
+    None if any block is not of that form.
+
+    Rows are decoded ``PARSE_BLOCK_BYTES`` of text at a time, so each byte is
+    read once while it is still in cache and no whole-input array is made.
+    """
+    width = len(blocks[0])
+    if not width % 2 or any(len(block) != width for block in blocks):
+        return None
+    d = (width + 1) // 2
+    step = max(1, PARSE_BLOCK_BYTES // width)
+    ones = []  # flat positions row * d + column, ascending
+    for start in range(0, len(blocks), step):
+        chunk = blocks[start:start + step]
+        raw = np.frombuffer("".join(chunk).encode(), dtype=np.uint8)
+        if raw.size != len(chunk) * width:  # a character wider than one byte
+            return None
+        grid = raw.reshape(len(chunk), width)
+        digits = grid[:, 0::2] - ord("0")  # uint8: bytes below "0" wrap past 1
+        if digits.max() > 1:
+            return None
+        gaps = grid[:, 1::2]
+        if not (gaps == ord(" ")).all():  # test tabs only when spaces alone fail
+            if not ((gaps == ord(" ")) | (gaps == ord("\t"))).all():
+                return None
+        ones.append(np.flatnonzero(digits.view(np.bool_)) + start * d)  # digits are 0/1
+    import scipy.sparse as sp
+    ones = np.concatenate(ones)
+    indptr = np.searchsorted(ones, np.arange(len(blocks) + 1) * d)
+    return sp.csr_matrix((np.ones(ones.size), ones % d, indptr), shape=(len(blocks), d))
+
+
 def _parse_attributes(blocks: list[str]):
     """Parse whitespace-separated attribute blocks into (n, d) float64 values:
     a sparse CSR matrix for bag-of-words blocks, a dense array otherwise.
 
-    Bag-of-words blocks (every one `d` single `0`/`1` digits joined by one
-    space or tab) are decoded straight from their bytes, and only their ones
-    are stored; anything else goes through ``np.loadtxt``, which gives the
-    same entries for binary blocks. ``Graph`` stores either as CSR.
+    Bag-of-words blocks are decoded straight from their bytes
+    (:func:`_bag_of_words`); anything else goes through ``np.loadtxt``, which
+    gives the same entries for binary blocks. ``Graph`` stores either as CSR.
     """
-    width = len(blocks[0])
-    if width % 2 and all(len(block) == width for block in blocks):
-        raw = np.frombuffer("".join(blocks).encode(), dtype=np.uint8)
-        if raw.size == len(blocks) * width:
-            grid = raw.reshape(len(blocks), width)
-            digits = grid[:, 0::2] - ord("0")
-            gaps = grid[:, 1::2]
-            if (digits <= 1).all() and ((gaps == ord(" ")) | (gaps == ord("\t"))).all():
-                import scipy.sparse as sp
-                ones = np.flatnonzero(raw == ord("1"))
-                indptr = np.searchsorted(ones, np.arange(len(blocks) + 1) * width)
-                return sp.csr_matrix((np.ones(ones.size), (ones % width) // 2, indptr),
-                                     shape=digits.shape)
-    return np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+    features = _bag_of_words(blocks)
+    if features is None:
+        features = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+    return features
 
 
 def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) -> None:
@@ -301,11 +327,24 @@ def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]
     return flat, labels.astype(np.int64)
 
 
+def _permuted_rows(images: np.ndarray, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``images[np.ix_(rows, perm)]``, built 32 rows at a time: a row gather,
+    then a column ``np.take`` into the output. That is twice as fast as the
+    2-D fancy index, and no temporary the size of the output is made."""
+    out = np.empty((len(rows), len(perm)))
+    for start in range(0, len(rows), 32):
+        block = slice(start, start + 32)
+        # mode="clip" changes nothing (perm is in range) but lets take write
+        # straight into out; the default mode copies through a buffer
+        np.take(images[rows[block]], perm, axis=1, out=out[block], mode="clip")
+    return out
+
+
 def make_permuted_tasks(images: np.ndarray, labels: np.ndarray, num_tasks: int,
                         per_task_train: int, per_task_test: int, seed: int) -> list[ImageTask]:
     """Build pixel-permutation tasks: task 0 keeps the identity permutation,
     later tasks draw independent seeded permutations applied to both splits.
-    Each split is one gather into new C-contiguous float64 rows.
+    Each split is new C-contiguous float64 rows (:func:`_permuted_rows`).
     """
     n, dim = images.shape
     if per_task_train + per_task_test > n:
@@ -319,9 +358,9 @@ def make_permuted_tasks(images: np.ndarray, labels: np.ndarray, num_tasks: int,
         tasks.append(ImageTask(
             task_id=t,
             pixel_permutation=perm,
-            train_images=images[np.ix_(tr, perm)],
+            train_images=_permuted_rows(images, tr, perm),
             train_labels=labels[tr],
-            test_images=images[np.ix_(te, perm)],
+            test_images=_permuted_rows(images, te, perm),
             test_labels=labels[te],
         ))
     return tasks

@@ -137,22 +137,25 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     isolated nodes is needed.
     """
     import scipy.sparse as sp
-    a_tilde = (g.adjacency + sp.eye(g.num_nodes, format="csr")).tocsr()
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(inv_sqrt)
-    s = (d @ a_tilde @ d).tocsr()
+    s = (g.adjacency + sp.eye(g.num_nodes, format="csr")).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(s.sum(axis=1)).ravel())
+    # Each stored entry times its row's, then its column's 1/sqrt(deg): the
+    # one product per factor that D @ (A + I) @ D makes, so the same bits.
+    s.data *= np.repeat(inv_sqrt, np.diff(s.indptr))
+    s.data *= inv_sqrt[s.indices]
     s.sort_indices()
     return NormalizedAdjacency(s)
 
 
-def propagate(s: NormalizedAdjacency, x, k: int) -> PropagatedFeatures:
-    """Compute S^k X by k successive sparse-sparse multiplies, densified once.
+def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeatures:
+    """Compute S^k X by k successive sparse-sparse multiplies, densified once;
+    with ``rows`` (node indices), only those rows of it, in that order.
 
     ``x`` may be dense or sparse; it is taken as CSR (:func:`_feature_matrix`).
     Each output entry sums its products in the order a sparse-dense multiply
     would, and missing entries would only add ``+0.0``, so the result has the
-    same bytes as ``S @ ... @ S @ dense_x``.
+    same bytes as ``(S @ ... @ S @ dense_x)[rows]``. The last hop multiplies
+    only the rows of S asked for, so the other rows are never computed.
     """
     if k < 0:
         raise ValueError("propagation depth must be >= 0")
@@ -160,8 +163,11 @@ def propagate(s: NormalizedAdjacency, x, k: int) -> PropagatedFeatures:
     if out.shape[0] != s.matrix.shape[0]:
         raise ValueError(f"feature matrix has shape {out.shape}, "
                          f"expected ({s.matrix.shape[0]}, feature_dim)")
-    for _ in range(k):
-        out = s.matrix @ out
+    for hop in range(k):
+        last = s.matrix if rows is None or hop < k - 1 else s.matrix[rows]
+        out = last @ out
+    if rows is not None and k == 0:
+        out = out[rows]
     return PropagatedFeatures(out.toarray())
 
 

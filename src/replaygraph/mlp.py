@@ -174,11 +174,16 @@ class MlpModel:
         out = np.empty(self.num_params) if out is None else out
         *grads, (head_w, head_b) = self._split(out) if isinstance(out, np.ndarray) else out
         deltas = self._deltas(acts, g_out, head)
-        head_w.fill(0.0)
-        head_b.fill(0.0)
         if isinstance(head, slice):  # views into out, which the loop writes in place
+            start, stop, _ = head.indices(len(head_b))  # one run of rows: step 1
+            if stop - start < len(head_b):  # zero the rows the loop does not write
+                for outside in (slice(0, start), slice(stop, None)):
+                    head_w[outside] = 0.0
+                    head_b[outside] = 0.0
             grads.append((head_w[head], head_b[head]))
         else:
+            head_w.fill(0.0)
+            head_b.fill(0.0)
             head_w[head] = deltas[-1].T @ acts[-1]
             head_b[head] = deltas[-1].sum(axis=0)
         for (dw, db), a, g in zip(grads, acts, deltas):

@@ -159,19 +159,19 @@ def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
     """Propagate features over the subgraph induced by the task's own nodes
     (nodes from other tasks are invisible while it is current) and package
     its splits."""
-    nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
+    split = np.concatenate([task.train_nodes, task.test_nodes])
+    nodes = np.unique(split)
     sub = induced_subgraph(graph, nodes)
-    values = propagate(normalize_adjacency(sub), sub.features, k).values
-
-    def rows(node_list):
-        # induced_subgraph numbers the nodes in ascending order, as in ``nodes``
-        return values[np.searchsorted(nodes, node_list)]
-
-    train = Batch(rows(task.train_nodes), graph.labels[task.train_nodes],
-                  node=task.train_nodes, task=np.full(len(task.train_nodes), task.task_id),
+    # induced_subgraph numbers the nodes in ascending order, as in ``nodes``;
+    # the rows come out train split first, then test, each a view of one array
+    values = propagate(normalize_adjacency(sub), sub.features, k,
+                       np.searchsorted(nodes, split)).values
+    n = len(task.train_nodes)
+    train = Batch(values[:n], graph.labels[task.train_nodes],
+                  node=task.train_nodes, task=np.full(n, task.task_id),
                   attributes=graph.features[task.train_nodes].toarray())
     return TaskData(task.task_id, tuple(task.classes), train,
-                    rows(task.test_nodes), graph.labels[task.test_nodes])
+                    values[n:], graph.labels[task.test_nodes])
 
 
 def prepare_sequence(seq: TaskSequence, config: ReplayConfig) -> list[TaskData]:

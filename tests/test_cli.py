@@ -221,6 +221,20 @@ class TestSweepCommand:
         assert lines[0] == "e,pm,fm"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("tasks", [1, 2])
+    def test_sweep_prints_what_run_prints_per_e(self, tmp_path, capsys, tasks):
+        # a one-task sweep used to print `fm nan`, where run leaves the line out
+        config = write_config(tmp_path, tasks=tasks)
+        assert main(["sweep-e", "--config", str(config), "--e-values", "1,2"]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        for e in (1, 2):
+            assert main(["run", "--config", str(config), "--e", str(e),
+                         "--out", str(tmp_path / "out" / f"e{e}")]) == 0
+            run = capsys.readouterr().out.splitlines()
+            assert [line for line in sweep if line.startswith(f"e={e}: ")] == \
+                [f"e={e}: {line}" for line in run]
+            assert any(line.startswith("fm ") for line in run) == (tasks > 1)
+
     def test_duplicate_e_values_exit_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["sweep-e", "--config", str(config), "--e-values", "2,2"])

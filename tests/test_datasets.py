@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from replaygraph import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,
                          load_citation_dataset, load_mnist, make_permuted_tasks,
                          synthetic_image_dataset, synthetic_sbm_graph)
+from replaygraph import datasets
 from replaygraph.datasets import CitationFormatError, IdxFormatError
 
 from conftest import traced_peak, write_idx_images, write_idx_labels
@@ -19,6 +20,10 @@ def write_citation(tmp_path, content_lines, cites_lines):
     content.write_text("\n".join(content_lines) + "\n")
     cites.write_text("\n".join(cites_lines) + "\n")
     return content, cites
+
+
+def refuse_loadtxt(*args, **kwargs):
+    raise AssertionError("binary attributes went through np.loadtxt")
 
 
 class TestCitationLoader:
@@ -174,11 +179,8 @@ class TestCitationLoader:
         assert dense.tobytes() == expected.tobytes()
 
     def test_binary_attributes_read_without_loadtxt(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("binary attributes went through np.loadtxt")
-
         content, cites = write_citation(tmp_path, ["1 0 1 0 a", "2 1\t1 0 b"], [])
-        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
         g = load_citation_dataset(content, cites)
         assert np.array_equal(g.features.toarray(), [[0, 1, 0], [1, 1, 0]])
 
@@ -235,11 +237,75 @@ class TestCitationLoader:
                            match="toy.content:2: expected 3 attributes, got 2"):
             load_citation_dataset(content, cites)
 
+    def test_cora_width_load_peaks_below_twice_its_text(self, tmp_path):
+        # the attributes are decoded a block of rows at a time; decoding the
+        # whole text at once peaked at 3.6x it
+        rng = np.random.default_rng(0)
+        blocks = bag_of_words(rng, 1000, 1433, rate=0.0127)
+        content, cites = write_citation(
+            tmp_path, [f"{i} {block} c{i % 7}" for i, block in enumerate(blocks)],
+            [f"{i} {(7 * i + 1) % 1000}" for i in range(1000)])
+        g, peak = traced_peak(load_citation_dataset, content, cites)
+        assert g.features.nnz == sum(block.count("1") for block in blocks)
+        assert peak < 2 * content.stat().st_size
+
     def test_malformed_cites_line(self, tmp_path):
         content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
                                         ["1 2 3"])
         with pytest.raises(CitationFormatError, match="toy.cites:1"):
             load_citation_dataset(content, cites)
+
+
+def bag_of_words(rng, rows, words, rate=0.1, sep=" "):
+    """Attribute blocks of ``words`` random 0/1 digits each."""
+    bag = (rng.random((rows, words)) < rate).astype(int)
+    return [sep.join(map(str, row)) for row in bag]
+
+
+class TestBlockedAttributeParse:
+    """Bag-of-words attributes are decoded ``PARSE_BLOCK_BYTES`` of text at a
+    time; here that is four rows of five words."""
+
+    @pytest.fixture(autouse=True)
+    def four_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(datasets, "PARSE_BLOCK_BYTES", 4 * len("0 0 0 0 0") + 3)
+
+    def load(self, tmp_path, blocks):
+        content, cites = write_citation(
+            tmp_path, [f"{i} {block} c{i % 2}" for i, block in enumerate(blocks)], [])
+        return load_citation_dataset(content, cites)
+
+    @pytest.mark.parametrize("rows", [3, 4, 5, 9], ids=["B-1", "B", "B+1", "2B+1"])
+    def test_rows_around_the_block_size(self, tmp_path, monkeypatch, rows):
+        blocks = bag_of_words(np.random.default_rng(rows), rows, 5, rate=0.4)
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        features = self.load(tmp_path, blocks).features
+        assert features.nnz == np.count_nonzero(expected)
+        assert features.has_sorted_indices
+        assert features.toarray().tobytes() == expected.tobytes()
+
+    def test_tab_gap_only_in_the_last_block(self, tmp_path, monkeypatch):
+        blocks = bag_of_words(np.random.default_rng(1), 9, 5, rate=0.4)
+        blocks[-1] = blocks[-1].replace(" ", "\t", 1)
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        features = self.load(tmp_path, blocks).features
+        assert features.toarray().tobytes() == expected.tobytes()
+
+    def test_bad_digit_only_in_the_last_block(self, tmp_path):
+        blocks = bag_of_words(np.random.default_rng(2), 9, 5, rate=0.4)
+        blocks[-1] = "0 1 x 0 1"
+        with pytest.raises(CitationFormatError,
+                           match="toy.content:9: non-numeric attribute 'x'"):
+            self.load(tmp_path, blocks)
+
+    def test_other_number_only_in_the_last_block(self, tmp_path):
+        # any block off the bag-of-words form sends the whole input to loadtxt
+        blocks = bag_of_words(np.random.default_rng(3), 9, 5, rate=0.4)
+        blocks[-1] = "0 1 2 0 1"
+        expected = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        assert self.load(tmp_path, blocks).features.toarray().tobytes() == expected.tobytes()
 
 
 class TestTaskSequenceConstruction:
@@ -389,20 +455,29 @@ class TestPermutedTasks:
             assert np.array_equal(ta.pixel_permutation, tb.pixel_permutation)
 
     def test_splits_are_c_ordered_copies_of_the_permuted_rows(self, rng):
-        images = rng.uniform(size=(60, 12))
-        labels = rng.integers(0, 3, 60)
-        tasks = make_permuted_tasks(images, labels, 3, 20, 15, seed=4)
+        # 65 and 33 rows: whole and partial blocks of the 32-row gather
+        images = rng.uniform(size=(120, 12))
+        labels = rng.integers(0, 3, 120)
+        tasks = make_permuted_tasks(images, labels, 3, 65, 33, seed=4)
         draws = np.random.default_rng(4)  # the draws make_permuted_tasks makes
         for t, task in enumerate(tasks):
             perm = np.arange(12) if t == 0 else draws.permutation(12)
-            idx = draws.choice(60, size=35, replace=False)
+            idx = draws.choice(120, size=98, replace=False)
             assert np.array_equal(task.pixel_permutation, perm)
-            for x, y, rows in ((task.train_images, task.train_labels, idx[:20]),
-                               (task.test_images, task.test_labels, idx[20:])):
+            for x, y, rows in ((task.train_images, task.train_labels, idx[:65]),
+                               (task.test_images, task.test_labels, idx[65:])):
                 assert x.flags.c_contiguous and x.dtype == np.float64
                 assert not np.shares_memory(x, images)
-                assert np.array_equal(x, images[rows][:, perm])
+                assert x.tobytes() == images[np.ix_(rows, perm)].tobytes()
                 assert np.array_equal(y, labels[rows])
+
+    def test_splits_need_no_split_sized_temporary(self, rng):
+        # gathering a split's rows whole before permuting its columns
+        # peaked at 1.7x the splits
+        images = rng.uniform(size=(400, 784))
+        tasks, peak = traced_peak(make_permuted_tasks, images, np.zeros(400, dtype=int),
+                                  1, 300, 50, seed=0)
+        assert peak < 1.3 * (tasks[0].train_images.nbytes + tasks[0].test_images.nbytes)
 
     def test_oversized_request_rejected(self, rng):
         images = rng.uniform(size=(10, 4))

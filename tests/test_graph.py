@@ -128,6 +128,21 @@ class TestNormalizeAdjacency:
         s = normalize_adjacency(g).matrix
         assert abs(s - s.T).max() < 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_of_the_diagonal_products(self, seed):
+        # scaling each stored entry by its row's and column's factor rounds
+        # as D @ (A + I) @ D does
+        g = synthetic_sbm_graph([30, 40, 50], 0.2, 0.02, 0.5, seed=seed)
+        a_tilde = (g.adjacency + sp.eye(g.num_nodes, format="csr")).tocsr()
+        d = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
+        expected = (d @ a_tilde @ d).tocsr()
+        expected.sort_indices()
+        s = normalize_adjacency(g).matrix
+        assert s.has_sorted_indices
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(s, part), getattr(expected, part)), part
+        assert s.data.tobytes() == expected.data.tobytes()
+
     def test_spectral_radius_at_most_one(self, rng):
         for trial in range(5):
             g = random_graph(np.random.default_rng(trial), 20)
@@ -195,6 +210,11 @@ class TestPropagate:
         out = propagate(s, g.features, k).values
         assert isinstance(out, np.ndarray) and out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
+        # only some rows, in any order: the last hop multiplies just those
+        rows = np.random.default_rng(k).permutation(g.num_nodes)[:g.num_nodes // 2]
+        picked = propagate(s, g.features, k, rows).values
+        assert picked.flags.c_contiguous
+        assert picked.tobytes() == expected[rows].tobytes()
 
     def test_dimension_mismatch(self):
         g = path_graph(3)

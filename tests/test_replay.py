@@ -6,7 +6,8 @@ import pytest
 
 from replaygraph.datasets import (build_task_sequence, make_permuted_tasks,
                                   synthetic_image_dataset, synthetic_sbm_graph)
-from replaygraph.graph import induced_subgraph, normalize_adjacency, propagate
+from replaygraph.graph import (graph_from_edges, induced_subgraph, normalize_adjacency,
+                               propagate)
 from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import forgetting_mean
 from replaygraph.mlp import MlpModel
@@ -15,6 +16,8 @@ from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig, RunS
                                 prepare_sequence, prepare_task_data, run_image_tasks,
                                 run_sequence, weight_factor)
 from replaygraph.selection import select_cm, select_mf
+
+from conftest import traced_peak
 
 
 class FakeModel:
@@ -193,6 +196,30 @@ class TestPrepareTaskData:
         assert np.array_equal(train.y, seq.graph.labels[train.node])
         assert np.all(train.task == 0)
 
+
+    def test_split_rows_come_straight_out_of_propagation(self):
+        seq = sbm_sequence()
+        task = seq.tasks[2]
+        data = prepare_task_data(seq.graph, task, k=2)
+        nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
+        sub = induced_subgraph(seq.graph, nodes)
+        full = propagate(normalize_adjacency(sub), sub.features, 2).values
+        for split, split_nodes in ((data.train.x, task.train_nodes),
+                                   (data.test_inputs, task.test_nodes)):
+            assert split.flags.c_contiguous
+            assert split.tobytes() == full[np.searchsorted(nodes, split_nodes)].tobytes()
+
+    def test_cora_width_peak_is_near_the_dense_output(self):
+        # neither all of S^K X nor a gathered copy of its rows is made: that
+        # peaked at 2.06x the splits
+        rng = np.random.default_rng(0)
+        n = 1000
+        g = graph_from_edges(n, rng.integers(0, n, (2 * n, 2)),
+                             (rng.random((n, 1433)) < 0.0127).astype(np.float64),
+                             rng.integers(0, 2, n), class_count=2)
+        task = build_task_sequence(g, 2, 1, 20, seed=0).tasks[0]
+        data, peak = traced_peak(prepare_task_data, g, task, 2)
+        assert peak < 1.5 * (data.train.x.nbytes + data.test_inputs.nbytes)
 
     def test_train_attributes_are_dense_feature_rows(self):
         seq = sbm_sequence()
