@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .experiment import (DATASETS, MODELS, ExperimentConfig, ExperimentError, read_config_file,
                          run_experiment, sweep_e, validate_config_file)
+from .optim import TrainingDiverged
 from .replay import EVAL_MODES, STRATEGIES
 
 
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
             _print_report(report, prefix=f"e={e}: ")
         print(f"sweep: {Path(config.out) / 'sweep_e.csv'}")
         return 0
-    except (ExperimentError, ValueError, OSError) as exc:
+    except (ExperimentError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

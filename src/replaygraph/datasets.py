@@ -160,9 +160,8 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
     are skipped and there is no comment syntax, so ``#`` is data.
 
     String labels are mapped to contiguous integer ids in first-appearance
-    order (recorded in ``Graph.label_names``). Citations are symmetrized;
-    edges referencing unknown ids (and self citations) are dropped with a
-    logged warning count.
+    order. Citations are symmetrized; edges referencing unknown ids (and
+    self citations) are dropped with a logged warning count.
     """
     content_path = Path(content_path)
     cites_path = Path(cites_path)
@@ -223,8 +222,7 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
 
     return graph_from_edges(len(index), edges, features,
                             np.array(label_ids, dtype=np.int64),
-                            class_count=len(label_index),
-                            label_names=tuple(label_index))
+                            class_count=len(label_index))
 
 
 def build_task_sequence(g: Graph, classes_per_task: int, num_tasks: int,

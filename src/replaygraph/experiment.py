@@ -116,12 +116,16 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """All violations, each prefixed with the offending key. Values of the
-        wrong type are reported alone, before any range is checked."""
+        wrong type, and numbers that are not finite, are reported alone,
+        before any range is checked."""
         errors = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type in _TYPE_CHECKS and not _TYPE_CHECKS[f.type][0](value):
                 errors.append(f"{f.name}: must be {_TYPE_CHECKS[f.type][1]}; got {value!r}")
+            elif f.type == "float" and not abs(value) <= float(np.finfo(np.float64).max):
+                # NaN, ±inf, or an integer that float64 rounds to inf
+                errors.append(f"{f.name}: must be finite; got {value!r}")
         if errors:
             return errors
         if self.dataset not in DATASETS:
@@ -284,7 +288,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     seeds = list(config.seeds)
     if config.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only jobs > 1
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # under fork the pool starts all its workers at once: no more than the seeds
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(seeds))) as pool:
             results = list(pool.map(_seed_worker, [config.to_dict()] * len(seeds), seeds))
     else:
         results = [run_single_seed(config, seed) for seed in seeds]

@@ -31,15 +31,12 @@ class Graph:
     stored twice. ``features`` is given dense or sparse and always stored as
     an (n, d) float64 scipy CSR matrix (see :func:`_feature_matrix`).
     ``labels`` holds global class ids in ``[0, class_count)``.
-    ``label_names``, when present, records the original string labels in
-    first-appearance order.
     """
 
     adjacency: sp.csr_matrix
     features: sp.csr_matrix
     labels: np.ndarray
     class_count: int
-    label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -92,8 +89,7 @@ def _feature_matrix(x) -> sp.csr_matrix:
     return sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
 
 
-def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int,
-                     label_names=None) -> Graph:
+def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int) -> Graph:
     """Build a Graph from undirected (u, v) pairs: an iterable of pairs or
     an (m, 2) integer array.
 
@@ -113,7 +109,7 @@ def graph_from_edges(num_nodes: int, edges, features, labels, class_count: int,
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
     adj.data[:] = 1.0  # converting to CSR summed each repeated edge into one entry
-    return Graph(adj, features, labels, class_count, label_names)
+    return Graph(adj, features, labels, class_count)
 
 
 @dataclass(frozen=True)
@@ -185,4 +181,4 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     if keep.min() < 0 or keep.max() >= g.num_nodes:
         raise ValueError("subgraph node index out of range")
     return Graph(g.adjacency[keep][:, keep], g.features[keep], g.labels[keep],
-                 g.class_count, g.label_names)
+                 g.class_count)

@@ -168,18 +168,14 @@ class MlpModel:
         return deltas[::-1]
 
     def _backprop(self, acts, g_out, head, out=None) -> np.ndarray:
-        """Summed-CE gradient from the logits' error; output rows outside
-        ``head`` get zero. Written into ``out``, a flat vector or the views
-        ``_split`` makes of one (a new flat vector when None), and returns it."""
+        """Summed-CE gradient from the logits' error, written into ``out``, a
+        flat vector or the views ``_split`` makes of one (a new flat vector
+        when None), and returned. Output rows outside an index-array ``head``
+        get zero; a slice head leaves the rows outside it untouched."""
         out = np.empty(self.num_params) if out is None else out
         *grads, (head_w, head_b) = self._split(out) if isinstance(out, np.ndarray) else out
         deltas = self._deltas(acts, g_out, head)
         if isinstance(head, slice):  # views into out, which the loop writes in place
-            start, stop, _ = head.indices(len(head_b))  # one run of rows: step 1
-            if stop - start < len(head_b):  # zero the rows the loop does not write
-                for outside in (slice(0, start), slice(stop, None)):
-                    head_w[outside] = 0.0
-                    head_b[outside] = 0.0
             grads.append((head_w[head], head_b[head]))
         else:
             head_w.fill(0.0)
@@ -314,9 +310,9 @@ class MlpModel:
         decays. Any other row gets the gradient ``decay * 0``, which from zero
         moments is a step of ``0 / (sqrt(0) + eps') = 0``, so leaving it out
         keeps every bit, ``-0.0`` included. At depth 0 these are the rows of
-        classes not yet seen. When the union's rows are one run of the stepped
-        rows, as in every benchmark fit, a slice indexes them, so each step
-        reads and writes them as views rather than copies.
+        classes not yet seen. The union's rows come first in the trainee's
+        head, so a slice indexes them and each step reads and writes them as
+        views rather than copies; the other rows' CE gradient stays 0.
         """
         masks = [self.resolve_mask(g.mask) for g in groups]
         for g, mask_arr in zip(groups, masks):
@@ -335,11 +331,10 @@ class MlpModel:
         decay = sum(g.coeff for g in groups) * self.weight_decay
         rng = np.random.default_rng(config.seed)
         head_w, head_b = self.layers[-1]
-        moving = np.union1d(union, np.flatnonzero(np.any(head_w != 0, axis=1) | (head_b != 0)))
+        holding = np.flatnonzero(np.any(head_w != 0, axis=1) | (head_b != 0))
+        moving = np.concatenate([union, np.setdiff1d(holding, union)])  # the union's rows first
         trainee = replace(self, layers=self.layers[:-1] + [(head_w[moving], head_b[moving])])
-        head = np.searchsorted(moving, union)  # the union's rows in the trainee
-        if head[-1] - head[0] == len(head) - 1:  # one run of rows: index it with views
-            head = slice(int(head[0]), int(head[-1]) + 1)
+        head = slice(0, len(union))
         row_ids = np.arange(min(size, total))  # rows of each step's one-hot index
 
         def epoch_batches():
@@ -350,7 +345,7 @@ class MlpModel:
 
         theta = trainee.get_flat()
         scratch = replace(trainee, layers=trainee._split(theta))  # views: each step moves them
-        grad_out, term = np.empty_like(theta), np.empty_like(theta)
+        grad_out, term = np.empty_like(theta), np.zeros_like(theta)  # rows past head stay 0
         term_layers = trainee._split(term)
 
         def grad_fn(theta, rows):

@@ -1,6 +1,7 @@
 """Command-line surface: seed parsing, flag/config precedence, exit codes."""
 
 import argparse
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -12,6 +13,8 @@ from replaygraph.cli import build_parser, main, parse_seeds
 from replaygraph.experiment import ExperimentConfig
 
 from conftest import write_idx_images, write_idx_labels
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 def sbm_args(tmp_path, **overrides):
@@ -208,6 +211,60 @@ class TestFixtureSettings:
         assert main(["validate-config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "mnist_dir: " in err and message in err
+
+
+class TestNonFiniteNumbers:
+    # Python's json reads NaN and Infinity, and float() reads "nan" and "inf";
+    # such values used to pass validation and end in a traceback
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(lr=float("nan")), "lr"),
+        (dict(decay=float("inf")), "decay"),
+        (dict(lr=float("inf")), "lr"),
+        (dict(lr=10 ** 400), "lr"),  # a JSON integer past float64's range
+        (dict(dataset="synthetic-images", model="mlp", syn_noise=float("nan")), "syn_noise"),
+    ], ids=["lr-nan", "decay-inf", "lr-inf", "lr-huge-int", "syn_noise-nan"])
+    def test_config_file_value_rejected_by_name(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path, **overrides)
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{key}: must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_lr_flag_rejected_by_name(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), f"--lr={text}"]) == 1
+        assert "lr: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_diverging_finite_lr_reported_as_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        with pytest.warns(RuntimeWarning):  # overflow, then inf - inf, on the way
+            assert main(["run", "--config", str(config), "--lr", "1e300"]) == 1
+        assert capsys.readouterr().err.startswith("error: parameters became non-finite")
+
+
+class TestBenchArguments:
+    def test_parser_accepts_every_flag_the_benchmark_passes(self):
+        # Runner.seed_run's argv, read without importing bench/run.py (which
+        # pins BLAS threads through environment variables on import); a flag
+        # the parser dropped would end every timed seed-run in SystemExit
+        tree = ast.parse(BENCH_RUN.read_text())
+        seed_run = next(node for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) and cls.name == "Runner"
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "seed_run")
+        argv = next(node.value for node in ast.walk(seed_run) if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "argv")
+        # values computed at run time become "none": a strategy name, and a
+        # string to every other flag the benchmark passes
+        args = [e.value if isinstance(e, ast.Constant) else "none" for e in argv.elts]
+        flags = [a for a in args if a.startswith("--")]
+        assert args[0] == "run" and "--jobs" in flags
+        parsed = vars(build_parser().parse_args(args))
+        for flag in flags:
+            assert parsed[flag[2:].replace("-", "_")] is not None, flag
 
 
 class TestSweepCommand:

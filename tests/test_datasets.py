@@ -36,8 +36,7 @@ class TestCitationLoader:
         assert g.num_nodes == 3
         assert g.feature_dim == 3
         assert g.class_count == 2
-        assert g.label_names == ("theory", "systems")
-        assert np.array_equal(g.labels, [0, 1, 0])
+        assert np.array_equal(g.labels, [0, 1, 0])  # first appearance, not sorted order
         assert np.array_equal(g.features.toarray()[0], [0, 1, 0])
         assert g.adjacency.nnz // 2 == 2
 
@@ -69,7 +68,7 @@ class TestCitationLoader:
         content, cites = write_citation(
             tmp_path, ["35\t0\t1\t0\ttheory", "40 \t1\t 0  0\tsystems"], ["35\t40"])
         g = load_citation_dataset(content, cites)
-        assert g.label_names == ("theory", "systems")
+        assert np.array_equal(g.labels, [0, 1])  # theory, then systems
         assert np.array_equal(g.features.toarray(), [[0, 1, 0], [1, 0, 0]])
         assert g.adjacency.nnz // 2 == 1
 
@@ -127,8 +126,7 @@ class TestCitationLoader:
             tmp_path, ["#1 0 1 a#b", "2# 1 0 #c", "3 1 1 a#b"], ["#1 2#", "3 #1"])
         g = load_citation_dataset(content, cites)
         assert g.num_nodes == 3
-        assert g.label_names == ("a#b", "#c")
-        assert np.array_equal(g.labels, [0, 1, 0])
+        assert np.array_equal(g.labels, [0, 1, 0])  # a#b, then #c, which sorts first
         assert np.array_equal(g.features.toarray(), [[0, 1], [1, 0], [1, 1]])
         assert g.adjacency.nnz // 2 == 2
 

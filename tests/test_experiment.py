@@ -278,6 +278,30 @@ class TestRunExperiment:
         b = (tmp_path / "parallel" / "matrix_seed1.csv").read_bytes()
         assert a == b
 
+    def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch):
+        # under fork a pool starts all max_workers processes at once; a
+        # recording stand-in runs the seeds serially and starts none
+        import concurrent.futures
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        report = run_experiment(sbm_config(tmp_path, seeds=[0, 1], jobs=64))
+        assert started == [2]
+        assert [r["seed"] for r in report["per_seed"]] == [0, 1]
+
     def test_invalid_config_raises_before_compute(self, tmp_path):
         with pytest.raises(ExperimentError, match="e: must be >= 1"):
             run_experiment(sbm_config(tmp_path, e=0))
