@@ -370,6 +370,8 @@ def synthetic_sbm_graph(block_sizes, intra_p: float, inter_p: float,
     one-hot block indicator plus Gaussian noise."""
     if not 0.0 <= intra_p <= 1.0 or not 0.0 <= inter_p <= 1.0:
         raise ValueError("edge probabilities must lie in [0, 1]")
+    if feature_noise < 0:
+        raise ValueError(f"feature_noise must be >= 0, got {feature_noise}")
     sizes = list(block_sizes)
     n = sum(sizes)
     blocks = np.repeat(np.arange(len(sizes)), sizes)
@@ -391,6 +393,8 @@ def synthetic_image_dataset(num_classes: int, per_class: int, noise: float,
     under a random intensity plus Gaussian noise, clipped back to [0, 1]. The
     images are generated and shuffled in place, so only one copy is ever held.
     """
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.0, 1.0, size=(num_classes, dim))
     images = np.empty((num_classes * per_class, dim))

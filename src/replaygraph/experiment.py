@@ -145,6 +145,9 @@ class ExperimentConfig:
         for key in ("sbm_intra_p", "sbm_inter_p"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 errors.append(f"{key}: must lie in [0, 1]")
+        for key in ("sbm_noise", "syn_noise"):
+            if getattr(self, key) < 0:
+                errors.append(f"{key}: must be >= 0")
         if not self.seeds:
             errors.append("seeds: must list at least one seed")
         elif len(set(self.seeds)) != len(self.seeds):
@@ -256,10 +259,6 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
             "per_task_forgetting": per_task, "events": state.events}
 
 
-def _seed_worker(config_dict: dict, seed: int) -> dict:
-    return run_single_seed(ExperimentConfig.from_dict(config_dict), seed)
-
-
 def _aggregate(values) -> tuple[float, float]:
     arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
     if arr.size == 0:
@@ -290,7 +289,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only jobs > 1
         # under fork the pool starts all its workers at once: no more than the seeds
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(seeds))) as pool:
-            results = list(pool.map(_seed_worker, [config.to_dict()] * len(seeds), seeds))
+            results = list(pool.map(run_single_seed, [config] * len(seeds), seeds))
     else:
         results = [run_single_seed(config, seed) for seed in seeds]
 

@@ -89,13 +89,18 @@ def forgetting_mean(matrix: AccuracyMatrix) -> tuple[float, np.ndarray]:
     return float(np.mean(diffs)), diffs
 
 
-def accuracy(predictions, labels) -> float:
+def _checked(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(predictions)
     lab = np.asarray(labels)
     if pred.size == 0:
         raise ValueError("empty prediction vector")
     if pred.shape != lab.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {lab.shape}")
+    return pred, lab
+
+
+def accuracy(predictions, labels) -> float:
+    pred, lab = _checked(predictions, labels)
     return float(np.mean(pred == lab))
 
 
@@ -106,12 +111,7 @@ def micro_f1(predictions, labels) -> float:
     is one false positive and one false negative), but the computation goes
     through the pooled counts rather than assuming the identity.
     """
-    pred = np.asarray(predictions)
-    lab = np.asarray(labels)
-    if pred.size == 0:
-        raise ValueError("empty prediction vector")
-    if pred.shape != lab.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {lab.shape}")
+    pred, lab = _checked(predictions, labels)
     classes = np.union1d(pred, lab)
     tp = fp = fn = 0
     for c in classes:

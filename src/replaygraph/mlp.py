@@ -77,9 +77,7 @@ class MlpModel:
         return np.concatenate([a.ravel() for layer in self.layers for a in layer])
 
     def set_flat(self, theta: np.ndarray) -> None:
-        if theta.size != self.num_params:
-            raise ValueError(f"expected {self.num_params} parameters, got {theta.size}")
-        self.layers = [(w.copy(), b.copy()) for w, b in self._split(theta)]
+        self.layers = [(w.copy(), b.copy()) for w, b in self._split(self._vector(theta))]
 
     def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views of a flat vector as (W, b) pairs shaped like the layers."""
@@ -266,7 +264,6 @@ class MlpModel:
         """``curvature(batch, mask, damping)(v)``: one Gauss-Newton-vector
         product. A solve that takes many products builds the operator once
         with :meth:`curvature` instead, so the forward pass runs once."""
-        v = self._vector(v)
         return self.curvature(batch, mask, damping)(v)
 
     def gradient_dots(self, batch: Batch, mask=None, vec: np.ndarray = None) -> np.ndarray:

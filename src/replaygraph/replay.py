@@ -262,9 +262,7 @@ def _select(model, strategy: str, candidates: Batch, probes: Batch | None,
                     else candidates.x)
     if strategy in ("mf", "mf-embed"):
         return select_mf(candidates, config.e, geometry)
-    if strategy in ("cm", "cm-embed"):
-        return select_cm(candidates, config.e, geometry)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return select_cm(candidates, config.e, geometry)
 
 
 def learn_task(state: RunState, data: TaskData, strategy: str,
@@ -279,14 +277,18 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     class-incremental, both loss groups and every score run over all classes
     seen so far. ``im`` always scores influence over the seen classes.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     buffer = state.buffer.batch()
     buffer_before = len(state.buffer)
     state.history.append(data)
     seen = state.seen_classes()
     if config.eval_mode == "task-aware":
         train_mask, buffer_mask = data.classes, state.buffer.classes()
+        score_masks = [past.classes for past in state.history]
     else:
         train_mask = buffer_mask = seen
+        score_masks = [seen] * len(state.history)
 
     train, probes = data.train, None
     if strategy == "im":
@@ -303,17 +305,13 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     state.buffer.add(selected)
 
     row = []
-    for past in state.history:
-        mask = past.classes if config.eval_mode == "task-aware" else seen
-        preds = state.model.predict(past.test_inputs, mask)
-        row.append(accuracy(preds, past.test_labels))
+    for past, mask in zip(state.history, score_masks):
+        row.append(accuracy(state.model.predict(past.test_inputs, mask), past.test_labels))
     state.rows.append(row)
     state.snapshots.append({name: arr.copy()
                             for name, arr in state.model.to_arrays().items()})
 
-    loss_train = float(state.model.loss(train, train_mask))
-    loss_buffer = (float(state.model.loss(buffer, buffer_mask))
-                   if buffer is not None else None)
+    losses = [float(state.model.loss(g.batch, g.mask)) for g in groups]
     state.events.append({
         "task": data.task_id,
         "strategy": strategy,
@@ -322,10 +320,9 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
         "probe_count": 0 if probes is None else len(probes),
         "buffer_before": buffer_before,
         "buffer_after": len(state.buffer),
-        "loss_train": loss_train,
-        "loss_buffer": loss_buffer,
-        "loss_combined": (beta * loss_train + (1.0 - beta) * loss_buffer
-                          if loss_buffer is not None else loss_train),
+        "loss_train": losses[0],
+        "loss_buffer": losses[1] if buffer is not None else None,
+        "loss_combined": sum(g.coeff * loss for g, loss in zip(groups, losses)),
         "selected_nodes": selected.node.tolist(),
         "seen_classes": list(seen),
         "accuracies": list(row),
@@ -333,17 +330,19 @@ def learn_task(state: RunState, data: TaskData, strategy: str,
     return state
 
 
-def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunState:
-    """Run the full loop over a graph task sequence with the linear model."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    datas = prepare_sequence(seq, config)
-    model = MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
-                           weight_decay=config.decay)
+def _run(model, datas, strategy: str, config: ReplayConfig) -> RunState:
+    """Learn each task in turn, starting from ``model`` and an empty buffer."""
     state = RunState(model=model, buffer=ExperienceBuffer(config.e))
     for data in datas:
         learn_task(state, data, strategy, config)
     return state
+
+
+def run_sequence(seq: TaskSequence, strategy: str, config: ReplayConfig) -> RunState:
+    """Run the full loop over a graph task sequence with the linear model."""
+    model = MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim,
+                           weight_decay=config.decay)
+    return _run(model, prepare_sequence(seq, config), strategy, config)
 
 
 def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
@@ -354,8 +353,6 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
     test label, so the buffer's per-(task, class) keying is what keeps
     capacities right.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not tasks:
         raise ValueError("no image tasks given")
     input_dim = tasks[0].train_images.shape[1]
@@ -364,7 +361,4 @@ def run_image_tasks(tasks, strategy: str, config: ReplayConfig,
     model = MlpModel.init(input_dim=input_dim, hidden_dim=hidden_dim,
                           class_count=class_count, weight_decay=config.decay,
                           seed=config.seed)
-    state = RunState(model=model, buffer=ExperienceBuffer(config.e))
-    for task in tasks:
-        learn_task(state, prepare_image_task(task), strategy, config)
-    return state
+    return _run(model, map(prepare_image_task, tasks), strategy, config)

@@ -167,6 +167,8 @@ class TestFixtureSettings:
               mnist_test_per_task=30), "mnist_train_per_task"),
         (dict(dataset="synthetic-images", model="mlp", eval_mode="class-incremental"),
          "eval_mode"),
+        (dict(sbm_noise=-1.0), "sbm_noise"),
+        (dict(dataset="synthetic-images", model="mlp", syn_noise=-0.5), "syn_noise"),
     ])
     def test_rejected_before_anything_runs(self, tmp_path, capsys, overrides, key):
         # each of these used to pass validate-config and then fail inside run,

@@ -528,6 +528,18 @@ class TestSyntheticFixtures:
         assert digest.hexdigest() == \
             "358f99245e7d518c0cc08bfd4ef5975708a4984fd46c49c58a9c3f5aa25e50a6"
 
+    def test_negative_noise_rejected(self):
+        # a negative scale used to flip the noise's sign without complaint
+        with pytest.raises(ValueError, match="feature_noise must be >= 0"):
+            synthetic_sbm_graph([5, 5], 0.5, 0.05, -1.0, seed=0)
+        with pytest.raises(ValueError, match="noise must be >= 0"):
+            synthetic_image_dataset(2, 5, -0.5, seed=0, dim=9)
+        # zero noise stays allowed: features are the bare block indicators
+        g = synthetic_sbm_graph([5, 5], 0.5, 0.05, 0.0, seed=0)
+        assert np.array_equal(g.features.toarray(), np.eye(2)[g.labels])
+        images, _ = synthetic_image_dataset(2, 5, 0.0, seed=0, dim=9)
+        assert np.isfinite(images).all()
+
     def test_image_fixture(self):
         images, labels = synthetic_image_dataset(4, 10, 0.2, seed=0, dim=25)
         assert images.shape == (40, 25)

@@ -1,6 +1,8 @@
 """The continual loop: weight factor, loss groups, buffer bookkeeping, and
 full runs on a stochastic-block-model fixture."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,32 @@ class TestLearnTaskBookkeeping:
         seq = sbm_sequence()
         with pytest.raises(ValueError, match="unknown strategy"):
             run_sequence(seq, "newest", ReplayConfig())
+
+    @pytest.mark.parametrize("entry", ["learn_task", "run_sequence", "run_image_tasks"])
+    def test_unknown_strategy_rejected_before_any_fit(self, monkeypatch, entry):
+        # every run path goes through learn_task, which checks the strategy
+        # before it records the task or trains
+        def no_fit(*args, **kwargs):
+            pytest.fail("fit ran before the strategy was checked")
+
+        monkeypatch.setattr(MlpModel, "fit", no_fit)
+        config = ReplayConfig(epochs=1, batch_size=8)
+        seq = sbm_sequence(num_tasks=1)
+        state = RunState(model=MlpModel.zeros(seq.graph.class_count, seq.graph.feature_dim),
+                         buffer=ExperienceBuffer(config.e))
+        images, labels = synthetic_image_dataset(num_classes=2, per_class=10,
+                                                 noise=0.3, seed=0, dim=16)
+        tasks = make_permuted_tasks(images, labels, num_tasks=1,
+                                    per_task_train=10, per_task_test=5, seed=1)
+        runs = {"learn_task": lambda: learn_task(state, prepare_sequence(seq, config)[0],
+                                                 "newest", config),
+                "run_sequence": lambda: run_sequence(seq, "newest", config),
+                "run_image_tasks": lambda: run_image_tasks(tasks, "newest", config,
+                                                           hidden_dim=4)}
+        message = f"unknown strategy 'newest'; expected one of {STRATEGIES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runs[entry]()
+        assert state.history == [] and state.events == []
 
 
 class TestRunSequenceBehavior:
