@@ -33,6 +33,56 @@ def _head_rows(layers, head):
     return layers[:-1] + [(w[head], b[head])]
 
 
+def _hidden(layers, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's input: ``x``, then each hidden activation."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        a = acts[-1] @ w.T
+        a += b
+        acts.append(np.maximum(a, 0.0, out=a))
+    return acts
+
+
+def _forward_pass(layers, x: np.ndarray):
+    """Every layer's input and the logits of the output layer."""
+    acts = _hidden(layers, x)
+    w, b = layers[-1]
+    z = acts[-1] @ w.T
+    z += b
+    return acts, z
+
+
+def _ce_error(z: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy derivative in the logits, written over ``z``:
+    softmax minus the float one-hot of each row's label position. After
+    ``exp`` no entry is ``-0.0`` and ``x - 0.0`` is ``x``, so this has the
+    bits of subtracting 1.0 at the label alone."""
+    z -= logsumexp(z, keepdims=True)
+    np.exp(z, out=z)
+    z -= onehot
+    return z
+
+
+def _carry(g: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The error at the previous layer's pre-activation from ``g``, this
+    layer's: back through ``W`` and the ReLU whose output ``a`` is this
+    layer's input."""
+    g = g @ w
+    return np.multiply(g, a > 0, out=g)
+
+
+def _backward_pass(layers, acts, g: np.ndarray, grads) -> None:
+    """Summed gradient from the logits' error ``g``: each layer's ``dW`` and
+    ``db`` written into its pair of ``grads``, last layer first, carrying the
+    error down as it goes."""
+    for i in range(len(layers) - 1, -1, -1):
+        dw, db = grads[i]
+        np.matmul(g.T, acts[i], out=dw)
+        g.sum(axis=0, out=db)
+        if i:
+            g = _carry(g, layers[i][0], acts[i])
+
+
 @dataclass
 class MlpModel:
     """Layers ``(W, b)``, input first, W stored (out, in); ReLU after all but the last."""
@@ -124,78 +174,25 @@ class MlpModel:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
         return x
 
-    def _hidden(self, x: np.ndarray) -> list[np.ndarray]:
-        """Every layer's input: ``x``, then each hidden activation."""
-        acts = [x]
-        for w, b in self.layers[:-1]:
-            a = acts[-1] @ w.T
-            a += b
-            acts.append(np.maximum(a, 0.0, out=a))
-        return acts
-
     def _forward(self, x: np.ndarray, head):
         """Every layer's input and the logits of the output rows ``head``
         indexes (see ``_head_rows``)."""
-        acts = self._hidden(x)
-        w, b = self.layers[-1]
-        z = acts[-1] @ w[head].T
-        z += b[head]
-        return acts, z
+        return _forward_pass(_head_rows(self.layers, head), x)
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Last hidden activation, the representation MF/CM variants select
         on; at depth 0, the inputs themselves."""
-        return self._hidden(self._inputs(np.atleast_2d(inputs)))[-1]
+        return _hidden(self.layers, self._inputs(np.atleast_2d(inputs)))[-1]
 
-    def _head_error(self, z: np.ndarray, hot) -> np.ndarray:
-        """Per-row cross-entropy derivative in the logits, written over ``z``:
-        softmax minus one-hot, where ``hot`` indexes each row's label as
-        ``(row ids, label positions in the mask)``."""
-        z -= logsumexp(z, keepdims=True)
-        np.exp(z, out=z)
-        z[hot] -= 1.0
-        return z
-
-    def _deltas(self, acts, g_out, head) -> list[np.ndarray]:
-        """Error at each layer's pre-activation, first layer first, from ``g_out``'s."""
-        layers = _head_rows(self.layers, head)
-        deltas = [g_out]
-        for (w, _), a in zip(layers[:0:-1], acts[:0:-1]):
-            d = deltas[-1] @ w
-            deltas.append(np.multiply(d, a > 0, out=d))
-        return deltas[::-1]
-
-    def _backprop(self, acts, g_out, head, out=None) -> np.ndarray:
-        """Summed-CE gradient from the logits' error, written into ``out``, a
-        flat vector or the views ``_split`` makes of one (a new flat vector
-        when None), and returned. Output rows outside an index-array ``head``
-        get zero; a slice head leaves the rows outside it untouched."""
-        out = np.empty(self.num_params) if out is None else out
-        *grads, (head_w, head_b) = self._split(out) if isinstance(out, np.ndarray) else out
-        deltas = self._deltas(acts, g_out, head)
-        if isinstance(head, slice):  # views into out, which the loop writes in place
-            grads.append((head_w[head], head_b[head]))
-        else:
-            head_w.fill(0.0)
-            head_b.fill(0.0)
-            head_w[head] = deltas[-1].T @ acts[-1]
-            head_b[head] = deltas[-1].sum(axis=0)
-        for (dw, db), a, g in zip(grads, acts, deltas):
-            np.matmul(g.T, a, out=dw)
-            g.sum(axis=0, out=db)
+    def _backprop(self, acts, g_out, mask_arr) -> np.ndarray:
+        """Summed-CE gradient from the logits' error, as a new flat vector;
+        output rows outside ``mask_arr`` get zero."""
+        out = np.zeros(self.num_params)
+        *grads, (head_w, head_b) = self._split(out)
+        rows = np.empty((len(mask_arr), head_w.shape[1])), np.empty(len(mask_arr))
+        _backward_pass(_head_rows(self.layers, mask_arr), acts, g_out, grads + [rows])
+        head_w[mask_arr], head_b[mask_arr] = rows
         return out
-
-    def _ce_gradient(self, x, hot, w, head, blocked=None, out=None) -> np.ndarray:
-        """Gradient of the row-weighted summed cross-entropy, into ``out`` as
-        ``_backprop`` writes it. Logits where ``blocked`` (rows x head) is set
-        become ``-inf``: softmax weight 0, so each row's cross-entropy runs
-        over its own classes only."""
-        acts, z = self._forward(x, head)
-        if blocked is not None:
-            z[blocked] = -np.inf
-        g = self._head_error(z, hot)
-        g *= w[:, None]
-        return self._backprop(acts, g, head, out)
 
     # -- public contract --
 
@@ -211,9 +208,11 @@ class MlpModel:
     def gradient(self, batch: Batch, mask=None) -> np.ndarray:
         """Exact flat gradient of :meth:`loss`."""
         mask_arr = self.resolve_mask(mask)
-        hot = np.arange(len(batch)), label_positions(mask_arr, batch.y)
-        return (self._ce_gradient(self._inputs(batch.x), hot, batch.w, mask_arr)
-                + self.weight_decay * self.get_flat())
+        onehot = np.eye(len(mask_arr))[label_positions(mask_arr, batch.y)]
+        acts, z = self._forward(self._inputs(batch.x), mask_arr)
+        g = _ce_error(z, onehot)
+        g *= batch.w[:, None]
+        return self._backprop(acts, g, mask_arr) + self.weight_decay * self.get_flat()
 
     def curvature(self, batch: Batch, mask=None, damping: float = 0.0):
         """The operator ``v -> (G + damping I) v`` for G the Gauss-Newton
@@ -277,10 +276,12 @@ class MlpModel:
         vec = self._vector(vec)
         mask_arr = self.resolve_mask(mask)
         acts, z = self._forward(self._inputs(batch.x), mask_arr)
-        hot = np.arange(len(batch)), label_positions(mask_arr, batch.y)
-        deltas = self._deltas(acts, self._head_error(z, hot), mask_arr)
+        onehot = np.eye(len(mask_arr))[label_positions(mask_arr, batch.y)]
+        deltas = [_ce_error(z, onehot)]  # each layer's error, last layer first
+        for (w, _), a in zip(_head_rows(self.layers, mask_arr)[:0:-1], acts[:0:-1]):
+            deltas.append(_carry(deltas[-1], w, a))
         dots = sum(np.sum(g * (a @ vw.T + vb), axis=1) for a, g, (vw, vb)
-                   in zip(acts, deltas, _head_rows(self._split(vec), mask_arr)))
+                   in zip(acts, deltas[::-1], _head_rows(self._split(vec), mask_arr)))
         return dots * batch.w
 
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
@@ -309,7 +310,10 @@ class MlpModel:
         keeps every bit, ``-0.0`` included. At depth 0 these are the rows of
         classes not yet seen. The union's rows come first in the trainee's
         head, so a slice indexes them and each step reads and writes them as
-        views rather than copies; the other rows' CE gradient stays 0.
+        views rather than copies; the other rows' CE gradient stays 0. The
+        layers, the gradient buffer's views, each row's float one-hot label and
+        weight column are made once per fit, so a step is one forward pass,
+        the error over the logits in place and one backward pass.
         """
         masks = [self.resolve_mask(g.mask) for g in groups]
         for g, mask_arr in zip(groups, masks):
@@ -332,7 +336,6 @@ class MlpModel:
         moving = np.concatenate([union, np.setdiff1d(holding, union)])  # the union's rows first
         trainee = replace(self, layers=self.layers[:-1] + [(head_w[moving], head_b[moving])])
         head = slice(0, len(union))
-        row_ids = np.arange(min(size, total))  # rows of each step's one-hot index
 
         def epoch_batches():
             if size >= total:
@@ -341,22 +344,28 @@ class MlpModel:
             return [order[start:start + size] for start in range(0, total, size)]
 
         theta = trainee.get_flat()
-        scratch = replace(trainee, layers=trainee._split(theta))  # views: each step moves them
+        layers = _head_rows(trainee._split(theta), head)  # views: each step moves them
         grad_out, term = np.empty_like(theta), np.zeros_like(theta)  # rows past head stay 0
-        term_layers = trainee._split(term)
+        grads = _head_rows(trainee._split(term), head)
+        pool = (x, np.eye(len(union))[pos], w[:, None], blocked)
 
         def grad_fn(theta, rows):
-            n = total if rows is None else len(rows)
-            grad = np.multiply((n / total) * decay, theta, out=grad_out)
-            step = slice(None) if rows is None else rows  # the whole pool: views, no copies
-            scratch._ce_gradient(x[step], (row_ids[:n], pos[step]), w[step], head,
-                                 None if blocked is None else blocked[step], term_layers)
+            # the whole pool is the arrays themselves: no copies, no views
+            xs, onehot, ws, bs = pool if rows is None else [
+                None if a is None else a[rows] for a in pool]
+            acts, z = _forward_pass(layers, xs)
+            if bs is not None:
+                z[bs] = -np.inf
+            g = _ce_error(z, onehot)
+            g *= ws
+            _backward_pass(layers, acts, g, grads)
+            grad = np.multiply((len(xs) / total) * decay, theta, out=grad_out)
             grad += term
             return grad
 
         adam_minimize(theta, grad_fn, config, epoch_batches)
-        fitted = scratch.copy()  # arrays of its own, not views of theta
+        trainee.set_flat(theta)  # arrays of its own, not views of theta
         full_w, full_b = head_w.copy(), head_b.copy()
-        full_w[moving], full_b[moving] = fitted.layers[-1]
-        fitted.layers[-1] = (full_w, full_b)
-        return fitted
+        full_w[moving], full_b[moving] = trainee.layers[-1]
+        trainee.layers[-1] = (full_w, full_b)
+        return trainee

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from replaygraph import (AdamState, Batch, LinearModel, LossGroup, MaskError, MlpModel,
-                         TrainConfig, TrainingDiverged, synthetic_image_dataset)
+                         TrainConfig, TrainingDiverged, mlp, synthetic_image_dataset)
 from replaygraph.linear import label_positions, logsumexp, stack_samples
 
 from conftest import (batch_of, dense_gauss_newton, finite_difference_gradient,
@@ -29,6 +29,43 @@ def random_samples(rng, model, n, classes=None):
     classes = classes if classes is not None else range(model.class_count)
     return batch_of([(rng.standard_normal(model.feature_dim), int(rng.choice(classes)),
                       float(rng.uniform(0.5, 2.0))) for _ in range(n)])
+
+
+def reference_pass(model, x, mask_arr, error):
+    """The forward pass and the backward carry written out of place: each
+    layer's input and the error at each layer's output, first layer first.
+    ``error`` maps the logits of the classes in ``mask_arr`` to their error,
+    which is carried down through each layer and its ReLU."""
+    layers = model.layers[:-1] + [tuple(a[mask_arr] for a in model.layers[-1])]
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    deltas = [error(acts[-1] @ layers[-1][0].T + layers[-1][1])]
+    for (w, _), a in zip(layers[:0:-1], acts[:0:-1]):
+        deltas.append((deltas[-1] @ w) * (a > 0))
+    return acts, deltas[::-1]
+
+
+def reference_error(pos, w=None, blocked=None):
+    """The logits' cross-entropy error out of place: ``-inf`` logits where
+    ``blocked``, softmax, 1.0 subtracted at each row's label position by a
+    fancy index, then each row scaled by its weight in ``w``."""
+    def error(z):
+        z = z if blocked is None else np.where(blocked, -np.inf, z)
+        g = np.exp(z - logsumexp(z, keepdims=True))
+        g[np.arange(len(pos)), pos] -= 1.0
+        return g if w is None else g * w[:, None]
+    return error
+
+
+def reference_gradient(model, acts, deltas, mask_arr):
+    """The summed gradient from a ``reference_pass`` as a flat vector, zero in
+    the output rows outside ``mask_arr``."""
+    grads = [(g.T @ a, g.sum(axis=0)) for a, g in zip(acts, deltas)]
+    dw, db = (np.zeros_like(a) for a in model.layers[-1])
+    dw[mask_arr], db[mask_arr] = grads[-1]
+    grads[-1] = (dw, db)
+    return np.concatenate([a.ravel() for layer in grads for a in layer])
 
 
 def reference_fit(model, groups, config):
@@ -61,16 +98,9 @@ def reference_fit(model, groups, config):
             grad = ((total if rows is None else len(rows)) / total) * decay * theta
             xs, ys, ws, bs = (x, y, w, blocked) if rows is None else (
                 x[rows], y[rows], w[rows], blocked[rows])
-            acts, z = scratch._forward(xs, union)
-            z[bs] = -np.inf
-            g_out = np.exp(z - logsumexp(z, keepdims=True))
-            g_out[np.arange(len(ys)), label_positions(union, ys)] -= 1.0
-            deltas = scratch._deltas(acts, g_out * ws[:, None], union)
-            grads = [(g.T @ a, g.sum(axis=0)) for a, g in zip(acts, deltas)]
-            dw, db = (np.zeros_like(a) for a in scratch.layers[-1])
-            dw[union], db[union] = grads[-1]
-            grads[-1] = (dw, db)
-            grad += np.concatenate([a.ravel() for layer in grads for a in layer])
+            acts, deltas = reference_pass(scratch, xs, union,
+                                          reference_error(label_positions(union, ys), ws, bs))
+            grad += reference_gradient(scratch, acts, deltas, union)
             step += 1
             theta, m, v = folded_adam_step(theta, m, v, step, grad, config)
     return theta
@@ -107,15 +137,9 @@ def per_group_reference_fit(model, groups, config):
                     if members.size == 0:
                         continue
                     x, y, w = x[members], y[members], w[members]
-                acts, z = scratch._forward(x, mask_arr)
-                g_out = np.exp(z - logsumexp(z, keepdims=True))
-                g_out[np.arange(len(y)), label_positions(mask_arr, y)] -= 1.0
-                deltas = scratch._deltas(acts, g_out * w[:, None], mask_arr)
-                grads = [(g.T @ a, g.sum(axis=0)) for a, g in zip(acts, deltas)]
-                dw, db = (np.zeros_like(a) for a in scratch.layers[-1])
-                dw[mask_arr], db[mask_arr] = grads[-1]
-                grads[-1] = (dw, db)
-                grad += coeff * np.concatenate([a.ravel() for layer in grads for a in layer])
+                acts, deltas = reference_pass(scratch, x, mask_arr,
+                                              reference_error(label_positions(mask_arr, y), w))
+                grad += coeff * reference_gradient(scratch, acts, deltas, mask_arr)
             step += 1
             theta, m, v = folded_adam_step(theta, m, v, step, grad, config)
     return theta
@@ -448,7 +472,7 @@ class TestFit:
         # a row holding values outside every mask still decays. The union's
         # rows (1 and 3) come first among the trained rows wherever the others
         # sit (between them in "0-gap", below and above them in "0-around"),
-        # so every step indexes them with a slice
+        # so every step reads them as views of the theta Adam steps
         depth = int(case[0])
         model = model_of_depth(depth, feature_dim=6, class_count=6 if case == "0-around" else 5,
                                weight_decay=0.1)
@@ -471,11 +495,17 @@ class TestFit:
         dims, zeros = [], AdamState.zeros.__func__
         monkeypatch.setattr(AdamState, "zeros",
                             classmethod(lambda cls, dim: dims.append(dim) or zeros(cls, dim)))
-        heads, backprop = [], MlpModel._backprop
-        monkeypatch.setattr(MlpModel, "_backprop", lambda self, acts, g, head, out=None:
-                            heads.append(type(head)) or backprop(self, acts, g, head, out))
+        thetas, update = [], AdamState.update
+        monkeypatch.setattr(AdamState, "update", lambda self, theta, grad, config:
+                            thetas.append(theta) or update(self, theta, grad, config))
+        steps, backward = [], mlp._backward_pass
+        monkeypatch.setattr(mlp, "_backward_pass", lambda layers, acts, g, grads:
+                            steps.append(layers) or backward(layers, acts, g, grads))
         fitted = model.fit(groups, config)
-        assert set(heads) == {slice}
+        assert len(steps) == len(thetas) > 0 and all(t is thetas[0] for t in thetas)
+        assert all(len(layers[-1][0]) == 2 for layers in steps)  # the union's rows
+        assert all(np.shares_memory(a, thetas[0])
+                   for layers in steps for layer in layers for a in layer)
         assert fitted.get_flat().tobytes() == reference_fit(model, groups, config).tobytes()
         assert dims == [model.num_params - len(idle) * (head_w.shape[1] + 1)]
         fitted_w, fitted_b = fitted.layers[-1]
@@ -494,22 +524,37 @@ class TestFit:
         with pytest.raises(MaskError):
             model.fit(groups, TrainConfig(epochs=1, lr=1e-2, batch_size=4))
 
+    @staticmethod
+    def count_passes_and_steps(monkeypatch):
+        """Calls of the forward pass, the backward pass and the Adam step."""
+        calls = {"forward": 0, "backward": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mlp, "_forward_pass", counted("forward", mlp._forward_pass))
+        monkeypatch.setattr(mlp, "_backward_pass", counted("backward", mlp._backward_pass))
+        monkeypatch.setattr(AdamState, "update", counted("step", AdamState.update))
+        return calls
+
     def test_one_gradient_pass_per_adam_step(self, rng, monkeypatch):
         model = tiny_net(class_count=4)
         groups = [LossGroup(random_samples(rng, model, 10, classes=(2, 3)), (2, 3), 0.3),
                   LossGroup(random_samples(rng, model, 5, classes=(0, 1)), (0, 1), 0.7)]
-        calls = {"gradient": 0, "step": 0}
-
-        def counted(name, method):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return method(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(MlpModel, "_ce_gradient", counted("gradient", MlpModel._ce_gradient))
-        monkeypatch.setattr(AdamState, "update", counted("step", AdamState.update))
+        calls = self.count_passes_and_steps(monkeypatch)
         model.fit(groups, TrainConfig(epochs=3, lr=1e-2, batch_size=4))
-        assert calls == {"gradient": 12, "step": 12}  # 3 epochs of ceil(15 / 4) steps
+        assert calls == {"forward": 12, "backward": 12, "step": 12}  # 3 epochs of ceil(15 / 4)
+
+    def test_one_gradient_pass_per_full_batch_step_at_depth_0(self, rng, monkeypatch):
+        model = model_of_depth(0, feature_dim=6, class_count=4, weight_decay=0.1)
+        groups = [LossGroup(random_samples(rng, model, 10, classes=(2, 3)), (2, 3), 0.3),
+                  LossGroup(random_samples(rng, model, 5, classes=(0, 1)), (0, 1), 0.7)]
+        calls = self.count_passes_and_steps(monkeypatch)
+        model.fit(groups, TrainConfig(epochs=3, lr=1e-2))
+        assert calls == {"forward": 3, "backward": 3, "step": 3}  # one step per epoch
 
     def test_receiver_unchanged_and_fits_share_no_memory(self, rng):
         model = tiny_net(seed=1, weight_decay=0.01)
@@ -531,6 +576,71 @@ class TestFit:
         c = MlpModel.init(seed=6)
         assert np.array_equal(a.layers[0][0], b.layers[0][0])
         assert not np.array_equal(a.layers[0][0], c.layers[0][0])
+
+
+class TestOneHotError:
+    """Steps, gradients and dots subtract each row's label as a float one-hot;
+    the references here subtract 1.0 at a fancy index. The bytes must agree on
+    the rows where the two could differ."""
+
+    @staticmethod
+    def problem(rng, kind, depth):
+        """A model and loss groups of one kind: "tied" makes head rows 1 and 2
+        equal, so their logits tie exactly; "signed-zero" makes the head -0.0
+        and a third of the inputs -0.0 rows; "blocked" pools two groups whose
+        masks differ, so each row's union classes outside its own mask get
+        -inf logits."""
+        model = model_of_depth(depth, feature_dim=6, class_count=4, weight_decay=0.1)
+        model.set_flat(rng.standard_normal(model.num_params))
+        head_w, head_b = model.layers[-1]
+        if kind == "blocked":
+            return model, [
+                LossGroup(random_samples(rng, model, 7, classes=(1, 2, 3)), (1, 2, 3), 0.7),
+                LossGroup(random_samples(rng, model, 4, classes=(0, 1)), (0, 1), 0.45)]
+        batch = random_samples(rng, model, 9, classes=(1, 2, 3))
+        if kind == "tied":
+            head_w[2], head_b[2] = head_w[1], head_b[1]
+        else:
+            head_w[...], head_b[...] = -0.0, -0.0
+            batch.x[::3] = -0.0
+        return model, [LossGroup(batch, (1, 2, 3), 0.7)]
+
+    @pytest.mark.parametrize("kind", ["tied", "signed-zero", "blocked"])
+    @pytest.mark.parametrize("depth, batch_size", [(0, None), (2, 4)])  # 4: a short last batch
+    def test_fit_matches_fancy_index_reference_bit_for_bit(self, rng, kind, depth, batch_size):
+        model, groups = self.problem(rng, kind, depth)
+        config = TrainConfig(epochs=6, lr=0.05, batch_size=batch_size, seed=3)
+        fitted = model.fit(groups, config)
+        assert fitted.get_flat().tobytes() == reference_fit(model, groups, config).tobytes()
+
+    @pytest.mark.parametrize("kind", ["tied", "signed-zero", "blocked"])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_gradient_and_dots_match_out_of_place_expressions(self, rng, kind, depth):
+        model, groups = self.problem(rng, kind, depth)
+        v = rng.standard_normal(model.num_params)
+        along = model.copy()
+        along.set_flat(v)
+        for g in groups:
+            batch, mask_arr = g.batch, model.resolve_mask(g.mask)
+            pos = label_positions(mask_arr, batch.y)
+            acts, deltas = reference_pass(model, batch.x, mask_arr, reference_error(pos, batch.w))
+            expected = (reference_gradient(model, acts, deltas, mask_arr)
+                        + model.weight_decay * model.get_flat())
+            assert model.gradient(batch, g.mask).tobytes() == expected.tobytes()
+            acts, deltas = reference_pass(model, batch.x, mask_arr, reference_error(pos))
+            vs = along.layers[:-1] + [tuple(a[mask_arr] for a in along.layers[-1])]
+            dots = sum(np.sum(d * (a @ vw.T + vb), axis=1)
+                       for a, d, (vw, vb) in zip(acts, deltas, vs)) * batch.w
+            assert model.gradient_dots(batch, g.mask, v).tobytes() == dots.tobytes()
+
+    def test_error_matches_fancy_index_on_signed_zero_tied_and_blocked_logits(self):
+        # BLAS sums from +0.0, so logits computed from -0.0 operands are +0.0;
+        # here the logits themselves hold -0.0
+        z = np.array([[-0.0, 0.0, -0.0], [1.5, 1.5, -np.inf],
+                      [-np.inf, -0.0, 2.0], [0.0, -np.inf, -np.inf]])
+        pos = np.array([0, 1, 1, 0])
+        got = mlp._ce_error(z.copy(), np.eye(3)[pos])
+        assert got.tobytes() == reference_error(pos)(z).tobytes()
 
 
 class TestPlumbing:
