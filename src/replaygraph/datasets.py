@@ -11,6 +11,7 @@ import gzip
 import logging
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,8 @@ class ImageTask:
 
 
 PARSE_BLOCK_BYTES = 2**19  # text decoded at a time: small enough to stay in L2
+# .cites text split into tokens at a time: their str objects take ~8x its bytes
+CITES_BLOCK_BYTES = PARSE_BLOCK_BYTES // 8
 
 
 def _bag_of_words(blocks: list[str]):
@@ -152,6 +155,68 @@ def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) ->
                         f"{path}:{lineno}: non-numeric attribute {token!r}") from None
 
 
+# 1 for each byte that is whitespace to str.split() (of ASCII text), else 0
+_SPACE = bytes(chr(code).isspace() for code in range(256))
+
+
+def _citations_in_one_pass(text: str, index: dict[str, int]):
+    """``(pairs, dropped)`` for ``.cites`` text: the (m, 2) int64 node pairs
+    of its citations between known, distinct ids, and how many others there
+    were. None unless the text is ASCII and every non-blank line holds exactly
+    two tokens; :func:`_citations_by_line` reads (and rejects) anything else.
+
+    Lines end at ``\\n`` and tokens at ``str.split()``'s whitespace, as in the
+    line reader. The text is taken ``CITES_BLOCK_BYTES`` of whole lines at a
+    time, so the token strings of only one block are held at once.
+    """
+    if not text.isascii():
+        return None
+    parts = []
+    dropped = 0
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CITES_BLOCK_BYTES) + 1 or len(text)
+        block = text[start:end]
+        start = end
+        data = block.encode()
+        raw = np.frombuffer(data, dtype=np.uint8)
+        space = np.frombuffer(data.translate(_SPACE), dtype=np.bool_)
+        first = ~space  # the first character of each token
+        first[1:] &= space[:-1]
+        # each token's line: how many newlines come before its first character
+        line = np.searchsorted(np.flatnonzero(raw == ord("\n")), np.flatnonzero(first))
+        if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+            return None
+        tokens = block.split()
+        pairs = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64,
+                            count=len(tokens)).reshape(-1, 2)
+        keep = (pairs >= 0).all(axis=1) & (pairs[:, 0] != pairs[:, 1])
+        dropped += len(pairs) - np.count_nonzero(keep)
+        parts.append(pairs[keep])
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64), dropped
+
+
+def _citations_by_line(path: Path, text: str, index: dict[str, int]):
+    """``(pairs, dropped)`` as :func:`_citations_in_one_pass` gives them, read
+    one line at a time; the first line without two tokens raises."""
+    edges = []
+    dropped = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise CitationFormatError(
+                f"{path}:{lineno}: expected `<cited_id> <citing_id>`, "
+                f"got {len(tokens)} fields")
+        cited, citing = tokens
+        if cited not in index or citing not in index or cited == citing:
+            dropped += 1
+            continue
+        edges.append((index[cited], index[citing]))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), dropped
+
+
 def load_citation_dataset(content_path, cites_path) -> Graph:
     """Parse `<id> <attr_0> ... <attr_{d-1}> <label>` content lines and
     `<cited_id> <citing_id>` cites lines into a Graph.
@@ -200,22 +265,10 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
         _check_attribute_rows(content_path, linenos, middles)
         raise
 
-    edges = []
-    dropped = 0
     with cites_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise CitationFormatError(
-                    f"{cites_path}:{lineno}: expected `<cited_id> <citing_id>`, "
-                    f"got {len(tokens)} fields")
-            cited, citing = tokens
-            if cited not in index or citing not in index or cited == citing:
-                dropped += 1
-                continue
-            edges.append((index[cited], index[citing]))
+        text = fh.read()
+    found = _citations_in_one_pass(text, index)
+    edges, dropped = found if found is not None else _citations_by_line(cites_path, text, index)
     if dropped:
         logger.warning("%s: dropped %d citation(s) referencing unknown ids or self loops",
                        cites_path, dropped)

@@ -90,19 +90,28 @@ def logsumexp(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
     other shifted exponentials; rows where that is not finite (a nan, an
     infinity, or all ``-inf``) take ``log(sum(exp(z)))`` instead. When every
     row's maximum is finite, so is every result, and nothing can warn.
+
+    When every row's maximum is finite and is reached once, ``m = 1`` and
+    the division and ``log(m)`` are skipped: ``s / 1`` is ``s``, and adding
+    ``log(1) = +0.0`` to ``log1p(s) >= +0.0`` changes no bit.
     """
     top = z.max(axis=1, keepdims=True)
     finite = np.isfinite(top).all()
     with contextlib.nullcontext() if finite else np.errstate(divide="ignore", invalid="ignore",
                                                              over="ignore"):
         is_top = z == top
-        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        # a finite maximum is hit at least once in its row
+        single = finite and np.count_nonzero(is_top) == len(z)
         out = np.where(is_top, -np.inf, z)
         out -= top
         out = np.exp(out, out=out).sum(axis=1, keepdims=True)
-        out /= m
-        np.log1p(out, out=out)
-        out += np.log(m)
+        if single:
+            np.log1p(out, out=out)
+        else:
+            m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+            out /= m
+            np.log1p(out, out=out)
+            out += np.log(m)
         out += top
         if not finite:
             bad = ~np.isfinite(out[:, 0])

@@ -55,16 +55,37 @@ class AccuracyMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "AccuracyMatrix":
-        text = Path(path).read_text().strip().splitlines()
-        if not text or text[0].strip() != "i,j,value":
+        """Read what :meth:`to_csv` writes; blank lines are skipped.
+
+        A line that is not ``i,j,value`` with ``0 <= j <= i`` decimal indices
+        and a number, an ``(i, j)`` given twice, and a file with no entries
+        raise ``ValueError`` naming the file and line.
+        """
+        lines = [(lineno, line.strip()) for lineno, line
+                 in enumerate(Path(path).read_text().split("\n"), start=1) if line.strip()]
+        if not lines or lines[0][1] != "i,j,value":
             raise ValueError(f"{path}: expected header 'i,j,value'")
+        if len(lines) == 1:
+            raise ValueError(f"{path}:{lines[0][0]}: no entries after the header")
         entries = {}
-        for lineno, line in enumerate(text[1:], start=2):
-            parts = line.strip().split(",")
+        for lineno, line in lines[1:]:
+            where = f"{path}:{lineno}"
+            parts = [part.strip() for part in line.split(",")]
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i,j,value'")
-            entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
-        m = max(i for i, _ in entries) + 1 if entries else 0
+                raise ValueError(f"{where}: expected 'i,j,value'")
+            if not all(index.isascii() and index.isdigit() for index in parts[:2]):
+                raise ValueError(f"{where}: indices must be non-negative integers, "
+                                 f"got {parts[0]!r}, {parts[1]!r}")
+            i, j = int(parts[0]), int(parts[1])
+            if j > i:
+                raise ValueError(f"{where}: entry ({i}, {j}) lies above the diagonal")
+            if (i, j) in entries:
+                raise ValueError(f"{where}: entry ({i}, {j}) given twice")
+            try:
+                entries[i, j] = float(parts[2])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value {parts[2]!r}") from None
+        m = max(i for i, _ in entries) + 1
         values = np.full((m, m), np.nan)
         for (i, j), val in entries.items():
             values[i, j] = val

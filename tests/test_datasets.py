@@ -1,9 +1,12 @@
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from replaygraph import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,
                          load_citation_dataset, load_mnist, make_permuted_tasks,
@@ -24,6 +27,21 @@ def write_citation(tmp_path, content_lines, cites_lines):
 
 def refuse_loadtxt(*args, **kwargs):
     raise AssertionError("binary attributes went through np.loadtxt")
+
+
+# Lines of generated .cites text: ids known to the index and one that is not,
+# separated and padded by every ASCII character str.split() treats as
+# whitespace apart from the line ends.
+CITES_IDS = ("1", "35", "#2", "x7")
+CITES_TOKEN = st.sampled_from(CITES_IDS + ("999",))
+CITES_SPACE = st.text(alphabet=" \t\v\f\x1c\x1d\x1e\x1f", min_size=1, max_size=3)
+CITES_PAD = st.text(alphabet=" \t\v\f\x1c\x1d\x1e\x1f", max_size=2)
+CITES_GOOD_LINE = st.one_of(  # blank, or two tokens
+    CITES_PAD,
+    st.builds(lambda pad, a, space, b, end: pad + a + space + b + end,
+              CITES_PAD, CITES_TOKEN, CITES_SPACE, CITES_TOKEN, CITES_PAD))
+CITES_ANY_LINE = st.builds(lambda tokens, space: space.join(tokens),
+                           st.lists(CITES_TOKEN, min_size=1, max_size=4), CITES_SPACE)
 
 
 class TestCitationLoader:
@@ -252,6 +270,81 @@ class TestCitationLoader:
                                         ["1 2 3"])
         with pytest.raises(CitationFormatError, match="toy.cites:1"):
             load_citation_dataset(content, cites)
+
+    @pytest.mark.parametrize("line, count", [("1", 1), ("1 2 1", 3)])
+    def test_bad_cites_line_after_blank_lines_reports_its_line(self, tmp_path, line, count):
+        content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
+                                        ["", "1 2", " \t", line, "2 1"])
+        with pytest.raises(CitationFormatError,
+                           match=f"toy.cites:4: expected `<cited_id> <citing_id>`, "
+                                 f"got {count} fields"):
+            load_citation_dataset(content, cites)
+
+    def test_empty_cites_file(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"], [])
+        cites.write_text("")
+        g = load_citation_dataset(content, cites)
+        assert g.num_nodes == 2 and g.adjacency.nnz == 0
+
+    def test_non_ascii_id_is_read_line_by_line_with_the_same_result(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["é1 0 1 a", "2 1 0 b", "3 1 1 b"],
+                                        ["é1 2", "3 é1", "é1 é1", "4 2"])
+        text = cites.read_text()
+        assert datasets._citations_in_one_pass(text, {"é1": 0, "2": 1, "3": 2}) is None
+        g = load_citation_dataset(content, cites)
+        write_citation(tmp_path, ["e1 0 1 a", "2 1 0 b", "3 1 1 b"],
+                       ["e1 2", "3 e1", "e1 e1", "4 2"])
+        ascii_g = load_citation_dataset(content, cites)
+        for got, want in ((g.adjacency, ascii_g.adjacency), (g.features, ascii_g.features)):
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CITES_GOOD_LINE, max_size=30),
+           st.lists(st.tuples(st.integers(0, 30), CITES_ANY_LINE), max_size=2),
+           st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=32, max_size=32),
+           st.booleans())
+    def test_one_pass_matches_the_line_reader(self, lines, extras, newlines, newline_at_end):
+        for at, line in extras:  # lines of any token count, at any place
+            lines.insert(at, line)
+        raw = "".join(line + newline for line, newline in zip(lines, newlines))
+        if not newline_at_end:
+            raw = raw.rstrip("\r\n")
+        index = {node_id: k for k, node_id in enumerate(CITES_IDS)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "toy.cites"
+            path.write_bytes(raw.encode())
+            with path.open() as fh:
+                text = fh.read()
+            with path.open() as fh:  # the line reader splits lines as the file iterates them
+                file_lines = [line.split() for line in fh]
+        read_lines = [line.split() for line in text.split("\n")]
+        assert read_lines[:len(file_lines)] == file_lines
+        assert not any(read_lines[len(file_lines):])
+        found = datasets._citations_in_one_pass(text, index)
+        if any(len(tokens) not in (0, 2) for tokens in file_lines):
+            assert found is None
+            with pytest.raises(CitationFormatError):
+                datasets._citations_by_line(path, text, index)
+            return
+        pairs, dropped = datasets._citations_by_line(path, text, index)
+        assert found is not None
+        assert found[0].dtype == pairs.dtype and found[0].shape == pairs.shape
+        assert found[0].tobytes() == pairs.tobytes()
+        assert found[1] == dropped
+
+    def test_one_pass_over_a_cites_heavy_file_peaks_below_four_times_its_text(self):
+        # only one block's token strings are held at a time; the pairs take
+        # 16 bytes per line, and an int64 per input byte alone would take 8x
+        rng = np.random.default_rng(0)
+        ids = [str(i) for i in rng.choice(np.arange(10**5, 10**7), 1000, replace=False)]
+        index = {node_id: k for k, node_id in enumerate(ids)}
+        pairs = rng.integers(0, len(ids), (60_000, 2))
+        text = "".join(f"{ids[u]} {ids[v]}\n" for u, v in pairs.tolist())
+        (found, dropped), peak = traced_peak(datasets._citations_in_one_pass, text, index)
+        assert dropped == np.count_nonzero(pairs[:, 0] == pairs[:, 1])
+        assert len(found) + dropped == len(pairs)
+        assert peak < 4 * len(text)
 
 
 def bag_of_words(rng, rows, words, rate=0.1, sep=" "):

@@ -278,3 +278,29 @@ class TestInducedSubgraph:
         g = path_graph(3)
         with pytest.raises(ValueError):
             induced_subgraph(g, [])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bytes_equal_the_checked_constructor(self, seed):
+        # the subgraph is built without Graph's checks; it must hold the
+        # bytes that Graph(...) makes of the same parts
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        g = random_graph(rng, n)
+        if seed % 2:  # sparse 0/1 features, as a bag-of-words file gives
+            g = Graph(g.adjacency, (rng.random((n, 5)) < 0.3).astype(float), g.labels, 2)
+        for nodes in (rng.permutation(n)[:int(rng.integers(1, n + 1))],  # unsorted
+                      rng.integers(0, n, 2 * n),                          # repeated
+                      [int(rng.integers(n))],                             # one node
+                      rng.integers(0, n, n).tolist()):
+            sub = induced_subgraph(g, nodes)
+            keep = np.unique(nodes)
+            ref = Graph(g.adjacency[keep][:, keep], g.features[keep], g.labels[keep],
+                        g.class_count)
+            assert type(sub) is Graph and sub.class_count == ref.class_count
+            for got, want in ((sub.adjacency, ref.adjacency), (sub.features, ref.features)):
+                assert type(got) is type(want) and got.shape == want.shape
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert sub.labels.dtype == ref.labels.dtype
+            assert sub.labels.tobytes() == ref.labels.tobytes()

@@ -48,6 +48,49 @@ class TestLogsumexp:
         assert np.array_equal(np.isneginf(out), [0, 0, 1, 0, 0, 0, 0, 0, 0])
 
 
+def logsumexp_with_tie_counts(z):
+    """``logsumexp``'s formula with the division by each row's count of maxima
+    and the added ``log`` of it always done: the reference for the rows where
+    the count is 1 and they are skipped."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = z.max(axis=1, keepdims=True)
+        is_top = z == top
+        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        out = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=1, keepdims=True)
+        out = np.log1p(out / m) + np.log(m) + top
+        bad = ~np.isfinite(out[:, 0])
+        out[bad] = np.log(np.sum(np.exp(z[bad]), axis=1, keepdims=True))
+    return out[:, 0]
+
+
+class TestLogsumexpBytes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_equal_the_tie_count_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((300, 6)) * rng.choice([1e-3, 1.0, 40.0], (300, 1))
+        z[rng.random(z.shape) < 0.3] = -np.inf  # entries a class mask blocks
+        z[:, int(rng.integers(6))] = rng.standard_normal(300)  # every row keeps one
+        single = z.copy()
+        tied = np.round(z, 1)  # many rows with two or more maxima
+        tied[::7, :2] = 0.25
+        for values in (single, tied, np.zeros((3, 4)), np.full((2, 1), -7.5)):
+            want = logsumexp_with_tie_counts(values)
+            for keepdims in (False, True):
+                assert logsumexp(values, keepdims=keepdims).ravel().tobytes() == want.tobytes()
+
+    def test_non_finite_rows_equal_the_tie_count_formula(self):
+        inf, nan = np.inf, np.nan
+        rows = np.array([[1.0, -inf, 2.0], [inf, 1.0, 0.0], [-inf, -inf, -inf],
+                         [nan, 0.0, 1.0], [-inf, 3.0, -inf], [inf, inf, 1.0],
+                         [-inf, -inf, 0.5], [nan, nan, nan], [-1.0, -1.0, -inf]])
+        # a nan row has no maximum, so with a tied row the counts can sum to the rows
+        for z in (rows, rows[[0, 4, 6]], rows[[0, 1]], rows[[4, 8]], rows[[3, 8]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the formula warns on nan and inf rows
+                want = logsumexp_with_tie_counts(z)
+            assert logsumexp(z).tobytes() == want.tobytes()
+
+
 class TestLossAndGradient:
     def test_gradient_matches_finite_differences(self):
         worst = 0.0

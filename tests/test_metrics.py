@@ -62,6 +62,30 @@ class TestAccuracyMatrix:
         with pytest.raises(ValueError, match="bad.csv:3"):
             AccuracyMatrix.from_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("i,j,value\n0,0,0.5\n1,0,0.4\n1,1,0.6\n1,0,0.3\n", "bad.csv:5: .* given twice"),
+        ("i,j,value\n0,0,0.5\n-1,0,0.4\n", "bad.csv:3: indices must be non-negative"),
+        ("i,j,value\n0,0,0.5\n1,x,0.4\n1,1,0.6\n", "bad.csv:3: indices must be non-negative"),
+        ("i,j,value\n0,0.0,0.5\n", "bad.csv:2: indices must be non-negative"),
+        ("i,j,value\n0,0,0.5\n1,0,high\n1,1,0.6\n", "bad.csv:3: non-numeric value 'high'"),
+        ("i,j,value\n0,0,0.5\n0,1,0.4\n", r"bad.csv:3: entry \(0, 1\) lies above the diagonal"),
+        ("i,j,value\n", "bad.csv:1: no entries"),
+        ("\n\ni,j,value\n\n", "bad.csv:3: no entries"),
+        ("\n\ni,j,value\n0,0,0.5\n1,0\n", "bad.csv:5: expected 'i,j,value'"),
+    ], ids=["repeated", "negative", "non-integer", "float-index", "non-numeric",
+            "above-diagonal", "header-only", "blank-then-header-only", "blank-lines-counted"])
+    def test_csv_misreads_rejected_with_lineno(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            AccuracyMatrix.from_csv(path)
+
+    def test_csv_blank_lines_and_spaces_skipped(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("\ni,j,value\n\n0, 0,0.5\n1,0 ,0.25\n\n1,1,0.75\n\n")
+        back = AccuracyMatrix.from_csv(path)
+        assert np.array_equal(back.values, [[0.5, np.nan], [0.25, 0.75]], equal_nan=True)
+
 
 class TestPerformanceMean:
     def test_three_task_example(self):
