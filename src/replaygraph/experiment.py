@@ -56,7 +56,7 @@ class ExperimentConfig:
     content: str | None = None
     cites: str | None = None
     mnist_dir: str | None = None
-    model: str = "sgc"
+    model: str | None = None  # None: the dataset's model (DATASETS)
     strategy: str = "im"
     e: int = 1
     k: int = 2
@@ -84,6 +84,10 @@ class ExperimentConfig:
     syn_images_per_class: int = 200
     syn_noise: float = 0.25
 
+    def __post_init__(self):
+        if self.model is None and isinstance(self.dataset, str):
+            self.model = DATASETS.get(self.dataset)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -98,14 +102,13 @@ class ExperimentConfig:
     # -- path resolution --
 
     def citation_paths(self) -> tuple[Path | None, Path | None]:
-        """Explicit paths win; for the named datasets the conventional
-        layouts <root>/<name>/<name>.content and <root>/<name>.content are
-        both tried (likewise .cites)."""
+        """Explicit paths win; otherwise the conventional layouts
+        <root>/<name>/<name>.content and <root>/<name>.content are tried in
+        that order (likewise .cites)."""
         name = self.dataset
 
         def find(explicit: str | None, suffix: str) -> Path | None:
-            layouts = (f"{name}/{name}{suffix}", f"{name}{suffix}")
-            return _locate(explicit, *(layouts if name in ("cora", "citeseer") else ()))
+            return _locate(explicit, f"{name}/{name}{suffix}", f"{name}{suffix}")
 
         return find(self.content, ".content"), find(self.cites, ".cites")
 
@@ -131,7 +134,7 @@ class ExperimentConfig:
         if self.dataset not in DATASETS:
             errors.append(f"dataset: must be one of {', '.join(DATASETS)}; "
                           f"got {self.dataset!r}")
-        if self.model not in MODELS:
+        if self.model is not None and self.model not in MODELS:
             errors.append(f"model: must be one of {', '.join(MODELS)}; got {self.model!r}")
         if self.strategy not in STRATEGIES:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "

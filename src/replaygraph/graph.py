@@ -2,8 +2,9 @@
 
 The classifier for graph tasks is linear over K-step propagated features
 ``S^K X`` with ``S = D^{-1/2} (A + I) D^{-1/2}``, so all graph structure is
-consumed up front by the functions in this module. Node features ``X`` are
-held as a sparse CSR matrix until propagation ends; only ``S^K X`` is dense.
+consumed up front by the functions in this module. Node features ``X`` and
+``S^K X`` are both sparse CSR matrices; the caller densifies the rows it
+needs (``replay.prepare_task_data``).
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ class NormalizedAdjacency:
 
 @dataclass(frozen=True)
 class PropagatedFeatures:
-    """Dense node representations S^K X."""
+    """Node representations S^K X as float64 CSR with no duplicate entries;
+    as the last hop's product leaves them, a row's column indices may be
+    unsorted."""
 
-    values: np.ndarray
+    values: sp.csr_matrix
 
 
 def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -144,14 +147,15 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
 
 
 def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeatures:
-    """Compute S^k X by k successive sparse-sparse multiplies, densified once;
-    with ``rows`` (node indices), only those rows of it, in that order.
+    """Compute S^k X by k successive sparse-sparse multiplies, as CSR; with
+    ``rows`` (node indices), only those rows of it, in that order.
 
     ``x`` may be dense or sparse; it is taken as CSR (:func:`_feature_matrix`).
     Each output entry sums its products in the order a sparse-dense multiply
-    would, and missing entries would only add ``+0.0``, so the result has the
-    same bytes as ``(S @ ... @ S @ dense_x)[rows]``. The last hop multiplies
-    only the rows of S asked for, so the other rows are never computed.
+    would, and missing entries would only add ``+0.0``, so ``.toarray()`` of
+    the result has the same bytes as ``(S @ ... @ S @ dense_x)[rows]``. The
+    last hop multiplies only the rows of S asked for, so the other rows are
+    never computed. The result shares no array with ``x``.
     """
     if k < 0:
         raise ValueError("propagation depth must be >= 0")
@@ -162,9 +166,9 @@ def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeature
     for hop in range(k):
         last = s.matrix if rows is None or hop < k - 1 else s.matrix[rows]
         out = last @ out
-    if rows is not None and k == 0:
-        out = out[rows]
-    return PropagatedFeatures(out.toarray())
+    if k == 0:  # no product made a new matrix: copy, or gather the rows
+        out = out.copy() if rows is None else out[rows]
+    return PropagatedFeatures(out)
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

@@ -166,10 +166,10 @@ class MlpModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _inputs(self, x) -> np.ndarray:
-        """``x`` as float64 rows of ``feature_dim`` columns; the public entry
+    def _inputs(self, x, dtype=np.float64) -> np.ndarray:
+        """``x`` as ``dtype`` rows of ``feature_dim`` columns; the public entry
         points check their inputs here, so the passes below do not."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=dtype)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
         return x
@@ -285,9 +285,17 @@ class MlpModel:
         return dots * batch.w
 
     def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
-        """Argmax over mask-restricted logits; ties go to the lowest class id."""
+        """Argmax over mask-restricted logits; ties go to the lowest class id.
+
+        float32 inputs (graph tasks' test rows) are scored against float32
+        copies of the layers, so the logits are float32 too; any other input
+        is taken as float64 and scored in float64."""
         mask_arr = self.resolve_mask(mask)
-        _, z = self._forward(self._inputs(np.atleast_2d(inputs)), mask_arr)
+        inputs = np.atleast_2d(inputs)
+        dtype = np.float32 if inputs.dtype == np.float32 else np.float64
+        layers = [(w.astype(dtype, copy=False), b.astype(dtype, copy=False))
+                  for w, b in _head_rows(self.layers, mask_arr)]
+        _, z = _forward_pass(layers, self._inputs(inputs, dtype))
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig) -> "MlpModel":

@@ -88,6 +88,20 @@ class TestRunCommand:
         assert code == 0
         assert (out / "report.json").exists()
 
+    def test_unset_model_is_the_datasets(self, tmp_path, capsys):
+        # no --model: the dataset's model runs and report.json names it
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps(dict(
+            dataset="synthetic-images", strategy="random", e=1, epochs=2, tasks=2,
+            hidden_dim=8, syn_images_per_class=10, mnist_train_per_task=40,
+            mnist_test_per_task=20, out=str(tmp_path / "out"))))
+        assert main(["run", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["model"] == "mlp"
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--model", "sgc"]) == 1
+        assert "model: dataset 'synthetic-images' requires model 'mlp'" in capsys.readouterr().err
+
     def test_invalid_config_exits_one_with_message(self, tmp_path, capsys):
         config = write_config(tmp_path, e=0)
         code = main(["run", "--config", str(config)])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from replaygraph import datasets, experiment
-from replaygraph.experiment import (DATA_DIR_ENV, ExperimentConfig,
+from replaygraph.experiment import (DATA_DIR_ENV, DATASETS, ExperimentConfig,
                                     ExperimentError, run_experiment,
                                     run_single_seed, sweep_e,
                                     validate_config_file)
@@ -69,6 +69,12 @@ class TestValidation:
         assert f"model: dataset {dataset!r} requires model {model!r}" in errors
         errors = ExperimentConfig(dataset=dataset, model=model).validate()
         assert not any("requires model" in e for e in errors)
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_unset_model_takes_the_datasets(self, dataset):
+        assert ExperimentConfig(dataset=dataset).model == DATASETS[dataset]
+        assert ExperimentConfig.from_dict({"dataset": dataset}).to_dict()["model"] \
+            == DATASETS[dataset]
 
     def test_mnist_dir_without_idx_files_rejected(self, tmp_path):
         # reported by validate; it used to surface as FileNotFoundError in run
@@ -130,6 +136,27 @@ class TestPathResolution:
                                   cites="/abs/c.cites")
         content, cites = config.citation_paths()
         assert content == Path("/abs/c.content")
+
+    @pytest.mark.parametrize("layout", ["citation/citation", "citation"])
+    def test_citation_layouts_found(self, monkeypatch, tmp_path, layout):
+        (tmp_path / "citation").mkdir()
+        for suffix in (".content", ".cites"):
+            (tmp_path / f"{layout}{suffix}").write_text("x\n")
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        config = ExperimentConfig(dataset="citation")
+        assert config.citation_paths() == (tmp_path / f"{layout}.content",
+                                           tmp_path / f"{layout}.cites")
+        assert not any(e.startswith(("content:", "cites:")) for e in config.validate())
+
+    def test_explicit_citation_paths_win_over_both_layouts(self, monkeypatch, tmp_path):
+        (tmp_path / "citation").mkdir()
+        for layout in ("citation/citation", "citation", "mine"):
+            for suffix in (".content", ".cites"):
+                (tmp_path / f"{layout}{suffix}").write_text("x\n")
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        config = ExperimentConfig(dataset="citation", content="mine.content",
+                                  cites="mine.cites")
+        assert config.citation_paths() == (tmp_path / "mine.content", tmp_path / "mine.cites")
 
     def test_relative_paths_resolve_against_data_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -162,29 +162,29 @@ class TestPropagate:
         g = random_graph(rng, 8)
         s = normalize_adjacency(g)
         out = propagate(s, g.features, 0)
-        assert np.array_equal(out.values, g.features.toarray())
+        assert np.array_equal(out.values.toarray(), g.features.toarray())
 
     def test_two_node_average(self):
         g = path_graph(2)
         s = normalize_adjacency(g)
         out = propagate(s, np.array([[0.0], [2.0]]), 1)
-        assert np.allclose(out.values, [[1.0], [1.0]])
+        assert np.allclose(out.values.toarray(), [[1.0], [1.0]])
 
     def test_complete_graph_idempotent(self):
         g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)], np.ones((3, 1)),
                              np.zeros(3, dtype=np.int64), 1)
         s = normalize_adjacency(g)
         x = np.array([[1.0], [2.0], [3.0]])
-        once = propagate(s, x, 1).values
-        twice = propagate(s, x, 2).values
+        once = propagate(s, x, 1).values.toarray()
+        twice = propagate(s, x, 2).values.toarray()
         assert np.allclose(once, twice)
 
     def test_composition(self, rng):
         g = random_graph(rng, 12)
         s = normalize_adjacency(g)
         x = rng.standard_normal((12, 4))
-        direct = propagate(s, x, 5).values
-        staged = propagate(s, propagate(s, x, 2).values, 3).values
+        direct = propagate(s, x, 5).values.toarray()
+        staged = propagate(s, propagate(s, x, 2).values, 3).values.toarray()
         assert np.allclose(direct, staged, atol=1e-10)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -207,14 +207,27 @@ class TestPropagate:
         expected = g.features.toarray()
         for _ in range(k):
             expected = s.matrix @ expected
-        out = propagate(s, g.features, k).values
+        out = propagate(s, g.features, k).values.toarray()
         assert isinstance(out, np.ndarray) and out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
         # only some rows, in any order: the last hop multiplies just those
         rows = np.random.default_rng(k).permutation(g.num_nodes)[:g.num_nodes // 2]
-        picked = propagate(s, g.features, k, rows).values
+        picked = propagate(s, g.features, k, rows).values.toarray()
         assert picked.flags.c_contiguous
         assert picked.tobytes() == expected[rows].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("rows", [None, [2, 0]])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_result_shares_no_array_with_the_inputs(self, rng, k, rows, dense):
+        g = random_graph(rng, 8)
+        s = normalize_adjacency(g)
+        x = g.features.toarray() if dense else g.features
+        out = propagate(s, x, k, rows).values
+        given = [s.matrix.data, s.matrix.indices, s.matrix.indptr]
+        given += [x] if dense else [x.data, x.indices, x.indptr]
+        assert not any(np.shares_memory(a, b) for a in (out.data, out.indices, out.indptr)
+                       for b in given)
 
     def test_dimension_mismatch(self):
         g = path_graph(3)

@@ -366,6 +366,59 @@ class TestForwardProperties:
         assert set(preds.tolist()) <= {1, 3}
 
 
+def reference_predict(model, x, mask_arr, dtype):
+    """Argmax of the logits of the classes in ``mask_arr`` with the inputs
+    and every layer cast to ``dtype``; ties go to the lowest class id."""
+    layers = model.layers[:-1] + [tuple(a[mask_arr] for a in model.layers[-1])]
+    a = np.asarray(x, dtype=dtype)
+    for i, (w, b) in enumerate(layers):
+        a = a @ w.astype(dtype).T + b.astype(dtype)
+        assert a.dtype == dtype
+        a = np.maximum(a, 0.0) if i < len(layers) - 1 else a
+    return mask_arr[np.argmax(a, axis=1)]
+
+
+class TestPredictPrecision:
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_float32_input_scores_in_float32(self, rng, depth):
+        model = MlpModel.zeros(5, 10) if depth == 0 else tiny_net(class_count=5)
+        model.set_flat(rng.standard_normal(model.num_params))
+        x = rng.standard_normal((200, 10)).astype(np.float32)
+        mask_arr = np.array([0, 2, 4])
+        assert np.array_equal(model.predict(x, mask_arr),
+                              reference_predict(model, x, mask_arr, np.float32))
+
+    def test_float32_scoring_rounds_the_head(self):
+        model = MlpModel.zeros(2, 1)
+        model.layers[0][0][:, 0] = 1.0, 1.0 + 1e-12  # both 1.0 in float32
+        assert model.predict(np.ones((1, 1), dtype=np.float32)).tolist() == [0]  # a tie
+        assert model.predict(np.ones((1, 1))).tolist() == [1]
+
+    def test_float32_ties_go_to_the_lowest_class_id(self):
+        model = MlpModel.zeros(4, 3)
+        x = np.ones((2, 3), dtype=np.float32)
+        assert model.predict(x).tolist() == [0, 0]
+        assert model.predict(x, mask=(3, 1)).tolist() == [1, 1]
+        model.layers[0][1][2:] = 1.0  # classes 2 and 3 tie above the rest
+        assert model.predict(x).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wrong_width_rejected_alike(self, dtype):
+        model = MlpModel.zeros(3, 4)
+        with pytest.raises(ValueError, match=r"inputs have shape \(2, 5\), expected \(n, 4\)"):
+            model.predict(np.zeros((2, 5), dtype=dtype))
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_other_inputs_score_in_float64(self, rng, depth):
+        model = MlpModel.zeros(5, 10) if depth == 0 else tiny_net(class_count=5)
+        model.set_flat(rng.standard_normal(model.num_params))
+        x = rng.standard_normal((200, 10))
+        mask_arr = np.array([1, 2, 3])
+        for given in (x, x.tolist(), np.asfortranarray(x), x.astype(np.float16)):
+            assert np.array_equal(model.predict(given, mask_arr),
+                                  reference_predict(model, given, mask_arr, np.float64))
+
+
 class TestFit:
     def test_small_image_problem_reaches_high_train_accuracy(self):
         images, labels = synthetic_image_dataset(5, 20, 0.15, seed=0, dim=36)

@@ -6,15 +6,17 @@ import re
 import numpy as np
 import pytest
 
+from replaygraph import experiment
 from replaygraph.datasets import (build_task_sequence, make_permuted_tasks,
                                   synthetic_image_dataset, synthetic_sbm_graph)
+from replaygraph.experiment import ExperimentConfig
 from replaygraph.graph import (graph_from_edges, induced_subgraph, normalize_adjacency,
                                propagate)
 from replaygraph.linear import Batch, stack_samples
-from replaygraph.metrics import forgetting_mean
+from replaygraph.metrics import accuracy, forgetting_mean
 from replaygraph.mlp import MlpModel
-from replaygraph.replay import (STRATEGIES, ExperienceBuffer, ReplayConfig, RunState,
-                                learn_task, loss_groups, prepare_image_task,
+from replaygraph.replay import (EVAL_MODES, STRATEGIES, ExperienceBuffer, ReplayConfig,
+                                RunState, learn_task, loss_groups, prepare_image_task,
                                 prepare_sequence, prepare_task_data, run_image_tasks,
                                 run_sequence, weight_factor)
 from replaygraph.selection import select_cm, select_mf
@@ -186,7 +188,7 @@ class TestPrepareTaskData:
         data = prepare_task_data(seq.graph, task, k=2)
         nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
         sub = induced_subgraph(seq.graph, nodes)
-        expected = propagate(normalize_adjacency(sub), sub.features, 2).values
+        expected = propagate(normalize_adjacency(sub), sub.features, 2).values.toarray()
         rows = np.searchsorted(nodes, data.train.node)
         assert np.allclose(data.train.x, expected[rows])
 
@@ -205,11 +207,13 @@ class TestPrepareTaskData:
         data = prepare_task_data(seq.graph, task, k=2)
         nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
         sub = induced_subgraph(seq.graph, nodes)
-        full = propagate(normalize_adjacency(sub), sub.features, 2).values
-        for split, split_nodes in ((data.train.x, task.train_nodes),
-                                   (data.test_inputs, task.test_nodes)):
-            assert split.flags.c_contiguous
-            assert split.tobytes() == full[np.searchsorted(nodes, split_nodes)].tobytes()
+        full = propagate(normalize_adjacency(sub), sub.features, 2).values.toarray()
+        # training rows keep the float64 bytes; test rows are those rows in float32
+        for split, split_nodes, dtype in ((data.train.x, task.train_nodes, np.float64),
+                                          (data.test_inputs, task.test_nodes, np.float32)):
+            assert split.flags.c_contiguous and split.dtype == dtype
+            expected = full[np.searchsorted(nodes, split_nodes)].astype(dtype)
+            assert split.tobytes() == expected.tobytes()
 
     def test_cora_width_peak_is_near_the_dense_output(self):
         # neither all of S^K X nor a gathered copy of its rows is made: that
@@ -230,6 +234,33 @@ class TestPrepareTaskData:
         assert type(attributes) is np.ndarray and attributes.dtype == np.float64
         expected = seq.graph.features.toarray()[task.train_nodes]
         assert attributes.tobytes() == expected.tobytes()
+
+
+class TestFloat32Scoring:
+    @pytest.mark.parametrize("eval_mode", EVAL_MODES)
+    @pytest.mark.parametrize("strategy", ["none", "random", "im"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recorded_accuracies_match_float64_rows(self, seed, strategy, eval_mode):
+        # scoring the float32 test rows flips no prediction on the fixture:
+        # each recorded accuracy is that of the same snapshot on float64 rows
+        config = ExperimentConfig(dataset="synthetic-sbm", eval_mode=eval_mode)
+        seq = build_task_sequence(experiment._load_graph(config, seed), config.classes_per_task,
+                                  config.tasks, config.train_per_class, seed=seed)
+        state = run_sequence(seq, strategy, config.replay_config(seed))
+        float64_rows = []
+        for task in seq.tasks:
+            nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
+            sub = induced_subgraph(seq.graph, nodes)
+            full = propagate(normalize_adjacency(sub), sub.features, config.k).values.toarray()
+            float64_rows.append(full[np.searchsorted(nodes, task.test_nodes)])
+        for i, snap in enumerate(state.snapshots):
+            frozen = state.model.with_arrays(snap)
+            seen = sorted(c for past in state.history[:i + 1] for c in past.classes)
+            for j, past in enumerate(state.history[:i + 1]):
+                assert past.test_inputs.dtype == np.float32
+                mask = past.classes if eval_mode == "task-aware" else seen
+                preds = frozen.predict(float64_rows[j], mask)
+                assert accuracy(preds, past.test_labels) == state.rows[i][j]
 
 
 class TestLearnTaskBookkeeping:
