@@ -4,7 +4,9 @@ The classifier for graph tasks is linear over K-step propagated features
 ``S^K X`` with ``S = D^{-1/2} (A + I) D^{-1/2}``, so all graph structure is
 consumed up front by the functions in this module. Node features ``X`` and
 ``S^K X`` are both sparse CSR matrices; the caller densifies the rows it
-needs (``replay.prepare_task_data``).
+needs (``replay.prepare_task_data``). Rows that only ever meet a thin dense
+matrix (a classifier head) need not be made at all: :class:`PropagatedRows`
+multiplies in the other order, ``S^K (X W)``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ class Graph:
 
     def __post_init__(self):
         import scipy.sparse as sp
-        adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
+        # copies, so no later write to the caller's arrays reaches the checked
+        # graph and canonicalizing leaves the caller's adjacency as it was
+        adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64, copy=True)
         adjacency.sum_duplicates()
-        features = _feature_matrix(self.features)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features = _feature_matrix(self.features, copy=True)
+        labels = np.array(self.labels, dtype=np.int64)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -73,8 +77,9 @@ class Graph:
         return self.features.shape[1]
 
 
-def _feature_matrix(x) -> sp.csr_matrix:
-    """Return a feature matrix, dense or sparse, as (n, d) float64 CSR.
+def _feature_matrix(x, copy: bool = False) -> sp.csr_matrix:
+    """Return a feature matrix, dense or sparse, as (n, d) float64 CSR; the
+    result shares the arrays of a float64 CSR input unless ``copy``.
 
     A dense input keeps every entry that is not ``+0.0``, so a ``-0.0`` is
     stored too. (``.toarray()`` adds stored entries onto ``+0.0`` and reads
@@ -82,7 +87,7 @@ def _feature_matrix(x) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
     if sp.issparse(x):
-        return sp.csr_matrix(x, dtype=np.float64)
+        return sp.csr_matrix(x, dtype=np.float64, copy=copy)
     dense = np.asarray(x, dtype=np.float64)
     if dense.ndim != 2:
         raise GraphFormatError(f"features must be 2-D, got shape {dense.shape}")
@@ -146,6 +151,17 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(s)
 
 
+def _checked_features(s: NormalizedAdjacency, x, k: int) -> sp.csr_matrix:
+    """``x`` as CSR (:func:`_feature_matrix`), checked against ``s`` and ``k``."""
+    if k < 0:
+        raise ValueError("propagation depth must be >= 0")
+    out = _feature_matrix(x)
+    if out.shape[0] != s.matrix.shape[0]:
+        raise ValueError(f"feature matrix has shape {out.shape}, "
+                         f"expected ({s.matrix.shape[0]}, feature_dim)")
+    return out
+
+
 def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeatures:
     """Compute S^k X by k successive sparse-sparse multiplies, as CSR; with
     ``rows`` (node indices), only those rows of it, in that order.
@@ -157,18 +173,46 @@ def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeature
     last hop multiplies only the rows of S asked for, so the other rows are
     never computed. The result shares no array with ``x``.
     """
-    if k < 0:
-        raise ValueError("propagation depth must be >= 0")
-    out = _feature_matrix(x)
-    if out.shape[0] != s.matrix.shape[0]:
-        raise ValueError(f"feature matrix has shape {out.shape}, "
-                         f"expected ({s.matrix.shape[0]}, feature_dim)")
+    out = _checked_features(s, x, k)
     for hop in range(k):
         last = s.matrix if rows is None or hop < k - 1 else s.matrix[rows]
         out = last @ out
     if k == 0:  # no product made a new matrix: copy, or gather the rows
         out = out.copy() if rows is None else out[rows]
     return PropagatedFeatures(out)
+
+
+@dataclass(frozen=True)
+class PropagatedRows:
+    """Rows of ``S^k X`` that are never made (:func:`propagated_rows`):
+    ``self @ w`` is ``hops[-1] @ ... @ hops[0] @ (x @ w)``, as ``S^k X w =
+    S^k (X w)``. A thin ``w`` (a classifier's head) then costs k sparse ×
+    thin-dense products, the predict-then-propagate order of APPNP (Klicpera
+    et al. 2019). The sums run in another order than ``(S^k X)[rows] @ w``,
+    so the two agree to rounding, not bit for bit."""
+
+    x: sp.csr_matrix
+    hops: tuple  # (S,) * (k - 1) + (S[rows],); none at k = 0, where x is X[rows]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.hops[-1] if self.hops else self.x).shape[0], self.x.shape[1]
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        out = self.x @ w
+        for hop in self.hops:
+            out = hop @ out
+        return out
+
+
+def propagated_rows(s: NormalizedAdjacency, x, k: int, rows) -> PropagatedRows:
+    """Rows ``rows`` (node indices) of ``propagate(s, x, k).values``, in that
+    order, left unmade (:class:`PropagatedRows`). For ``k`` >= 1 they hold
+    ``x`` itself when it is float64 CSR."""
+    x = _checked_features(s, x, k)
+    if k == 0:
+        return PropagatedRows(x[rows], ())
+    return PropagatedRows(x, (s.matrix,) * (k - 1) + (s.matrix[rows],))
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

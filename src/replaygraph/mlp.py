@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .graph import PropagatedRows
 from .linear import Batch, MaskError, label_positions, logsumexp
 from .optim import TrainConfig, adam_minimize
 
@@ -166,11 +167,13 @@ class MlpModel:
             raise MaskError(f"mask {arr.tolist()} outside [0, {self.class_count})")
         return arr
 
-    def _inputs(self, x, dtype=np.float64) -> np.ndarray:
-        """``x`` as ``dtype`` rows of ``feature_dim`` columns; the public entry
-        points check their inputs here, so the passes below do not."""
-        x = np.asarray(x, dtype=dtype)
-        if x.ndim != 2 or x.shape[1] != self.feature_dim:
+    def _inputs(self, x) -> np.ndarray:
+        """``x`` as float64 rows of ``feature_dim`` columns (unmade graph rows
+        are checked, not made); the public entry points check their inputs
+        here, so the passes below do not."""
+        if not isinstance(x, PropagatedRows):
+            x = np.asarray(x, dtype=np.float64)
+        if len(x.shape) != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
         return x
 
@@ -284,18 +287,17 @@ class MlpModel:
                    in zip(acts, deltas[::-1], _head_rows(self._split(vec), mask_arr)))
         return dots * batch.w
 
-    def predict(self, inputs: np.ndarray, mask=None) -> np.ndarray:
-        """Argmax over mask-restricted logits; ties go to the lowest class id.
+    def predict(self, inputs, mask=None) -> np.ndarray:
+        """Argmax over mask-restricted float64 logits; ties go to the lowest
+        class id.
 
-        float32 inputs (graph tasks' test rows) are scored against float32
-        copies of the layers, so the logits are float32 too; any other input
-        is taken as float64 and scored in float64."""
+        ``inputs`` is rows taken as float64, or a graph task's unmade test
+        rows (``graph.PropagatedRows``), whose ``@ W.T`` is the first layer's
+        pre-activation before ``b`` is added, and at depth 0 the logits."""
         mask_arr = self.resolve_mask(mask)
-        inputs = np.atleast_2d(inputs)
-        dtype = np.float32 if inputs.dtype == np.float32 else np.float64
-        layers = [(w.astype(dtype, copy=False), b.astype(dtype, copy=False))
-                  for w, b in _head_rows(self.layers, mask_arr)]
-        _, z = _forward_pass(layers, self._inputs(inputs, dtype))
+        if not isinstance(inputs, PropagatedRows):
+            inputs = np.atleast_2d(inputs)
+        _, z = self._forward(self._inputs(inputs), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 
     def fit(self, groups, config: TrainConfig) -> "MlpModel":

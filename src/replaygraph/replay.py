@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .datasets import ImageTask, TaskSequence, TaskSpec
-from .graph import Graph, induced_subgraph, normalize_adjacency, propagate
+from .graph import (Graph, PropagatedRows, induced_subgraph, normalize_adjacency, propagate,
+                    propagated_rows)
 from .linear import Batch, LossGroup, stack_samples
 from .metrics import AccuracyMatrix, accuracy
 from .mlp import MlpModel
@@ -147,49 +148,30 @@ class ExperienceBuffer:
 class TaskData:
     """One task's model-ready rows: the training batch (which doubles as the
     selection candidates) and the held-back evaluation split. Graph tasks
-    hold their test rows in float32, which is all an argmax needs (see
-    ``MlpModel.predict``); image tasks hold theirs as given."""
+    hold their test rows unmade (``graph.PropagatedRows``), which is all
+    ``MlpModel.predict`` needs; image tasks hold theirs as given."""
 
     task_id: int
     classes: tuple[int, ...]
     train: Batch
-    test_inputs: np.ndarray
+    test_inputs: np.ndarray | PropagatedRows
     test_labels: np.ndarray
-
-
-def _csr_rows(csr, start: int, stop: int, dtype):
-    """Rows ``start:stop`` of a CSR matrix with its values in ``dtype``, made
-    from slices of its arrays: ``csr.astype`` would first sort each row's
-    column indices, which ``toarray`` has no need of (each stored entry
-    lands once on ``+0.0``, in any order)."""
-    import scipy.sparse as sp
-    lo, hi = csr.indptr[start], csr.indptr[stop]
-    return sp.csr_matrix((csr.data[lo:hi].astype(dtype, copy=False), csr.indices[lo:hi],
-                          csr.indptr[start:stop + 1] - lo), shape=(stop - start, csr.shape[1]))
 
 
 def prepare_task_data(graph: Graph, task: TaskSpec, k: int = 2) -> TaskData:
     """Propagate features over the subgraph induced by the task's own nodes
     (nodes from other tasks are invisible while it is current) and package
-    its splits: the training rows in float64, the test rows in float32."""
-    split = np.concatenate([task.train_nodes, task.test_nodes])
-    nodes = np.unique(split)
+    its splits: the training rows dense in float64, the test rows unmade."""
+    nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
     sub = induced_subgraph(graph, nodes)
-    # induced_subgraph numbers the nodes in ascending order, as in ``nodes``;
-    # the propagated rows come out train split first, then test
-    values = propagate(normalize_adjacency(sub), sub.features, k,
-                       np.searchsorted(nodes, split)).values
+    s = normalize_adjacency(sub)
+    # induced_subgraph numbers the nodes in ascending order, as in ``nodes``
+    train_x = propagate(s, sub.features, k, np.searchsorted(nodes, task.train_nodes)).values
     n = len(task.train_nodes)
-    train_x = _csr_rows(values, 0, n, np.float64).toarray()
-    # each form is dropped as soon as the next is made, so the float64 values
-    # are gone before the dense test rows are made, the float32 ones before
-    # the raw attributes are
-    values = _csr_rows(values, n, len(split), np.float32)
-    test_x = values.toarray()
-    del values
-    train = Batch(train_x, graph.labels[task.train_nodes],
+    train = Batch(train_x.toarray(), graph.labels[task.train_nodes],
                   node=task.train_nodes, task=np.full(n, task.task_id),
                   attributes=graph.features[task.train_nodes].toarray())
+    test_x = propagated_rows(s, sub.features, k, np.searchsorted(nodes, task.test_nodes))
     return TaskData(task.task_id, tuple(task.classes), train,
                     test_x, graph.labels[task.test_nodes])
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from replaygraph import (Graph, graph_from_edges, induced_subgraph,
+from replaygraph import (Graph, MlpModel, graph_from_edges, induced_subgraph,
                          normalize_adjacency, propagate, synthetic_sbm_graph)
-from replaygraph.graph import GraphFormatError
+from replaygraph.graph import GraphFormatError, propagated_rows
 
 
 def path_graph(n, feature_dim=2):
@@ -74,6 +75,31 @@ class TestGraphValidation:
     def test_features_must_be_2d(self):
         with pytest.raises(GraphFormatError, match="2-D"):
             Graph(sp.csr_matrix((2, 2)), np.zeros(2), np.zeros(2, dtype=np.int64), 1)
+
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_graph(self):
+        adjacency = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        features = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        labels = np.array([0, 1])
+        g = Graph(adjacency, features, labels, 2)
+        given = [adjacency.data, adjacency.indices, adjacency.indptr,
+                 features.data, features.indices, features.indptr, labels]
+        kept = [g.adjacency.data, g.adjacency.indices, g.adjacency.indptr,
+                g.features.data, g.features.indices, g.features.indptr, g.labels]
+        assert not any(np.shares_memory(a, b) for a in given for b in kept)
+        features.data[:] = np.nan
+        adjacency.data[:] = 5.0
+        labels[:] = 7
+        assert np.array_equal(g.features.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(g.adjacency.toarray(), [[0.0, 1.0], [1.0, 0.0]])
+        assert g.labels.tolist() == [0, 1]
+
+    def test_canonical_form_leaves_the_callers_adjacency_as_given(self):
+        # row 0 lists its neighbors out of order; the graph's copy is sorted
+        adjacency = sp.csr_matrix((np.ones(4), np.array([2, 1, 0, 0]), np.array([0, 2, 3, 4])),
+                                  shape=(3, 3))
+        g = Graph(adjacency, np.zeros((3, 1)), np.zeros(3, dtype=np.int64), 1)
+        assert adjacency.indices.tolist() == [2, 1, 0, 0]
+        assert g.adjacency.indices.tolist() == [1, 2, 0, 0]
 
     def test_from_edges_symmetrizes_dedupes_and_drops_self_loops(self):
         g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 2)],
@@ -240,6 +266,56 @@ class TestPropagate:
         s = normalize_adjacency(g)
         with pytest.raises(ValueError):
             propagate(s, g.features, -1)
+
+
+class TestPropagatedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.sampled_from([0, 1, 2, 3]), st.integers(1, 12),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_logits_match_the_dense_float64_rows(self, n, k, d, class_count, seed):
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, (rng.integers(0, 3 * n + 1), 2))
+        x = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
+        g = graph_from_edges(n, edges, x, np.zeros(n, dtype=np.int64), 1)
+        s = normalize_adjacency(g)
+        order = rng.permutation(n)
+        test = order[rng.integers(0, n):]  # the rest is the training split
+        rows = propagated_rows(s, g.features, k, test)
+        dense = propagate(s, g.features, k).values.toarray()[test]
+        assert rows.shape == dense.shape
+
+        model = MlpModel.zeros(class_count, d)
+        model.set_flat(rng.standard_normal(model.num_params))
+        mask = np.flatnonzero(rng.random(class_count) < 0.6)
+        mask = mask if mask.size else np.array([class_count - 1])
+        w, b = (a[mask] for a in model.layers[0])
+        z = rows @ w.T + b
+        expected = dense @ w.T + b
+        assert z.dtype == np.float64 and z.shape == expected.shape
+        assert np.all(np.abs(z - expected) <= 1e-12 * np.max(np.abs(z), initial=0.0))
+
+        top = np.sort(expected, axis=1)
+        clear = (top[:, -1] - top[:, -2] > 1e-9) if mask.size > 1 else np.ones(len(test), bool)
+        got, want = model.predict(rows, mask), model.predict(dense, mask)
+        assert np.array_equal(got[clear], want[clear])
+
+    def test_rows_are_the_first_layers_input_at_any_depth(self, rng):
+        g = random_graph(rng, 10)
+        s = normalize_adjacency(g)
+        rows = propagated_rows(s, g.features, 2, [7, 1, 4])
+        dense = propagate(s, g.features, 2, [7, 1, 4]).values.toarray()
+        model = MlpModel.init(input_dim=3, hidden_dim=5, class_count=4, seed=1)
+        assert np.array_equal(model.predict(rows, (0, 2, 3)), model.predict(dense, (0, 2, 3)))
+
+    def test_checked_like_propagate(self):
+        g = path_graph(3)
+        s = normalize_adjacency(g)
+        with pytest.raises(ValueError, match="feature matrix has shape"):
+            propagated_rows(s, np.zeros((2, 4)), 1, [0])
+        with pytest.raises(ValueError, match="depth"):
+            propagated_rows(s, g.features, -1, [0])
+        with pytest.raises(ValueError, match=r"inputs have shape \(2, 2\), expected \(n, 3\)"):
+            MlpModel.zeros(2, 3).predict(propagated_rows(s, g.features, 1, [0, 2]))
 
 
 class TestInducedSubgraph:

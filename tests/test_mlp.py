@@ -379,21 +379,6 @@ def reference_predict(model, x, mask_arr, dtype):
 
 
 class TestPredictPrecision:
-    @pytest.mark.parametrize("depth", [0, 2])
-    def test_float32_input_scores_in_float32(self, rng, depth):
-        model = MlpModel.zeros(5, 10) if depth == 0 else tiny_net(class_count=5)
-        model.set_flat(rng.standard_normal(model.num_params))
-        x = rng.standard_normal((200, 10)).astype(np.float32)
-        mask_arr = np.array([0, 2, 4])
-        assert np.array_equal(model.predict(x, mask_arr),
-                              reference_predict(model, x, mask_arr, np.float32))
-
-    def test_float32_scoring_rounds_the_head(self):
-        model = MlpModel.zeros(2, 1)
-        model.layers[0][0][:, 0] = 1.0, 1.0 + 1e-12  # both 1.0 in float32
-        assert model.predict(np.ones((1, 1), dtype=np.float32)).tolist() == [0]  # a tie
-        assert model.predict(np.ones((1, 1))).tolist() == [1]
-
     def test_float32_ties_go_to_the_lowest_class_id(self):
         model = MlpModel.zeros(4, 3)
         x = np.ones((2, 3), dtype=np.float32)

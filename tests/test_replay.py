@@ -6,12 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from replaygraph import experiment
+from replaygraph import experiment, replay
 from replaygraph.datasets import (build_task_sequence, make_permuted_tasks,
                                   synthetic_image_dataset, synthetic_sbm_graph)
 from replaygraph.experiment import ExperimentConfig
-from replaygraph.graph import (graph_from_edges, induced_subgraph, normalize_adjacency,
-                               propagate)
+from replaygraph.graph import (PropagatedRows, graph_from_edges, induced_subgraph,
+                               normalize_adjacency, propagate)
 from replaygraph.linear import Batch, stack_samples
 from replaygraph.metrics import accuracy, forgetting_mean
 from replaygraph.mlp import MlpModel
@@ -201,31 +201,53 @@ class TestPrepareTaskData:
         assert np.all(train.task == 0)
 
 
-    def test_split_rows_come_straight_out_of_propagation(self):
+    def test_split_rows_come_straight_out_of_propagation(self, rng):
         seq = sbm_sequence()
         task = seq.tasks[2]
         data = prepare_task_data(seq.graph, task, k=2)
         nodes = np.unique(np.concatenate([task.train_nodes, task.test_nodes]))
         sub = induced_subgraph(seq.graph, nodes)
         full = propagate(normalize_adjacency(sub), sub.features, 2).values.toarray()
-        # training rows keep the float64 bytes; test rows are those rows in float32
-        for split, split_nodes, dtype in ((data.train.x, task.train_nodes, np.float64),
-                                          (data.test_inputs, task.test_nodes, np.float32)):
-            assert split.flags.c_contiguous and split.dtype == dtype
-            expected = full[np.searchsorted(nodes, split_nodes)].astype(dtype)
-            assert split.tobytes() == expected.tobytes()
+        # training rows keep the float64 bytes
+        train = data.train.x
+        assert train.flags.c_contiguous and train.dtype == np.float64
+        assert train.tobytes() == full[np.searchsorted(nodes, task.train_nodes)].tobytes()
+        # test rows are never made; their logits are those of the dense float64 rows
+        test = full[np.searchsorted(nodes, task.test_nodes)]
+        assert data.test_inputs.shape == test.shape
+        w = rng.standard_normal((4, test.shape[1]))
+        z = data.test_inputs @ w.T
+        assert z.dtype == np.float64
+        assert np.max(np.abs(z - test @ w.T)) <= 1e-12 * np.max(np.abs(z))
 
     def test_cora_width_peak_is_near_the_dense_output(self):
         # neither all of S^K X nor a gathered copy of its rows is made: that
         # peaked at 2.06x the splits
         rng = np.random.default_rng(0)
-        n = 1000
+        n, d = 1000, 1433
         g = graph_from_edges(n, rng.integers(0, n, (2 * n, 2)),
-                             (rng.random((n, 1433)) < 0.0127).astype(np.float64),
+                             (rng.random((n, d)) < 0.0127).astype(np.float64),
                              rng.integers(0, 2, n), class_count=2)
         task = build_task_sequence(g, 2, 1, 20, seed=0).tasks[0]
         data, peak = traced_peak(prepare_task_data, g, task, 2)
-        assert peak < 1.5 * (data.train.x.nbytes + data.test_inputs.nbytes)
+        # the bound that held while the test rows were dense float32
+        assert peak < 1.5 * (data.train.x.nbytes + len(task.test_nodes) * d * 4)
+        # the test rows are never made: the peak measured 1.56 MB against 8.79
+        # MB when they were; 2 MB leaves 28% headroom
+        assert peak < 2_000_000
+
+    def test_one_propagation_per_task_for_its_training_rows(self, monkeypatch):
+        # scoring multiplies the held operators and never propagates again
+        asked = []
+
+        def counted(s, x, k, rows=None):
+            asked.append(len(rows))
+            return propagate(s, x, k, rows)
+
+        monkeypatch.setattr(replay, "propagate", counted)
+        seq = sbm_sequence()
+        run_sequence(seq, "random", ReplayConfig(e=1, epochs=5, seed=0))
+        assert asked == [len(task.train_nodes) for task in seq.tasks]
 
     def test_train_attributes_are_dense_feature_rows(self):
         seq = sbm_sequence()
@@ -241,7 +263,7 @@ class TestFloat32Scoring:
     @pytest.mark.parametrize("strategy", ["none", "random", "im"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_recorded_accuracies_match_float64_rows(self, seed, strategy, eval_mode):
-        # scoring the float32 test rows flips no prediction on the fixture:
+        # scoring the unmade test rows flips no prediction on the fixture:
         # each recorded accuracy is that of the same snapshot on float64 rows
         config = ExperimentConfig(dataset="synthetic-sbm", eval_mode=eval_mode)
         seq = build_task_sequence(experiment._load_graph(config, seed), config.classes_per_task,
@@ -257,7 +279,7 @@ class TestFloat32Scoring:
             frozen = state.model.with_arrays(snap)
             seen = sorted(c for past in state.history[:i + 1] for c in past.classes)
             for j, past in enumerate(state.history[:i + 1]):
-                assert past.test_inputs.dtype == np.float32
+                assert isinstance(past.test_inputs, PropagatedRows)
                 mask = past.classes if eval_mode == "task-aware" else seen
                 preds = frozen.predict(float64_rows[j], mask)
                 assert accuracy(preds, past.test_labels) == state.rows[i][j]
