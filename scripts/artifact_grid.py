@@ -10,14 +10,18 @@ The grid:
 - the benchmark's Cora-shaped citation fixture (``bench/citation.py``,
   fixture seed 0) × all 7 strategies × seeds 0–19 × both eval modes ×
   ``e`` ∈ {1, 5}; ``none`` stores nothing, so it runs at ``e`` = 1 only;
-- ``synthetic-sbm`` × 5 strategies × seeds 0–9 × both eval modes.
+- ``synthetic-sbm`` × the benchmark's 5 strategies × seeds 0–9 × both eval
+  modes;
+- the benchmark's ``mlp-images`` config (``bench/run.py`` ``WORKLOADS``) ×
+  its 5 strategies × seeds 0–4.
 
 ``--quick`` runs seed 0 alone. Each configuration writes ``matrix_seed*.csv``,
 ``runlog_seed*.jsonl`` and ``report.json`` into its own directory, which
-names it (``citation/task-aware/e1/im/...``). A ``report.json`` is hashed
-without ``config.out``, ``config.content`` and ``config.cites``, the paths of
-this run's scratch directory. BLAS runs at one thread, as in the benchmark:
-the bytes hold at one BLAS build and thread count.
+names it (``citation/task-aware/e1/im/...``, ``mlp-images/im/...``). A
+``report.json`` is hashed without ``config.out``, ``config.content`` and
+``config.cites``, the paths of this run's scratch directory. BLAS runs at
+one thread, as in the benchmark: the bytes hold at one BLAS build and thread
+count.
 """
 
 import os
@@ -40,8 +44,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from citation import write_citation_fixture  # noqa: E402
 from replaygraph.experiment import ExperimentConfig, run_experiment  # noqa: E402
 from replaygraph.replay import EVAL_MODES, STRATEGIES  # noqa: E402
+from run import STRATEGIES as BENCH_STRATEGIES, WORKLOADS  # noqa: E402
 
-SBM_STRATEGIES = ("none", "random", "mf", "cm", "im")
 RUN_PATHS = ("out", "content", "cites")
 
 
@@ -56,10 +60,14 @@ def grid(fixture: tuple[Path, Path], quick: bool):
                            dict(dataset="citation", content=content, cites=cites,
                                 strategy=strategy, e=e, eval_mode=mode,
                                 seeds=[0] if quick else list(range(20))))
-        for strategy in SBM_STRATEGIES:
+        for strategy in BENCH_STRATEGIES:
             yield (f"synthetic-sbm/{mode}/{strategy}",
                    dict(dataset="synthetic-sbm", strategy=strategy, eval_mode=mode,
                         seeds=[0] if quick else list(range(10))))
+    for strategy in BENCH_STRATEGIES:
+        yield (f"mlp-images/{strategy}",
+               dict(WORKLOADS["mlp-images"]["config"], strategy=strategy,
+                    seeds=[0] if quick else list(range(5))))
 
 
 def digest(path: Path) -> str:

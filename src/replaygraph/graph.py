@@ -3,9 +3,10 @@
 The classifier for graph tasks is linear over K-step propagated features
 ``S^K X`` with ``S = D^{-1/2} (A + I) D^{-1/2}``, so all graph structure is
 consumed up front by the functions in this module. Node features ``X`` and
-``S^K X`` are both sparse CSR matrices; the caller densifies the rows it
-needs (``replay.prepare_task_data``). Rows that only ever meet a thin dense
-matrix (a classifier head) need not be made at all: :class:`PropagatedRows`
+``S^K X`` are both sparse CSR matrices: :func:`propagated_rows` builds the
+hop chain, and :func:`propagate` multiplies it out for the caller to densify
+the rows it needs (``replay.prepare_task_data``). Rows that only meet a thin
+dense matrix (a classifier head) are never made: the chain's ``@ W``
 multiplies in the other order, ``S^K (X W)``.
 """
 
@@ -151,45 +152,31 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(s)
 
 
-def _checked_features(s: NormalizedAdjacency, x, k: int) -> sp.csr_matrix:
-    """``x`` as CSR (:func:`_feature_matrix`), checked against ``s`` and ``k``."""
-    if k < 0:
-        raise ValueError("propagation depth must be >= 0")
-    out = _feature_matrix(x)
-    if out.shape[0] != s.matrix.shape[0]:
-        raise ValueError(f"feature matrix has shape {out.shape}, "
-                         f"expected ({s.matrix.shape[0]}, feature_dim)")
-    return out
-
-
 def propagate(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedFeatures:
-    """Compute S^k X by k successive sparse-sparse multiplies, as CSR; with
-    ``rows`` (node indices), only those rows of it, in that order.
-
-    ``x`` may be dense or sparse; it is taken as CSR (:func:`_feature_matrix`).
-    Each output entry sums its products in the order a sparse-dense multiply
-    would, and missing entries would only add ``+0.0``, so ``.toarray()`` of
-    the result has the same bytes as ``(S @ ... @ S @ dense_x)[rows]``. The
-    last hop multiplies only the rows of S asked for, so the other rows are
-    never computed. The result shares no array with ``x``.
+    """Compute S^k X as CSR, or with ``rows`` (node indices) only those rows
+    of it, in that order: the chain :func:`propagated_rows` builds,
+    multiplied out onto its ``x``. The result shares no array with ``x``.
     """
-    out = _checked_features(s, x, k)
-    for hop in range(k):
-        last = s.matrix if rows is None or hop < k - 1 else s.matrix[rows]
-        out = last @ out
-    if k == 0:  # no product made a new matrix: copy, or gather the rows
-        out = out.copy() if rows is None else out[rows]
+    chain = propagated_rows(s, x, k, rows)
+    out = chain.x
+    for hop in chain.hops:
+        out = hop @ out
+    if k == 0 and rows is None:  # no product or gather made a new matrix
+        out = out.copy()
     return PropagatedFeatures(out)
 
 
 @dataclass(frozen=True)
 class PropagatedRows:
-    """Rows of ``S^k X`` that are never made (:func:`propagated_rows`):
-    ``self @ w`` is ``hops[-1] @ ... @ hops[0] @ (x @ w)``, as ``S^k X w =
-    S^k (X w)``. A thin ``w`` (a classifier's head) then costs k sparse ×
-    thin-dense products, the predict-then-propagate order of APPNP (Klicpera
-    et al. 2019). The sums run in another order than ``(S^k X)[rows] @ w``,
-    so the two agree to rounding, not bit for bit."""
+    """Rows of ``S^k X`` as their hop chain (:func:`propagated_rows`).
+
+    Multiplied out onto ``x`` (:func:`propagate`), each entry sums its
+    products in the order a sparse-dense multiply would, and missing entries
+    would only add ``+0.0``, so ``.toarray()`` has the bytes of ``(S @ ... @
+    S @ dense_x)[rows]``. ``self @ w`` is ``S^k (X w)`` instead: k sparse ×
+    thin-dense products for a thin ``w`` (a classifier's head), APPNP's
+    predict-then-propagate order (Klicpera et al. 2019), whose sums agree
+    with those of ``(S^k X)[rows] @ w`` to rounding, not bit for bit."""
 
     x: sp.csr_matrix
     hops: tuple  # (S,) * (k - 1) + (S[rows],); none at k = 0, where x is X[rows]
@@ -205,14 +192,21 @@ class PropagatedRows:
         return out
 
 
-def propagated_rows(s: NormalizedAdjacency, x, k: int, rows) -> PropagatedRows:
-    """Rows ``rows`` (node indices) of ``propagate(s, x, k).values``, in that
-    order, left unmade (:class:`PropagatedRows`). For ``k`` >= 1 they hold
-    ``x`` itself when it is float64 CSR."""
-    x = _checked_features(s, x, k)
+def propagated_rows(s: NormalizedAdjacency, x, k: int, rows=None) -> PropagatedRows:
+    """Rows ``rows`` (node indices; every node when None) of ``S^k X``, in
+    that order, as the hop chain :class:`PropagatedRows`. ``x`` may be dense
+    or sparse; it is taken as CSR (:func:`_feature_matrix`), so the chain
+    holds ``x`` itself when it is float64 CSR, unless ``k`` = 0 gathers rows."""
+    if k < 0:
+        raise ValueError("propagation depth must be >= 0")
+    x = _feature_matrix(x)
+    if x.shape[0] != s.matrix.shape[0]:
+        raise ValueError(f"feature matrix has shape {x.shape}, "
+                         f"expected ({s.matrix.shape[0]}, feature_dim)")
     if k == 0:
-        return PropagatedRows(x[rows], ())
-    return PropagatedRows(x, (s.matrix,) * (k - 1) + (s.matrix[rows],))
+        return PropagatedRows(x if rows is None else x[rows], ())
+    last = s.matrix if rows is None else s.matrix[rows]
+    return PropagatedRows(x, (s.matrix,) * (k - 1) + (last,))
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

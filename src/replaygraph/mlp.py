@@ -168,11 +168,11 @@ class MlpModel:
         return arr
 
     def _inputs(self, x) -> np.ndarray:
-        """``x`` as float64 rows of ``feature_dim`` columns (unmade graph rows
-        are checked, not made); the public entry points check their inputs
-        here, so the passes below do not."""
+        """``x`` as float64 rows of ``feature_dim`` columns, a single row as
+        one (unmade graph rows are checked, not made); the public entry
+        points check their inputs here, so the passes below do not."""
         if not isinstance(x, PropagatedRows):
-            x = np.asarray(x, dtype=np.float64)
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if len(x.shape) != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"inputs have shape {x.shape}, expected (n, {self.feature_dim})")
         return x
@@ -185,7 +185,7 @@ class MlpModel:
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Last hidden activation, the representation MF/CM variants select
         on; at depth 0, the inputs themselves."""
-        return _hidden(self.layers, self._inputs(np.atleast_2d(inputs)))[-1]
+        return _hidden(self.layers, self._inputs(inputs))[-1]
 
     def _backprop(self, acts, g_out, mask_arr) -> np.ndarray:
         """Summed-CE gradient from the logits' error, as a new flat vector;
@@ -295,8 +295,6 @@ class MlpModel:
         rows (``graph.PropagatedRows``), whose ``@ W.T`` is the first layer's
         pre-activation before ``b`` is added, and at depth 0 the logits."""
         mask_arr = self.resolve_mask(mask)
-        if not isinstance(inputs, PropagatedRows):
-            inputs = np.atleast_2d(inputs)
         _, z = self._forward(self._inputs(inputs), mask_arr)
         return mask_arr[np.argmax(z, axis=1)]
 

@@ -101,22 +101,32 @@ def test_install_counts_the_iterations_of_one_influence_solve(tracing):
 
 def test_graph_spans_and_spmm_flops_recorded(tracing):
     # --trace 1 reads the adjacency's nnz and the propagated width in the
-    # graph.propagate counter; a graph-layer change that breaks it fails here.
-    from replaygraph import build_task_sequence, replay, synthetic_sbm_graph
+    # graph.propagate counter: one span per task, k hops of 2 nnz(S) d flops
+    # each, and scoring the unmade test rows adds neither.
+    from replaygraph import MlpModel, build_task_sequence, replay, synthetic_sbm_graph
+    from replaygraph.graph import induced_subgraph, normalize_adjacency
     graph = synthetic_sbm_graph([12] * 4, 0.3, 0.05, 0.2, seed=0)
-    task = build_task_sequence(graph, 2, 2, 4, seed=0).tasks[0]
+    tasks = build_task_sequence(graph, 2, 2, 4, seed=0).tasks
+    k = 2
+    flops = 0
+    for task in tasks:
+        nodes = np.concatenate([task.train_nodes, task.test_nodes])
+        s = normalize_adjacency(induced_subgraph(graph, nodes))
+        flops += 2 * s.matrix.nnz * graph.feature_dim * k
+    model = MlpModel.zeros(graph.class_count, graph.feature_dim)
     tracer = tracing.Tracer()
     patches = tracing.install(tracer)
     try:
         tracer.run = 0
-        replay.prepare_task_data(graph, task, k=2)
+        for task in tasks:
+            model.predict(replay.prepare_task_data(graph, task, k=k).test_inputs)
     finally:
         tracer.run = None
         tracing.uninstall(patches)
     names = [span[0] for span in tracer.spans]
     for name in ("replay.prepare", "graph.subgraph", "graph.normalize", "graph.propagate"):
-        assert names.count(name) == 1, name
-    assert tracer.counts[0]["graph.spmm_flops"] > 0
+        assert names.count(name) == len(tasks), name
+    assert tracer.counts[0]["graph.spmm_flops"] == flops
 
 
 @pytest.mark.parametrize("strategy, pairs", [("none", 0), ("random", 4)])

@@ -233,14 +233,22 @@ class TestPropagate:
         expected = g.features.toarray()
         for _ in range(k):
             expected = s.matrix @ expected
-        out = propagate(s, g.features, k).values.toarray()
-        assert isinstance(out, np.ndarray) and out.flags.c_contiguous
-        assert out.tobytes() == expected.tobytes()
-        # only some rows, in any order: the last hop multiplies just those
-        rows = np.random.default_rng(k).permutation(g.num_nodes)[:g.num_nodes // 2]
-        picked = propagate(s, g.features, k, rows).values.toarray()
-        assert picked.flags.c_contiguous
-        assert picked.tobytes() == expected[rows].tobytes()
+        # every row, then some in any order, then some repeated: the last
+        # hop multiplies just the rows asked for
+        half = np.random.default_rng(k).permutation(g.num_nodes)[:g.num_nodes // 2]
+        for rows in (None, half, [5, 2, 5, 0]):
+            values = propagate(s, g.features, k, rows).values
+            out = values.toarray()
+            assert isinstance(out, np.ndarray) and out.flags.c_contiguous
+            assert out.tobytes() == (expected if rows is None else expected[rows]).tobytes()
+            # propagate is the hop chain of propagated_rows multiplied onto its x
+            chain = propagated_rows(s, g.features, k, rows)
+            product = chain.x
+            for hop in chain.hops:
+                product = hop @ product
+            for a, b in ((values.data, product.data), (values.indices, product.indices),
+                         (values.indptr, product.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("rows", [None, [2, 0]])

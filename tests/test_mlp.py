@@ -360,6 +360,18 @@ class TestForwardProperties:
         assert emb.shape == (3, 4)
         assert np.all(emb >= 0.0)
 
+    @pytest.mark.parametrize("method", ["predict", "embed"])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_one_row_given_1d_is_taken_as_its_2d_form(self, rng, depth, method):
+        model = MlpModel.zeros(5, 10) if depth == 0 else tiny_net(class_count=5)
+        model.set_flat(rng.standard_normal(model.num_params))
+        row = rng.standard_normal(10)
+        want = getattr(model, method)(row[None, :])
+        for given in (row, row.tolist()):
+            got = getattr(model, method)(given)
+            assert got.shape == want.shape and len(got) == 1
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_prediction_restricted_to_mask(self, rng):
         model = tiny_net(class_count=5)
         preds = model.predict(rng.standard_normal((8, 10)), mask=(1, 3))
