@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import (DATASETS, MODELS, ExperimentConfig, ExperimentError, read_config_file,
+from .experiment import (DATASETS, ExperimentConfig, ExperimentError, read_config_file,
                          run_experiment, sweep_e, validate_config_file)
 from .optim import TrainingDiverged
 from .replay import EVAL_MODES, STRATEGIES
@@ -45,7 +45,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--content", help="citation .content file")
     parser.add_argument("--cites", help="citation .cites file")
     parser.add_argument("--mnist-dir", help="directory holding IDX files")
-    parser.add_argument("--model", choices=MODELS)
     parser.add_argument("--strategy", choices=STRATEGIES)
     parser.add_argument("--e", type=int, help="experiences stored per class")
     parser.add_argument("--k", type=int, help="feature propagation depth")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -126,10 +127,13 @@ def _parse_attributes(blocks: list[str]):
     Bag-of-words blocks are decoded straight from their bytes
     (:func:`_bag_of_words`); anything else goes through ``np.loadtxt``, which
     gives the same entries for binary blocks. ``Graph`` stores either as CSR.
+    A ``nan``, ``inf`` or overflowing value raises ``ValueError("non-finite")``.
     """
     features = _bag_of_words(blocks)
     if features is None:
         features = np.loadtxt(blocks, dtype=np.float64, comments=None, ndmin=2)
+        if not np.isfinite(features).all():  # bag-of-words holds only 0/1
+            raise ValueError("non-finite")
     return features
 
 
@@ -150,9 +154,10 @@ def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) ->
             for token in attrs:
                 try:
                     _parse_attributes([token])
-                except ValueError:
+                except ValueError as exc:
+                    kind = "non-finite" if exc.args == ("non-finite",) else "non-numeric"
                     raise CitationFormatError(
-                        f"{path}:{lineno}: non-numeric attribute {token!r}") from None
+                        f"{path}:{lineno}: {kind} attribute {token!r}") from None
 
 
 # 1 for each byte that is whitespace to str.split() (of ASCII text), else 0
@@ -334,7 +339,7 @@ def _read_idx(path: Path) -> np.ndarray:
     with _open_idx(path) as fh:
         dims = _idx_dims(path, fh)
         raw = fh.read()
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # np.prod would wrap past 2**63 and pass the check below
     if len(raw) < count:
         raise IdxFormatError(f"{path}: expected {count} data bytes, got {len(raw)}")
     return np.frombuffer(raw, dtype=np.uint8, count=count).reshape(dims)

@@ -25,10 +25,10 @@ from .replay import (STRATEGIES, ReplayConfig, config_errors, run_image_tasks,
 
 SCHEMA_VERSION = 1
 DATA_DIR_ENV = "REPLAYGRAPH_DATA_DIR"
+CITATION_DATASETS = ("cora", "citeseer", "citation")  # read from .content/.cites files
 # The model each dataset runs: SGC on the graphs, the MLP on permuted images.
-DATASETS = {"cora": "sgc", "citeseer": "sgc", "citation": "sgc", "permuted-mnist": "mlp",
+DATASETS = {**dict.fromkeys(CITATION_DATASETS, "sgc"), "permuted-mnist": "mlp",
             "synthetic-sbm": "sgc", "synthetic-images": "mlp"}
-MODELS = ("sgc", "mlp")
 
 
 class ExperimentError(RuntimeError):
@@ -90,11 +90,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ExperimentError("unknown config key(s): " + ", ".join(unknown))
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -106,11 +105,8 @@ class ExperimentConfig:
         <root>/<name>/<name>.content and <root>/<name>.content are tried in
         that order (likewise .cites)."""
         name = self.dataset
-
-        def find(explicit: str | None, suffix: str) -> Path | None:
-            return _locate(explicit, f"{name}/{name}{suffix}", f"{name}{suffix}")
-
-        return find(self.content, ".content"), find(self.cites, ".cites")
+        return tuple(_locate(explicit, f"{name}/{name}{suffix}", f"{name}{suffix}")
+                     for explicit, suffix in ((self.content, ".content"), (self.cites, ".cites")))
 
     def mnist_path(self) -> Path | None:
         return _locate(self.mnist_dir, "mnist")
@@ -134,8 +130,6 @@ class ExperimentConfig:
         if self.dataset not in DATASETS:
             errors.append(f"dataset: must be one of {', '.join(DATASETS)}; "
                           f"got {self.dataset!r}")
-        if self.model is not None and self.model not in MODELS:
-            errors.append(f"model: must be one of {', '.join(MODELS)}; got {self.model!r}")
         if self.strategy not in STRATEGIES:
             errors.append(f"strategy: must be one of {', '.join(STRATEGIES)}; "
                           f"got {self.strategy!r}")
@@ -169,13 +163,13 @@ class ExperimentConfig:
         paired = DATASETS.get(self.dataset, self.model)
         if self.model != paired:
             errors.append(f"model: dataset {self.dataset!r} requires model {paired!r}")
-        if DATASETS.get(self.dataset) == "mlp" and self.eval_mode == "class-incremental":
+        elif self.model == "mlp" and self.eval_mode == "class-incremental":
             errors.append(f"eval_mode: must be task-aware for {self.dataset!r}: every permuted "
                           "task holds every label, so class-incremental would train and score "
                           "exactly as task-aware")
 
         needed_by, paths = self.dataset, {}
-        if self.dataset in ("cora", "citeseer", "citation"):
+        if self.dataset in CITATION_DATASETS:
             needed_by = "citation datasets"
             paths = dict(zip(("content", "cites"), self.citation_paths()))
         elif self.dataset == "permuted-mnist":
@@ -214,7 +208,7 @@ def _locate(explicit: str | None, *layouts: str) -> Path | None:
 
 
 def _load_graph(config: ExperimentConfig, seed: int):
-    if config.dataset in ("cora", "citeseer", "citation"):
+    if config.dataset in CITATION_DATASETS:
         content, cites = config.citation_paths()
         return datasets.load_citation_dataset(content, cites)
     if config.dataset == "synthetic-sbm":
@@ -241,7 +235,7 @@ def _image_tasks(config: ExperimentConfig, seed: int) -> list[datasets.ImageTask
 def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     """One deterministic run; returns matrix rows, metrics, and log events."""
     rc = config.replay_config(seed)
-    if DATASETS.get(config.dataset) == "mlp":
+    if config.model == "mlp":
         state = run_image_tasks(_image_tasks(config, seed), config.strategy, rc,
                                 hidden_dim=config.hidden_dim)
     else:

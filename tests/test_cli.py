@@ -81,7 +81,7 @@ class TestRunCommand:
 
     def test_flags_alone_suffice(self, tmp_path, capsys):
         out = tmp_path / "flagged"
-        code = main(["run", "--dataset", "synthetic-sbm", "--model", "sgc",
+        code = main(["run", "--dataset", "synthetic-sbm",
                      "--strategy", "mf", "--e", "1", "--epochs", "10",
                      "--tasks", "2", "--classes-per-task", "2",
                      "--train-per-class", "4", "--out", str(out)])
@@ -89,17 +89,19 @@ class TestRunCommand:
         assert (out / "report.json").exists()
 
     def test_unset_model_is_the_datasets(self, tmp_path, capsys):
-        # no --model: the dataset's model runs and report.json names it
+        # no model key: the dataset's model runs and report.json names it;
+        # a config file that sets another one is rejected
+        config = dict(dataset="synthetic-images", strategy="random", e=1, epochs=2, tasks=2,
+                      hidden_dim=8, syn_images_per_class=10, mnist_train_per_task=40,
+                      mnist_test_per_task=20, out=str(tmp_path / "out"))
         path = tmp_path / "images.json"
-        path.write_text(json.dumps(dict(
-            dataset="synthetic-images", strategy="random", e=1, epochs=2, tasks=2,
-            hidden_dim=8, syn_images_per_class=10, mnist_train_per_task=40,
-            mnist_test_per_task=20, out=str(tmp_path / "out"))))
+        path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["model"] == "mlp"
         capsys.readouterr()
-        assert main(["run", "--config", str(path), "--model", "sgc"]) == 1
+        path.write_text(json.dumps(dict(config, model="sgc")))
+        assert main(["run", "--config", str(path)]) == 1
         assert "model: dataset 'synthetic-images' requires model 'mlp'" in capsys.readouterr().err
 
     def test_invalid_config_exits_one_with_message(self, tmp_path, capsys):
@@ -150,7 +152,8 @@ class TestRemovedSettings:
             assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--probe", "test"), ("--fm-denominator", "m")])
+    @pytest.mark.parametrize("flag, value", [("--probe", "test"), ("--fm-denominator", "m"),
+                                             ("--model", "sgc")])
     def test_flag_rejected_by_parser(self, tmp_path, flag, value):
         config = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -92,11 +92,21 @@ class TestCitationLoader:
 
     def test_numeric_spellings_parse_as_float(self, tmp_path):
         content, cites = write_citation(
-            tmp_path, ["1 1e3 -2.5 +.5 5. a", "2 -0 1E-3 inf -Infinity b"], [])
+            tmp_path, ["1 1e3 -2.5 +.5 5. a", "2 -0 1E-3 1e308 -.5E-2 b"], [])
         g = load_citation_dataset(content, cites)
         assert g.features.dtype == np.float64
         assert np.array_equal(g.features.toarray(),
-                              [[1e3, -2.5, 0.5, 5.0], [0.0, 1e-3, np.inf, -np.inf]])
+                              [[1e3, -2.5, 0.5, 5.0], [0.0, 1e-3, 1e308, -5e-3]])
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_attribute_named(self, tmp_path, token):
+        # such a value used to reach the features, and the run then failed
+        # with "parameters became non-finite", blaming the learning rate
+        content, cites = write_citation(
+            tmp_path, ["1 0 1 a", f"2 1 {token} b", "3 1 0 c"], [])
+        with pytest.raises(CitationFormatError,
+                           match=f"toy.content:2: non-finite attribute '{token}'"):
+            load_citation_dataset(content, cites)
 
     def test_blank_lines_skipped_and_counted_in_errors(self, tmp_path):
         content, cites = write_citation(
@@ -497,6 +507,17 @@ class TestIdxLoader:
         write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
                          np.array([0, 1], dtype=np.uint8))
         with pytest.raises(IdxFormatError, match="expected 32 data bytes"):
+            load_mnist(tmp_path)
+
+    def test_header_size_past_int64_rejected(self, tmp_path):
+        # np.prod of these dims wraps to a negative count that passed the
+        # length check, and the reshape then failed with a bare ValueError
+        dims = (2**32 - 1, 2**32 - 1, 2)
+        blob = struct.pack(">IIII", 2051, *dims) + b"\x00" * 100
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(blob)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([0], dtype=np.uint8))
+        with pytest.raises(IdxFormatError,
+                           match=f"expected {2 * (2**32 - 1) ** 2} data bytes, got 100"):
             load_mnist(tmp_path)
 
     def test_count_mismatch(self, tmp_path, rng):

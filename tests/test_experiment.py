@@ -14,7 +14,7 @@ from replaygraph.experiment import (DATA_DIR_ENV, DATASETS, ExperimentConfig,
                                     ExperimentError, run_experiment,
                                     run_single_seed, sweep_e,
                                     validate_config_file)
-from replaygraph.replay import ReplayConfig, run_image_tasks
+from replaygraph.replay import STRATEGIES, ReplayConfig, run_image_tasks
 from replaygraph.selection import LINEAR_CG, MLP_CG
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
@@ -69,6 +69,9 @@ class TestValidation:
         assert f"model: dataset {dataset!r} requires model {model!r}" in errors
         errors = ExperimentConfig(dataset=dataset, model=model).validate()
         assert not any("requires model" in e for e in errors)
+        errors = ExperimentConfig(dataset=dataset, model="gcn").validate()
+        assert [e for e in errors if e.startswith("model:")] == \
+            [f"model: dataset {dataset!r} requires model {model!r}"]
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     def test_unset_model_takes_the_datasets(self, dataset):
@@ -91,6 +94,19 @@ class TestValidation:
         errors = ExperimentConfig(dataset="cora").validate()
         assert any(e.startswith("content:") for e in errors)
         assert any(e.startswith("cites:") for e in errors)
+        (tmp_path / "cora.cites").write_text("")
+        errors = ExperimentConfig(dataset="cora", content="nope.content").validate()
+        assert errors == [f"content: {tmp_path / 'nope.content'} does not exist"]
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(dataset="mars"), "dataset: must be one of cora, citeseer, citation, "
+                               "permuted-mnist, synthetic-sbm, synthetic-images; got 'mars'"),
+        (dict(strategy="newest"), f"strategy: must be one of {', '.join(STRATEGIES)}; "
+                                  "got 'newest'"),
+        (dict(seeds=[]), "seeds: must list at least one seed"),
+    ], ids=["dataset", "strategy", "seeds"])
+    def test_value_outside_its_choices_named(self, overrides, message):
+        assert ExperimentConfig(**overrides).validate() == [message]
 
     def test_valid_config_produces_no_errors(self, tmp_path):
         assert sbm_config(tmp_path).validate() == []

@@ -53,6 +53,15 @@ class TestGraphValidation:
             Graph(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
                   np.zeros((2, 1)), np.array([0, 3]), 2)
 
+    @pytest.mark.parametrize("labels, class_count, message", [
+        ([0, 0, 0], 1, "labels must have length num_nodes = 2"),
+        ([0, 0], 0, "class_count must be positive"),
+    ])
+    def test_labels_and_class_count_checked(self, labels, class_count, message):
+        with pytest.raises(GraphFormatError, match=message):
+            Graph(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), np.zeros((2, 1)),
+                  np.array(labels), class_count)
+
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(GraphFormatError, match="symmetric"):
             Graph(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
@@ -375,6 +384,11 @@ class TestInducedSubgraph:
         g = path_graph(3)
         with pytest.raises(ValueError):
             induced_subgraph(g, [])
+
+    @pytest.mark.parametrize("nodes", [[0, 3], [-1, 1]])
+    def test_node_out_of_range_rejected(self, nodes):
+        with pytest.raises(ValueError, match="subgraph node index out of range"):
+            induced_subgraph(path_graph(3), nodes)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bytes_equal_the_checked_constructor(self, seed):

@@ -469,6 +469,15 @@ class TestRunSequenceBehavior:
         assert ev["train_count"] == 12
         assert ev["probe_count"] + ev["train_count"] == 16
 
+    def test_im_with_one_row_per_class_probes_its_candidates(self):
+        # no class can spare a probe, so the candidates double as the probes
+        # and nothing is held out of training
+        seq = sbm_sequence(train_per_class=1)
+        state = run_sequence(seq, "im", ReplayConfig(e=1, epochs=15, seed=0))
+        for ev, task in zip(state.events, seq.tasks):
+            assert ev["probe_count"] == ev["train_count"] == len(task.train_nodes) == 2
+        assert state.buffer.batch().y.tolist() == [0, 1, 2, 3, 4, 5]
+
     def test_class_incremental_mode_scores_over_all_seen(self):
         seq = sbm_sequence()
         aware = run_sequence(seq, "mf", ReplayConfig(e=2, epochs=60, seed=0))
