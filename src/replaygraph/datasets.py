@@ -11,6 +11,8 @@ import gzip
 import logging
 import math
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -27,7 +29,7 @@ class CitationFormatError(ValueError):
 
 
 class IdxFormatError(ValueError):
-    """Bad magic number or truncated IDX file."""
+    """Bad magic number, truncated IDX file or corrupt gzip stream."""
 
 
 @dataclass(frozen=True)
@@ -313,31 +315,32 @@ def build_task_sequence(g: Graph, classes_per_task: int, num_tasks: int,
     return TaskSequence(g, tuple(tasks))
 
 
-def _idx_dims(path: Path, fh) -> tuple[int, ...]:
-    """The dimensions in the IDX header ``fh`` is at; reads only the header."""
-    raw = fh.read(4)
-    if len(raw) < 4:
+def _idx_dims(path: Path, fh, ndim: int) -> tuple[int, ...]:
+    """The dimensions in the header ``fh`` is at, of an IDX file of ``ndim``-D
+    unsigned bytes (magic 2051 for images, 2049 for labels); reads only that."""
+    raw = fh.read(4 + 4 * ndim)
+    magic = int.from_bytes(raw[:4], "big")
+    if len(raw) >= 4 and magic != 0x800 + ndim:
+        raise IdxFormatError(f"{path}: bad magic number {magic}, expected {0x800 + ndim}")
+    if len(raw) < 4 + 4 * ndim:
         raise IdxFormatError(f"{path}: truncated header")
-    magic = struct.unpack(">I", raw)[0]
-    if magic == 2051:
-        ndim = 3
-    elif magic == 2049:
-        ndim = 1
-    else:
-        raise IdxFormatError(f"{path}: bad magic number {magic}")
-    raw = fh.read(4 * ndim)
-    if len(raw) < 4 * ndim:
-        raise IdxFormatError(f"{path}: truncated header")
-    return struct.unpack(f">{ndim}I", raw)
+    return struct.unpack(f">{ndim}I", raw[4:])
 
 
+@contextmanager
 def _open_idx(path: Path):
-    return (gzip.open if path.suffix == ".gz" else open)(path, "rb")
+    """``path`` opened for reading, gzipped or not; a truncated or corrupt gzip
+    stream, read in the ``with`` body, raises IdxFormatError naming the file."""
+    try:
+        with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as fh:
+            yield fh
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: {exc}") from None
 
 
-def _read_idx(path: Path) -> np.ndarray:
+def _read_idx(path: Path, ndim: int) -> np.ndarray:
     with _open_idx(path) as fh:
-        dims = _idx_dims(path, fh)
+        dims = _idx_dims(path, fh, ndim)
         raw = fh.read()
     count = math.prod(dims)  # np.prod would wrap past 2**63 and pass the check below
     if len(raw) < count:
@@ -345,36 +348,35 @@ def _read_idx(path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=count).reshape(dims)
 
 
-def _mnist_files(directory: Path, split: str) -> dict[str, Path]:
-    """A split's IDX files under the conventional names, gzipped or not."""
-    prefix = {"train": "train", "test": "t10k"}[split]
+def _mnist_files(directory: Path) -> dict[str, Path]:
+    """The train IDX files under the conventional names, gzipped or not."""
     found = {}  # the last existing name wins
     for kind, idx in (("images", "idx3"), ("labels", "idx1")):
-        for name in (f"{prefix}-{kind}-{idx}-ubyte", f"{prefix}-{kind}.{idx}-ubyte"):
+        for name in (f"train-{kind}-{idx}-ubyte", f"train-{kind}.{idx}-ubyte"):
             for candidate in (directory / name, directory / f"{name}.gz"):
                 if candidate.exists():
                     found[kind] = candidate
     if len(found) < 2:
-        raise FileNotFoundError(f"no {split} IDX files under {directory}")
+        raise FileNotFoundError(f"no train IDX files under {directory}")
     return found
 
 
 def _mnist_train_count(directory: Path) -> int:
     """The image count in the train images' IDX header."""
-    path = _mnist_files(directory, "train")["images"]
+    path = _mnist_files(directory)["images"]
     with _open_idx(path) as fh:
-        return _idx_dims(path, fh)[0]
+        return _idx_dims(path, fh, 3)[0]
 
 
-def load_mnist(directory, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-    """Load IDX image/label files; pixels scaled to [0, 1], images flattened to 784.
+def load_mnist(directory) -> tuple[np.ndarray, np.ndarray]:
+    """Load the train IDX image/label files; pixels scaled to [0, 1], images flattened.
 
-    Looks for the conventional `train-*`/`t10k-*` file names, gzipped or not.
+    Looks for the conventional `train-*` file names, gzipped or not.
     """
     directory = Path(directory)
-    found = _mnist_files(directory, split)
-    images = _read_idx(found["images"])
-    labels = _read_idx(found["labels"])
+    found = _mnist_files(directory)
+    images = _read_idx(found["images"], 3)
+    labels = _read_idx(found["labels"], 1)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"{directory}: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,7 +185,7 @@ class ExperimentConfig:
                     if self.mnist_train_per_task + test > count:
                         errors.append(f"mnist_train_per_task: must be <= {count - test}, "
                                       f"the {count} images in {path} less mnist_test_per_task")
-                except (OSError, EOFError, zlib.error, datasets.IdxFormatError) as exc:
+                except (OSError, datasets.IdxFormatError) as exc:
                     errors.append(f"mnist_dir: {exc}")
         return errors
 
@@ -223,7 +222,7 @@ def _load_graph(config: ExperimentConfig, seed: int):
 def _image_tasks(config: ExperimentConfig, seed: int) -> list[datasets.ImageTask]:
     """The permuted tasks; the source images are freed when this returns."""
     if config.dataset == "permuted-mnist":
-        images, labels = datasets.load_mnist(config.mnist_path(), split="train")
+        images, labels = datasets.load_mnist(config.mnist_path())
     else:
         images, labels = datasets.synthetic_image_dataset(
             10, config.syn_images_per_class, config.syn_noise, seed=seed)

@@ -66,7 +66,11 @@ class Graph:
             raise GraphFormatError("class_count must be positive")
         if n and (labels.min() < 0 or labels.max() >= self.class_count):
             raise GraphFormatError("label outside [0, class_count)")
-        if (adjacency != adjacency.T).nnz != 0:
+        # every entry is 1, so A == A.T exactly when A's CSC form (A.T's CSR,
+        # its indices sorted by construction) has A's canonical structure
+        transpose = adjacency.tocsc()
+        if not (np.array_equal(transpose.indptr, adjacency.indptr)
+                and np.array_equal(transpose.indices, adjacency.indices)):
             raise GraphFormatError("adjacency must be symmetric")
 
     @property
@@ -216,11 +220,6 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     ``g``, so node ``u`` of ``g`` is ``np.searchsorted(np.unique(nodes), u)``
     in the subgraph. Labels keep their global class ids and class_count is
     unchanged.
-
-    The parts are not checked again: the principal submatrix of a checked
-    adjacency on sorted distinct nodes is itself symmetric, all ones and
-    canonical, the rows of a float64 CSR feature matrix are one too, and a
-    subset of in-range labels stays in range.
     """
     keep = np.unique(np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes),
                                 dtype=np.int64))
@@ -228,7 +227,4 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
         raise ValueError("cannot induce a subgraph on an empty node set")
     if keep.min() < 0 or keep.max() >= g.num_nodes:
         raise ValueError("subgraph node index out of range")
-    sub = object.__new__(Graph)  # Graph(...) would run __post_init__'s checks
-    sub.__dict__.update(adjacency=g.adjacency[keep][:, keep], features=g.features[keep],
-                        labels=g.labels[keep], class_count=g.class_count)
-    return sub
+    return Graph(g.adjacency[keep][:, keep], g.features[keep], g.labels[keep], g.class_count)

@@ -2,6 +2,7 @@ import gzip
 import math
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def write_idx_images(path, images, gz=False):
 def write_idx_labels(path, labels, gz=False):
     blob = struct.pack(">II", 2049, len(labels)) + labels.astype(np.uint8).tobytes()
     path.write_bytes(gzip.compress(blob) if gz else blob)
+
+
+def write_damaged_idx_images(path, damage):
+    """A gzipped IDX file of 4,096 blank 16x16 images (1 MiB of pixels), cut
+    to half its bytes ("truncated") or followed by an invalid deflate block
+    ("corrupt"). Its header still reads, since gzip reads ahead at most
+    128 KiB; reading the pixels fails."""
+    blob = struct.pack(">IIII", 2051, 4096, 16, 16) + bytes(4096 * 16 * 16)
+    if damage == "truncated":
+        packed = gzip.compress(blob)
+        path.write_bytes(packed[:len(packed) // 2])
+    else:
+        deflate = zlib.compressobj(9, zlib.DEFLATED, -15)  # raw deflate, no gzip header
+        path.write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + deflate.compress(blob)
+                         + deflate.flush(zlib.Z_SYNC_FLUSH) + b"\x07")  # block type 3
 
 
 def random_instance(rng, n=6, feature_dim=4, class_count=3, weight_decay=0.0,

@@ -69,7 +69,7 @@ def find_mnist():
         for directory in (root / "mnist", root):
             tried.append(str(directory))
             try:
-                _mnist_files(directory, "train")
+                _mnist_files(directory)
             except FileNotFoundError:
                 continue
             return directory, tried

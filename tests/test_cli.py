@@ -12,7 +12,7 @@ import pytest
 from replaygraph.cli import build_parser, main, parse_seeds
 from replaygraph.experiment import ExperimentConfig
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import write_damaged_idx_images, write_idx_images, write_idx_labels
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -229,7 +229,38 @@ class TestFixtureSettings:
                               mnist_dir=str(tmp_path), mnist_test_per_task=3)
         assert main(["validate-config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert "mnist_dir: " in err and message in err
+        assert f"mnist_dir: {images}: " in err and message in err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "Compressed file ended"), ("corrupt", "invalid block type")])
+    def test_damaged_gz_data_reported_by_run(self, tmp_path, capsys, damage, message):
+        # the header passes validate-config, and reading the pixels used to
+        # end run in a traceback
+        images = tmp_path / "train-images-idx3-ubyte.gz"
+        write_damaged_idx_images(images, damage)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte.gz", np.zeros(4096), gz=True)
+        config = write_config(tmp_path, dataset="permuted-mnist", model="mlp",
+                              mnist_dir=str(tmp_path), mnist_train_per_task=4,
+                              mnist_test_per_task=4)
+        assert main(["validate-config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {images}: " in err and message in err and "Traceback" not in err
+
+    def test_labels_under_the_images_name_rejected_before_run(self, tmp_path, capsys):
+        # such a directory used to pass validate-config and train on
+        # 1-pixel images
+        write_idx_labels(tmp_path / "train-images-idx3-ubyte", np.zeros(6))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.zeros(6))
+        config = write_config(tmp_path, dataset="permuted-mnist", model="mlp",
+                              mnist_dir=str(tmp_path), mnist_train_per_task=3,
+                              mnist_test_per_task=3)
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "mnist_dir: " in err and "bad magic number 2049, expected 2051" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteNumbers:

@@ -14,7 +14,8 @@ from replaygraph import (ImageTask, TaskSequence, TaskSpec, build_task_sequence,
 from replaygraph import datasets
 from replaygraph.datasets import CitationFormatError, IdxFormatError
 
-from conftest import traced_peak, write_idx_images, write_idx_labels
+from conftest import (traced_peak, write_damaged_idx_images, write_idx_images,
+                      write_idx_labels)
 
 
 def write_citation(tmp_path, content_lines, cites_lines):
@@ -480,7 +481,7 @@ class TestIdxLoader:
         labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
         write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
         write_idx_labels(tmp_path / "train-labels-idx1-ubyte", labels)
-        flat, got = load_mnist(tmp_path, split="train")
+        flat, got = load_mnist(tmp_path)
         assert flat.shape == (5, 16)
         assert flat.max() <= 1.0 and flat.min() >= 0.0
         assert np.allclose(flat[0], images[0].reshape(-1) / 255.0)
@@ -489,9 +490,9 @@ class TestIdxLoader:
     def test_gzipped_files(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
         labels = np.array([1, 0, 1], dtype=np.uint8)
-        write_idx_images(tmp_path / "t10k-images-idx3-ubyte.gz", images, gz=True)
-        write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte.gz", labels, gz=True)
-        flat, got = load_mnist(tmp_path, split="test")
+        write_idx_images(tmp_path / "train-images-idx3-ubyte.gz", images, gz=True)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte.gz", labels, gz=True)
+        flat, got = load_mnist(tmp_path)
         assert flat.shape == (3, 4)
         assert np.array_equal(got, labels)
 
@@ -501,12 +502,45 @@ class TestIdxLoader:
         with pytest.raises(IdxFormatError, match="magic"):
             load_mnist(tmp_path)
 
+    @pytest.mark.parametrize("name, other, magic, expected", [
+        ("train-images-idx3-ubyte", "train-labels-idx1-ubyte", 2049, 2051),
+        ("train-labels-idx1-ubyte", "train-images-idx3-ubyte", 2051, 2049)])
+    def test_magic_must_match_the_file(self, tmp_path, name, other, magic, expected):
+        # a labels file under the images name used to load as 1-pixel images
+        write_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((2, 2, 2)))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([0, 1]))
+        (tmp_path / name).write_bytes((tmp_path / other).read_bytes())
+        with pytest.raises(IdxFormatError,
+                           match=f"{name}: bad magic number {magic}, expected {expected}"):
+            load_mnist(tmp_path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "Compressed file ended"), ("corrupt", "invalid block type")])
+    def test_damaged_gzip_data(self, tmp_path, damage, message):
+        # the header reads, and reading the pixels used to raise EOFError or
+        # zlib.error, which name no file
+        path = tmp_path / "train-images-idx3-ubyte.gz"
+        write_damaged_idx_images(path, damage)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte.gz", np.zeros(4096), gz=True)
+        assert datasets._mnist_train_count(tmp_path) == 4096
+        with pytest.raises(IdxFormatError, match=f"{path}: .*{message}"):
+            load_mnist(tmp_path)
+
     def test_truncated_data(self, tmp_path):
         blob = struct.pack(">IIII", 2051, 2, 4, 4) + b"\x00" * 10
         (tmp_path / "train-images-idx3-ubyte").write_bytes(blob)
         write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
                          np.array([0, 1], dtype=np.uint8))
         with pytest.raises(IdxFormatError, match="expected 32 data bytes"):
+            load_mnist(tmp_path)
+
+    @pytest.mark.parametrize("size", [0, 3, 4, 15])
+    def test_truncated_header(self, tmp_path, size):
+        blob = struct.pack(">IIII", 2051, 2, 4, 4) + b"\x00" * 32
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(blob[:size])
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                         np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match="truncated header"):
             load_mnist(tmp_path)
 
     def test_header_size_past_int64_rejected(self, tmp_path):

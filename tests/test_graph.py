@@ -67,6 +67,42 @@ class TestGraphValidation:
             Graph(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
                   np.zeros((2, 1)), np.zeros(2, dtype=np.int64), 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data(),
+           shape=st.sampled_from(["as drawn", "symmetric", "symmetric less one",
+                                  "permutation"]),
+           form=st.sampled_from(["csr", "unsorted csr", "coo"]))
+    def test_symmetry_agrees_with_the_elementwise_comparison(self, n, data, shape, form):
+        # the constructor tests symmetry on the canonical structure; it must
+        # reject exactly the 0/1 matrices for which A != A.T has an entry
+        node = st.integers(0, n - 1)
+        cells = data.draw(st.sets(st.tuples(node, node), max_size=3 * n))  # empty rows too
+        if shape == "permutation":  # equal row and column counts; symmetric for an involution
+            cells = {(i, j) for i, j in enumerate(data.draw(st.permutations(range(n)))) if i != j}
+        elif shape != "as drawn":
+            cells |= {(j, i) for i, j in cells}
+            if shape == "symmetric less one" and cells:
+                cells.discard(data.draw(st.sampled_from(sorted(cells))))
+        # row by row, columns descending: a CSR made of these is not canonical
+        order = sorted(cells, key=lambda cell: (cell[0], -cell[1]))
+        rows, cols = np.array(order, dtype=np.int64).reshape(-1, 2).T
+        if form == "coo":
+            a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        else:
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+            a = sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(n, n))
+            if form == "csr":
+                a.sort_indices()
+        elementwise = sp.csr_matrix(a)
+        expected = (elementwise != elementwise.T).nnz == 0
+        try:
+            Graph(a, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 1)
+            symmetric = True
+        except GraphFormatError as exc:
+            assert "symmetric" in str(exc)
+            symmetric = False
+        assert symmetric == expected
+
     def test_adjacency_is_stored_as_float64_csr(self):
         g = Graph(sp.coo_matrix(np.array([[0, 1], [1, 0]])), np.zeros((2, 1)),
                   np.zeros(2, dtype=np.int64), 1)
@@ -392,8 +428,9 @@ class TestInducedSubgraph:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bytes_equal_the_checked_constructor(self, seed):
-        # the subgraph is built without Graph's checks; it must hold the
-        # bytes that Graph(...) makes of the same parts
+        # Graph(...) keeps the bytes of the slices it is given: a principal
+        # submatrix on sorted distinct nodes is already canonical, so
+        # checking a subgraph moves no artifact byte
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         g = random_graph(rng, n)
@@ -405,13 +442,12 @@ class TestInducedSubgraph:
                       rng.integers(0, n, n).tolist()):
             sub = induced_subgraph(g, nodes)
             keep = np.unique(nodes)
-            ref = Graph(g.adjacency[keep][:, keep], g.features[keep], g.labels[keep],
-                        g.class_count)
-            assert type(sub) is Graph and sub.class_count == ref.class_count
-            for got, want in ((sub.adjacency, ref.adjacency), (sub.features, ref.features)):
+            adjacency, features = g.adjacency[keep][:, keep], g.features[keep]
+            assert type(sub) is Graph and sub.class_count == g.class_count
+            for got, want in ((sub.adjacency, adjacency), (sub.features, features)):
                 assert type(got) is type(want) and got.shape == want.shape
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(got, part), getattr(want, part)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert sub.labels.dtype == ref.labels.dtype
-            assert sub.labels.tobytes() == ref.labels.tobytes()
+            assert sub.labels.dtype == g.labels.dtype
+            assert sub.labels.tobytes() == g.labels[keep].tobytes()
