@@ -162,38 +162,44 @@ def _check_attribute_rows(path: Path, linenos: list[int], middles: list[str]) ->
                         f"{path}:{lineno}: {kind} attribute {token!r}") from None
 
 
-# 1 for each byte that is whitespace to str.split() (of ASCII text), else 0
-_SPACE = bytes(chr(code).isspace() for code in range(256))
+# 1 for each ASCII byte that is whitespace to str.split(), else 0; bytes from
+# 0x80 up are parts of UTF-8 sequences (`à` is C3 A0), never separators
+_SPACE = bytes(code < 0x80 and chr(code).isspace() for code in range(256))
 
 
-def _citations_in_one_pass(text: str, index: dict[str, int]):
+def _citations(path: Path, text: str, index: dict[str, int]):
     """``(pairs, dropped)`` for ``.cites`` text: the (m, 2) int64 node pairs
     of its citations between known, distinct ids, and how many others there
-    were. None unless the text is ASCII and every non-blank line holds exactly
-    two tokens; :func:`_citations_by_line` reads (and rejects) anything else.
+    were. The first line that is neither blank nor two tokens raises.
 
-    Lines end at ``\\n`` and tokens at ``str.split()``'s whitespace, as in the
-    line reader. The text is taken ``CITES_BLOCK_BYTES`` of whole lines at a
-    time, so the token strings of only one block are held at once.
+    Lines end at ``\\n`` and tokens at ``str.split()``'s whitespace. The text
+    is taken ``CITES_BLOCK_BYTES`` of whole lines at a time, so the token
+    strings of only one block are held at once.
     """
-    if not text.isascii():
-        return None
+    if not text.isascii():  # one space for each non-ASCII separator
+        text = text.translate({ord(char): " " for char in set(text)
+                               if char.isspace() and not char.isascii()})
     parts = []
     dropped = 0
+    lines_before = 0
     start = 0
     while start < len(text):
         end = text.find("\n", start + CITES_BLOCK_BYTES) + 1 or len(text)
         block = text[start:end]
         start = end
         data = block.encode()
-        raw = np.frombuffer(data, dtype=np.uint8)
         space = np.frombuffer(data.translate(_SPACE), dtype=np.bool_)
-        first = ~space  # the first character of each token
+        first = ~space  # the first byte of each token
         first[1:] &= space[:-1]
-        # each token's line: how many newlines come before its first character
-        line = np.searchsorted(np.flatnonzero(raw == ord("\n")), np.flatnonzero(first))
-        if line.size % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
-            return None
+        # each token's line in the block: how many newlines come before it
+        newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        counts = np.bincount(np.searchsorted(newlines, np.flatnonzero(first)))
+        bad = np.flatnonzero((counts != 0) & (counts != 2))
+        if bad.size:
+            raise CitationFormatError(
+                f"{path}:{lines_before + bad[0] + 1}: expected `<cited_id> <citing_id>`, "
+                f"got {counts[bad[0]]} fields")
+        lines_before += len(newlines)
         tokens = block.split()
         pairs = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64,
                             count=len(tokens)).reshape(-1, 2)
@@ -201,27 +207,6 @@ def _citations_in_one_pass(text: str, index: dict[str, int]):
         dropped += len(pairs) - np.count_nonzero(keep)
         parts.append(pairs[keep])
     return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64), dropped
-
-
-def _citations_by_line(path: Path, text: str, index: dict[str, int]):
-    """``(pairs, dropped)`` as :func:`_citations_in_one_pass` gives them, read
-    one line at a time; the first line without two tokens raises."""
-    edges = []
-    dropped = 0
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise CitationFormatError(
-                f"{path}:{lineno}: expected `<cited_id> <citing_id>`, "
-                f"got {len(tokens)} fields")
-        cited, citing = tokens
-        if cited not in index or citing not in index or cited == citing:
-            dropped += 1
-            continue
-        edges.append((index[cited], index[citing]))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2), dropped
 
 
 def load_citation_dataset(content_path, cites_path) -> Graph:
@@ -250,19 +235,16 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
             if not head:
                 continue
             rest = head[1].rsplit(None, 1) if len(head) == 2 else []
-            if len(rest) < 2:
-                _check_attribute_rows(content_path, linenos, middles)
-                raise CitationFormatError(
-                    f"{content_path}:{lineno}: expected `<id> <attrs...> <label>`, "
-                    f"got {1 + len(rest)} fields")
-            node_id, (middle, label) = head[0], rest
-            if node_id in index:
-                _check_attribute_rows(content_path, linenos, middles)
-                raise CitationFormatError(f"{content_path}:{lineno}: duplicate node id {node_id}")
-            index[node_id] = len(index)
-            middles.append(middle)
-            linenos.append(lineno)
-            label_ids.append(label_index.setdefault(label, len(label_index)))
+            if len(rest) == 2 and head[0] not in index:
+                index[head[0]] = len(index)
+                middles.append(rest[0])
+                linenos.append(lineno)
+                label_ids.append(label_index.setdefault(rest[1], len(label_index)))
+                continue
+            _check_attribute_rows(content_path, linenos, middles)  # an earlier fault wins
+            fault = (f"duplicate node id {head[0]}" if len(rest) == 2 else
+                     f"expected `<id> <attrs...> <label>`, got {1 + len(rest)} fields")
+            raise CitationFormatError(f"{content_path}:{lineno}: {fault}")
 
     if not index:
         raise CitationFormatError(f"{content_path}: no content lines")
@@ -274,8 +256,7 @@ def load_citation_dataset(content_path, cites_path) -> Graph:
 
     with cites_path.open() as fh:
         text = fh.read()
-    found = _citations_in_one_pass(text, index)
-    edges, dropped = found if found is not None else _citations_by_line(cites_path, text, index)
+    edges, dropped = _citations(cites_path, text, index)
     if dropped:
         logger.warning("%s: dropped %d citation(s) referencing unknown ids or self loops",
                        cites_path, dropped)
@@ -362,10 +343,16 @@ def _mnist_files(directory: Path) -> dict[str, Path]:
 
 
 def _mnist_train_count(directory: Path) -> int:
-    """The image count in the train images' IDX header."""
-    path = _mnist_files(directory)["images"]
-    with _open_idx(path) as fh:
-        return _idx_dims(path, fh, 3)[0]
+    """The image count in the train images' IDX header; raises unless the
+    labels file's header is well formed and gives the same count."""
+    found = _mnist_files(directory)
+    counts = []
+    for kind, ndim in (("images", 3), ("labels", 1)):
+        with _open_idx(found[kind]) as fh:
+            counts.append(_idx_dims(found[kind], fh, ndim)[0])
+    if counts[0] != counts[1]:
+        raise IdxFormatError(f"{directory}: {counts[0]} images vs {counts[1]} labels")
+    return counts[0]
 
 
 def load_mnist(directory) -> tuple[np.ndarray, np.ndarray]:

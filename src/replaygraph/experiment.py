@@ -150,14 +150,6 @@ class ExperimentConfig:
             errors.append("seeds: duplicate values")
         if min(self.seeds, default=0) < 0:
             errors.append("seeds: must be >= 0")
-        if self.dataset == "synthetic-images":
-            count, test = 10 * self.syn_images_per_class, self.mnist_test_per_task
-            if test >= count:
-                errors.append("mnist_test_per_task: must be < 10 * syn_images_per_class = "
-                              f"{count}, the synthetic images to split")
-            elif self.mnist_train_per_task + test > count:
-                errors.append(f"mnist_train_per_task: must be <= {count - test}, the {count} "
-                              "synthetic images less mnist_test_per_task")
 
         paired = DATASETS.get(self.dataset, self.model)
         if self.model != paired:
@@ -167,6 +159,10 @@ class ExperimentConfig:
                           "task holds every label, so class-incremental would train and score "
                           "exactly as task-aware")
 
+        split = None  # how many images each permuted task splits, and what they are
+        if self.dataset == "synthetic-images":
+            count = 10 * self.syn_images_per_class
+            split = count, f"{count} synthetic images (10 * syn_images_per_class)"
         needed_by, paths = self.dataset, {}
         if self.dataset in CITATION_DATASETS:
             needed_by = "citation datasets"
@@ -181,12 +177,18 @@ class ExperimentConfig:
                 errors.append(f"{key}: {path} does not exist")
             elif key == "mnist_dir":
                 try:
-                    count, test = datasets._mnist_train_count(path), self.mnist_test_per_task
-                    if self.mnist_train_per_task + test > count:
-                        errors.append(f"mnist_train_per_task: must be <= {count - test}, "
-                                      f"the {count} images in {path} less mnist_test_per_task")
+                    count = datasets._mnist_train_count(path)
+                    split = count, f"{count} images in {path}"
                 except (OSError, datasets.IdxFormatError) as exc:
                     errors.append(f"mnist_dir: {exc}")
+        if split:
+            count, what = split
+            test = self.mnist_test_per_task
+            if test >= count:
+                errors.append(f"mnist_test_per_task: must be < {count}, the {what} to split")
+            elif self.mnist_train_per_task + test > count:
+                errors.append(f"mnist_train_per_task: must be <= {count - test}, the {what} "
+                              "less mnist_test_per_task")
         return errors
 
     def replay_config(self, seed: int) -> ReplayConfig:

@@ -215,6 +215,38 @@ class TestFixtureSettings:
         config = write_config(tmp_path, mnist_train_per_task=3, **mnist)
         assert main(["validate-config", str(config)]) == 0
 
+    def test_mnist_test_split_checked_against_the_idx_header(self, tmp_path, capsys):
+        # a test split of every image used to be reported as a negative
+        # bound on the train split
+        write_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((6, 2, 2)))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.zeros(6))
+        config = write_config(tmp_path, dataset="permuted-mnist", model="mlp",
+                              mnist_dir=str(tmp_path), mnist_test_per_task=6)
+        assert main(["validate-config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"mnist_test_per_task: must be < 6, the 6 images in {tmp_path} to split" in err
+        assert "mnist_train_per_task" not in err
+
+    @pytest.mark.parametrize("write_labels, message", [
+        (lambda path: write_idx_labels(path, np.zeros(5)), "6 images vs 5 labels"),
+        (lambda path: write_idx_images(path, np.zeros((6, 2, 2))),
+         "bad magic number 2051, expected 2049"),
+    ], ids=["count", "images-file"])
+    def test_bad_labels_file_rejected_before_run(self, tmp_path, capsys, write_labels,
+                                                 message):
+        # validate-config used to read the images header only, so these
+        # passed it and failed inside run
+        write_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((6, 2, 2)))
+        write_labels(tmp_path / "train-labels-idx1-ubyte")
+        config = write_config(tmp_path, dataset="permuted-mnist", model="mlp",
+                              mnist_dir=str(tmp_path), mnist_train_per_task=3,
+                              mnist_test_per_task=3)
+        for argv in (["validate-config", str(config)], ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "mnist_dir: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("damage, message", [
         (lambda blob: blob[:12], "Compressed file ended"),  # EOFError
         (lambda blob: blob[:10] + b"\xff" * (len(blob) - 10), "invalid block type"),  # zlib

@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,17 +33,42 @@ def refuse_loadtxt(*args, **kwargs):
 
 # Lines of generated .cites text: ids known to the index and one that is not,
 # separated and padded by every ASCII character str.split() treats as
-# whitespace apart from the line ends.
-CITES_IDS = ("1", "35", "#2", "x7")
+# whitespace apart from the line ends, and by non-ASCII ones. "à1" and "Ņ2"
+# hold the bytes A0 and 85 in UTF-8 (C3 A0, C5 85): U+00A0 and U+0085 are
+# whitespace, the bytes are not.
+CITES_IDS = ("1", "35", "#2", "x7", "é1", "à1", "Ņ2")
 CITES_TOKEN = st.sampled_from(CITES_IDS + ("999",))
-CITES_SPACE = st.text(alphabet=" \t\v\f\x1c\x1d\x1e\x1f", min_size=1, max_size=3)
-CITES_PAD = st.text(alphabet=" \t\v\f\x1c\x1d\x1e\x1f", max_size=2)
+CITES_SEPARATORS = " \t\v\f\x1c\x1d\x1e\x1f\xa0\x85\u2003\u2028\u3000"
+CITES_SPACE = st.text(alphabet=CITES_SEPARATORS, min_size=1, max_size=3)
+CITES_PAD = st.text(alphabet=CITES_SEPARATORS, max_size=2)
 CITES_GOOD_LINE = st.one_of(  # blank, or two tokens
     CITES_PAD,
     st.builds(lambda pad, a, space, b, end: pad + a + space + b + end,
               CITES_PAD, CITES_TOKEN, CITES_SPACE, CITES_TOKEN, CITES_PAD))
 CITES_ANY_LINE = st.builds(lambda tokens, space: space.join(tokens),
                            st.lists(CITES_TOKEN, min_size=1, max_size=4), CITES_SPACE)
+
+
+def read_cites_by_line(path, text, index):
+    """``(pairs, dropped)`` of ``.cites`` text read one line at a time, the
+    reference for ``datasets._citations``: the first line without two tokens
+    raises."""
+    edges = []
+    dropped = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise CitationFormatError(
+                f"{path}:{lineno}: expected `<cited_id> <citing_id>`, "
+                f"got {len(tokens)} fields")
+        cited, citing = tokens
+        if cited not in index or citing not in index or cited == citing:
+            dropped += 1
+            continue
+        edges.append((index[cited], index[citing]))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), dropped
 
 
 class TestCitationLoader:
@@ -297,11 +323,9 @@ class TestCitationLoader:
         g = load_citation_dataset(content, cites)
         assert g.num_nodes == 2 and g.adjacency.nnz == 0
 
-    def test_non_ascii_id_is_read_line_by_line_with_the_same_result(self, tmp_path):
+    def test_non_ascii_ids_give_the_ascii_result(self, tmp_path):
         content, cites = write_citation(tmp_path, ["é1 0 1 a", "2 1 0 b", "3 1 1 b"],
                                         ["é1 2", "3 é1", "é1 é1", "4 2"])
-        text = cites.read_text()
-        assert datasets._citations_in_one_pass(text, {"é1": 0, "2": 1, "3": 2}) is None
         g = load_citation_dataset(content, cites)
         write_citation(tmp_path, ["e1 0 1 a", "2 1 0 b", "3 1 1 b"],
                        ["e1 2", "3 e1", "e1 e1", "4 2"])
@@ -310,12 +334,33 @@ class TestCitationLoader:
             for part in ("data", "indices", "indptr"):
                 assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
+    def test_bad_line_in_a_later_block_reports_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datasets, "CITES_BLOCK_BYTES", 16)  # 6 lines a block
+        content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
+                                        ["1 2", "", "2 1"] * 10 + ["1 2 1", "2 1"])
+        with pytest.raises(CitationFormatError,
+                           match="toy.cites:31: expected `<cited_id> <citing_id>`, "
+                                 "got 3 fields"):
+            load_citation_dataset(content, cites)
+
+    def test_no_break_space_separates_fields(self, tmp_path):
+        content, cites = write_citation(tmp_path, ["1 0 1 a", "2 1 0 b"],
+                                        ["1\xa02", "2\xa01\xa0\xa01"])
+        with pytest.raises(CitationFormatError,
+                           match="toy.cites:2: expected `<cited_id> <citing_id>`, "
+                                 "got 3 fields"):
+            load_citation_dataset(content, cites)
+        cites.write_text("1\xa02\n\xa0\n2\u3000 1\n")
+        assert load_citation_dataset(content, cites).adjacency.nnz == 2
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CITES_GOOD_LINE, max_size=30),
            st.lists(st.tuples(st.integers(0, 30), CITES_ANY_LINE), max_size=2),
            st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=32, max_size=32),
-           st.booleans())
-    def test_one_pass_matches_the_line_reader(self, lines, extras, newlines, newline_at_end):
+           st.booleans(),
+           st.one_of(st.just(datasets.CITES_BLOCK_BYTES), st.integers(1, 40)))
+    def test_one_pass_matches_the_line_reader(self, lines, extras, newlines, newline_at_end,
+                                              block_bytes):
         for at, line in extras:  # lines of any token count, at any place
             lines.insert(at, line)
         raw = "".join(line + newline for line, newline in zip(lines, newlines))
@@ -325,24 +370,25 @@ class TestCitationLoader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "toy.cites"
             path.write_bytes(raw.encode())
-            with path.open() as fh:
+            with path.open(encoding="utf-8") as fh:
                 text = fh.read()
-            with path.open() as fh:  # the line reader splits lines as the file iterates them
+            with path.open(encoding="utf-8") as fh:  # the lines as the file iterates them
                 file_lines = [line.split() for line in fh]
         read_lines = [line.split() for line in text.split("\n")]
         assert read_lines[:len(file_lines)] == file_lines
         assert not any(read_lines[len(file_lines):])
-        found = datasets._citations_in_one_pass(text, index)
-        if any(len(tokens) not in (0, 2) for tokens in file_lines):
-            assert found is None
-            with pytest.raises(CitationFormatError):
-                datasets._citations_by_line(path, text, index)
-            return
-        pairs, dropped = datasets._citations_by_line(path, text, index)
-        assert found is not None
-        assert found[0].dtype == pairs.dtype and found[0].shape == pairs.shape
-        assert found[0].tobytes() == pairs.tobytes()
-        assert found[1] == dropped
+        with mock.patch.object(datasets, "CITES_BLOCK_BYTES", block_bytes):
+            try:
+                pairs, dropped = read_cites_by_line(path, text, index)
+            except CitationFormatError as exc:
+                with pytest.raises(CitationFormatError) as raised:
+                    datasets._citations(path, text, index)
+                assert str(raised.value) == str(exc)
+                return
+            found, found_dropped = datasets._citations(path, text, index)
+        assert found.dtype == pairs.dtype and found.shape == pairs.shape
+        assert found.tobytes() == pairs.tobytes()
+        assert found_dropped == dropped
 
     def test_one_pass_over_a_cites_heavy_file_peaks_below_four_times_its_text(self):
         # only one block's token strings are held at a time; the pairs take
@@ -352,7 +398,7 @@ class TestCitationLoader:
         index = {node_id: k for k, node_id in enumerate(ids)}
         pairs = rng.integers(0, len(ids), (60_000, 2))
         text = "".join(f"{ids[u]} {ids[v]}\n" for u, v in pairs.tolist())
-        (found, dropped), peak = traced_peak(datasets._citations_in_one_pass, text, index)
+        (found, dropped), peak = traced_peak(datasets._citations, "toy.cites", text, index)
         assert dropped == np.count_nonzero(pairs[:, 0] == pairs[:, 1])
         assert len(found) + dropped == len(pairs)
         assert peak < 4 * len(text)
